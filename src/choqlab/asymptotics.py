@@ -26,7 +26,6 @@ from .exponents import (
     bootstrap_case,
     green_rate,
     riesz_rate,
-    supercritical_density_exponent,
 )
 from .kernels import gamma0
 from .operators import (

@@ -37,14 +37,14 @@ from .serialize import dumps_canonical, read_profile, write_json, \
     write_profile, format_float
 from .solver import (
     BarrierEstimateError,
+    BracketEndpointError,
+    Discretization,
     ProblemInstance,
     SolveVerdict,
     SupercriticalError,
-    estimate_barrier_constant,
     estimate_kstar,
     solve_minimal,
 )
-from .verify import SUITES, run_suite
 
 __all__ = ["main"]
 
@@ -54,6 +54,10 @@ EXIT_INVALID = 2
 EXIT_SUPERCRITICAL = 3
 EXIT_DIVERGED = 4
 EXIT_UNDETERMINED = 5
+
+# the keys of verify.SUITES, named here so that only `verify` itself loads
+# that module (and scipy.integrate through its reference oracles)
+VERIFY_SUITES = ("bootstrap", "kernels", "operators", "rates")
 
 _VERDICT_EXIT = {
     SolveVerdict.CONVERGED: EXIT_OK,
@@ -345,8 +349,10 @@ def cmd_sweep_k(args) -> int:
     _require_writable([args.output])
     _gate_subcritical(e)
 
+    # one discretization serves c_hat and every solve of the bisection
+    disc = Discretization(e, inst.grid)
     try:
-        c_hat = estimate_barrier_constant(e, inst.grid)
+        c_hat = disc.c_hat
     except BarrierEstimateError as exc:
         raise CommandError(EXIT_INVALID, str(exc))
     khat_q, t_q = k_threshold(c_hat, float(e.p), float(e.q))
@@ -357,13 +363,13 @@ def cmd_sweep_k(args) -> int:
                            f"need 0 < k_lo < k_hi, got ({k_lo:g}, {k_hi:g})")
 
     try:
-        bracket = estimate_kstar(inst, k_lo, k_hi, args.steps)
-    except ValueError as exc:
+        bracket = estimate_kstar(inst, k_lo, k_hi, args.steps, disc)
+    except BracketEndpointError as exc:
         raise CommandError(
             EXIT_INVALID,
             f"{exc}; widen the bracket so k_lo converges and k_hi diverges")
-    except BarrierEstimateError as exc:
-        raise CommandError(EXIT_UNDETERMINED, str(exc))
+    except ValueError as exc:
+        raise CommandError(EXIT_INVALID, str(exc))
 
     out = {
         "chat": c_hat,
@@ -418,6 +424,7 @@ def cmd_verify(args) -> int:
         raise CommandError(EXIT_INVALID,
                            "--csv only applies to the kernels suite")
     _require_writable([args.csv])
+    from .verify import run_suite
     ok = run_suite(args.suite, sys.stdout, csv_path=args.csv)
     return EXIT_OK if ok else EXIT_SUITE_FAILED
 
@@ -490,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser(
         "verify", help="self-audit suites with TAP output")
-    p_verify.add_argument("suite", choices=sorted(SUITES))
+    p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--csv", help="kernels suite: audit CSV path")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -19,9 +19,9 @@ which pins down the guaranteed-convergence threshold k_q.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,6 @@ from .exponents import (
 from .kernels import gamma0, phi0
 from .operators import (
     ExpDecay,
-    OperatorMatrix,
     RadialGrid,
     RadialProfile,
     apply,
@@ -55,6 +54,8 @@ __all__ = [
     "KstarBracket",
     "SupercriticalError",
     "BarrierEstimateError",
+    "BracketEndpointError",
+    "Discretization",
     "gamma0_profile",
     "phi0_profile",
     "require_subcritical",
@@ -97,6 +98,10 @@ class SupercriticalError(ValueError):
 
 class BarrierEstimateError(RuntimeError):
     """The barrier ratio peaked at a grid end, so its max is untrustworthy."""
+
+
+class BracketEndpointError(ValueError):
+    """A k* bracket endpoint came back with the wrong verdict."""
 
 
 def require_subcritical(exponents: ProblemExponents) -> CriticalityReport:
@@ -173,28 +178,80 @@ class ProblemInstance:
                 f"ceiling {guard:g} for p + q = {self.exponents.p + self.exponents.q}")
 
 
-def _operators(inst: ProblemInstance) -> tuple[OperatorMatrix, OperatorMatrix]:
-    ex = inst.exponents
-    riesz = assemble("riesz", ex.N, inst.grid, alpha=float(ex.alpha))
-    green = assemble("green", ex.N, inst.grid)
-    return riesz, green
+# ---------------------------------------------------------------------------
+# the discretization shared by every k
+
+
+class Discretization:
+    """Everything one (exponents, grid) pair fixes, shared by every k.
+
+    The iteration map depends on k only through its source k Gamma_0, so
+    both operator matrices (with the origin and tail columns they cache),
+    the unit Gamma_0 and Phi_0 profiles, and the barrier core and c_hat
+    are built once; the last two on first use, so iterating never pays
+    for them.
+    """
+
+    def __init__(self, exponents: ProblemExponents, grid: RadialGrid):
+        N = exponents.N
+        self.exponents = exponents
+        self.grid = grid
+        self.riesz = assemble("riesz", N, grid, alpha=float(exponents.alpha))
+        self.green = assemble("green", N, grid)
+        self.gamma0 = gamma0_profile(N, grid)
+        self.phi0 = phi0_profile(N, grid)
+
+    def source(self, k: float) -> RadialProfile:
+        """k Gamma_0 with its exact annotations."""
+        return pointwise_scale(self.gamma0, k)
+
+    def nonlinear_image(self, v: RadialProfile) -> RadialProfile:
+        """G[ I_alpha[v^p] v^q ] with annotations carried through."""
+        ex = self.exponents
+        potential = apply(self.riesz, pointwise_power(v, float(ex.p)))
+        return apply(self.green, pointwise_product(
+            potential, pointwise_power(v, float(ex.q))))
+
+    @cached_property
+    def barrier_core(self) -> RadialProfile:
+        """G[I_alpha[Phi_0^p] Phi_0^q]."""
+        return self.nonlinear_image(self.phi0)
+
+    @cached_property
+    def c_hat(self) -> float:
+        """Empirical domination constant sup_r barrier_core / Phi_0.
+
+        In the subcritical class the ratio vanishes at both ends, so a max
+        on the first or last node means the grid missed the interior peak.
+        """
+        ratio = self.barrier_core.values / self.phi0.values
+        peak = int(np.argmax(ratio))
+        if peak in (0, self.grid.size - 1):
+            raise BarrierEstimateError(
+                f"barrier ratio peaks at grid {'start' if peak == 0 else 'end'}"
+                f" (r = {self.grid.nodes[peak]:g}); widen the grid")
+        return float(ratio[peak])
+
+
+def _discretization(inst: ProblemInstance,
+                    disc: Optional[Discretization]) -> Discretization:
+    """disc checked against inst, or a new one when none is given."""
+    if disc is None:
+        return Discretization(inst.exponents, inst.grid)
+    if disc.exponents != inst.exponents or (
+            disc.grid is not inst.grid
+            and not np.array_equal(disc.grid.nodes, inst.grid.nodes)):
+        raise ValueError("discretization was built for other exponents "
+                         "or another grid than the instance")
+    return disc
 
 
 # ---------------------------------------------------------------------------
 # the iteration map
 
 
-def _nonlinear_image(v: RadialProfile, p: float, q: float,
-                     riesz: OperatorMatrix,
-                     green: OperatorMatrix) -> RadialProfile:
-    """G[ I_alpha[v^p] v^q ] with annotations carried through."""
-    potential = apply(riesz, pointwise_power(v, p))
-    return apply(green, pointwise_product(potential, pointwise_power(v, q)))
-
-
 def iterate_once(v: RadialProfile, inst: ProblemInstance,
-                 _ops: Optional[tuple[OperatorMatrix, OperatorMatrix]] = None,
-                 ) -> RadialProfile:
+                 disc: Optional[Discretization] = None) -> RadialProfile:
     """One step v -> G[I_alpha[v^p] v^q] + k Gamma_0.
 
     The output is re-annotated with the source's own exponent N-2 and tail:
@@ -203,13 +260,11 @@ def iterate_once(v: RadialProfile, inst: ProblemInstance,
     freezing it makes every iterate share the same origin and tail columns
     (comparisons between iterates then survive rounding exactly).
     """
-    riesz, green = _ops if _ops is not None else _operators(inst)
-    ex = inst.exponents
-    source = gamma0_profile(ex.N, inst.grid, scale=inst.k)
+    disc = _discretization(inst, disc)
+    source = disc.source(inst.k)
     if v.is_zero():
         return source
-    out = pointwise_add(
-        _nonlinear_image(v, float(ex.p), float(ex.q), riesz, green), source)
+    out = pointwise_add(disc.nonlinear_image(v), source)
     return replace(out, origin_exponent=source.origin_exponent,
                    tail=source.tail)
 
@@ -218,46 +273,22 @@ def iterate_once(v: RadialProfile, inst: ProblemInstance,
 # barrier
 
 
-def estimate_barrier_constant(exponents: ProblemExponents, grid: RadialGrid,
-                              _ops: Optional[tuple] = None) -> float:
-    """Empirical domination constant sup_r G[I_alpha[Phi_0^p] Phi_0^q] / Phi_0.
-
-    The ratio vanishes at both ends (the numerator's origin singularity is
-    strictly weaker in the subcritical class, and its tail decays at the
-    full Yukawa rate against Phi_0's half rate), so the sup must be an
-    interior max; a max on the first or last node means the grid did not
-    capture it and is reported as an error rather than returned.
-    """
+def estimate_barrier_constant(exponents: ProblemExponents,
+                              grid: RadialGrid) -> float:
+    """Discretization(exponents, grid).c_hat, refused when supercritical."""
     require_subcritical(exponents)
-    if _ops is None:
-        riesz = assemble("riesz", exponents.N, grid, alpha=float(exponents.alpha))
-        green = assemble("green", exponents.N, grid)
-    else:
-        riesz, green = _ops
-    phi = phi0_profile(exponents.N, grid)
-    core = _nonlinear_image(phi, float(exponents.p), float(exponents.q),
-                            riesz, green)
-    ratio = core.values / phi.values
-    peak = int(np.argmax(ratio))
-    if peak in (0, grid.size - 1):
-        raise BarrierEstimateError(
-            f"barrier ratio peaks at grid {'start' if peak == 0 else 'end'} "
-            f"(r = {grid.nodes[peak]:g}); widen the grid")
-    return float(ratio[peak])
+    return Discretization(exponents, grid).c_hat
 
 
 def barrier(inst: ProblemInstance, t: float,
-            _ops: Optional[tuple] = None) -> RadialProfile:
+            disc: Optional[Discretization] = None) -> RadialProfile:
     """w_t = t k^{p+q} G[I_alpha[Phi_0^p] Phi_0^q] + k Phi_0."""
     if not t > 0:
         raise ValueError(f"barrier parameter t must be positive, got {t}")
-    riesz, green = _ops if _ops is not None else _operators(inst)
-    ex = inst.exponents
-    phi = phi0_profile(ex.N, inst.grid)
-    core = _nonlinear_image(phi, float(ex.p), float(ex.q), riesz, green)
-    s = float(ex.p + ex.q)
-    return pointwise_add(pointwise_scale(core, t * inst.k ** s),
-                         phi0_profile(ex.N, inst.grid, scale=inst.k))
+    disc = _discretization(inst, disc)
+    s = float(inst.exponents.p + inst.exponents.q)
+    return pointwise_add(pointwise_scale(disc.barrier_core, t * inst.k ** s),
+                         pointwise_scale(disc.phi0, inst.k))
 
 
 def barrier_admissible(inst: ProblemInstance, c_hat: float) -> bool:
@@ -309,7 +340,8 @@ class SolveOutcome:
     barrier_active: bool
 
 
-def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
+def solve_minimal(inst: ProblemInstance,
+                  disc: Optional[Discretization] = None) -> SolveOutcome:
     """Run the monotone iteration from v_0 = k Gamma_0 to a verdict.
 
     Converged: relative sup-norm delta below conv_tol; the reported
@@ -317,18 +349,19 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
     measured rather than inferred.  Diverged: sup norm beyond blowup_cap
     and still growing for 10 consecutive steps.  Otherwise the budget ran
     out and the verdict stays undetermined (near k* the scheme slows down
-    without telling which side of the threshold it is on).
+    without telling which side of the threshold it is on).  A disc built
+    for the same exponents and grid is reused rather than rebuilt.
     """
     require_subcritical(inst.exponents)
-    ops = _operators(inst)
+    disc = _discretization(inst, disc)
     ex = inst.exponents
 
-    c_hat = estimate_barrier_constant(ex, inst.grid, _ops=ops)
+    c_hat = disc.c_hat
     k_q, t_q = k_threshold(c_hat, float(ex.p), float(ex.q))
     active = inst.k <= k_q
-    w = barrier(inst, t_q, _ops=ops) if active else None
+    w = barrier(inst, t_q, disc) if active else None
 
-    v = gamma0_profile(ex.N, inst.grid, scale=inst.k)
+    v = disc.source(inst.k)
     sups = [v.sup]
     deltas: list = []
     violations: list = []
@@ -341,7 +374,7 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
     verdict = SolveVerdict.MAX_ITERATIONS
     iterations = inst.max_iter
     for n in range(1, inst.max_iter + 1):
-        v_next = iterate_once(v, inst, _ops=ops)
+        v_next = iterate_once(v, inst, disc)
         sup_prev, sup_next = v.sup, v_next.sup
         sups.append(sup_next)
         deltas.append(float(np.max(np.abs(v_next.values - v.values))
@@ -367,7 +400,7 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
     profile = None
     if verdict is SolveVerdict.CONVERGED:
         profile = v
-        once_more = iterate_once(v, inst, _ops=ops)
+        once_more = iterate_once(v, inst, disc)
         residual = float(np.max(np.abs(once_more.values - v.values)) / v.sup)
 
     trace = IterationTrace(sup_norms=tuple(sups),
@@ -405,34 +438,36 @@ class KstarBracket:
 
 
 def estimate_kstar(template: ProblemInstance, k_lo: float, k_hi: float,
-                   steps: int) -> KstarBracket:
+                   steps: int,
+                   disc: Optional[Discretization] = None) -> KstarBracket:
     """Bisect [k_lo, k_hi] on the solve verdict.
 
     Endpoints must come in with the right verdicts (k_lo converges, k_hi
-    diverges); the bracket then halves per step.  A mid verdict of
-    undetermined stops the sweep early rather than guessing a side.  The
-    observed verdicts are audited for downward closure in k before
-    returning.
+    diverges), else BracketEndpointError; the bracket then halves per
+    step.  A mid verdict of undetermined stops the sweep early rather than
+    guessing a side.  Every solve shares one discretization: disc, or one
+    built here for the template's exponents and grid.
     """
     if not (0 < k_lo < k_hi):
         raise ValueError(f"need 0 < k_lo < k_hi, got ({k_lo}, {k_hi})")
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    disc = _discretization(template, disc)
 
     def run(k):
-        return solve_minimal(replace(template, k=k, blowup_cap=None))
+        return solve_minimal(replace(template, k=k, blowup_cap=None), disc)
 
     evaluations = []
     lo_out = run(k_lo)
     evaluations.append((k_lo, lo_out.verdict))
     if lo_out.verdict is not SolveVerdict.CONVERGED:
-        raise ValueError(
+        raise BracketEndpointError(
             f"bracket endpoint k_lo = {k_lo:g} did not converge "
             f"({lo_out.verdict.value})")
     hi_out = run(k_hi)
     evaluations.append((k_hi, hi_out.verdict))
     if hi_out.verdict is not SolveVerdict.DIVERGED:
-        raise ValueError(
+        raise BracketEndpointError(
             f"bracket endpoint k_hi = {k_hi:g} did not diverge "
             f"({hi_out.verdict.value})")
 
@@ -450,11 +485,6 @@ def estimate_kstar(template: ProblemInstance, k_lo: float, k_hi: float,
             halted = True
             break
 
-    converged_ks = [k for k, vd in evaluations if vd is SolveVerdict.CONVERGED]
-    diverged_ks = [k for k, vd in evaluations if vd is SolveVerdict.DIVERGED]
-    if converged_ks and diverged_ks and max(converged_ks) >= min(diverged_ks):
-        raise BarrierEstimateError(
-            "verdicts are not monotone in k; quadrature is untrustworthy")
     return KstarBracket(k_conv=lo, k_div=hi,
                         evaluations=tuple(evaluations),
                         halted_undetermined=halted)

@@ -6,11 +6,21 @@ verify suite, 2 invalid input, 3 supercritical, 4 diverged, 5 undetermined.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import choqlab.cli
+import choqlab.solver
 from choqlab.cli import main, parse_rational
+from choqlab.operators import NonIntegrableOriginError
+from choqlab.solver import BarrierEstimateError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 FLAGS = ["--N", "3", "--alpha", "2", "--p", "2", "--q", "1"]
 FAST_GRID = ["--r-min", "1e-3", "--r-max", "20", "--points-per-decade", "20"]
@@ -273,6 +283,61 @@ def test_sweep_rejects_bad_bracket_shape(capsys):
     assert code == 2 and "steps" in err
 
 
+def test_sweep_endpoint_failure_gets_the_bracket_hint(capsys):
+    code, out, err = run_cli(capsys, "sweep-k", *FLAGS, *FAST_GRID,
+                             "--k-lo", "100", "--k-hi", "200", "--steps", "2")
+    assert code == 2 and out == ""
+    assert "k_lo = 100 did not converge" in err
+    assert "widen the bracket" in err
+
+
+def test_sweep_barrier_estimate_error_exits_2(capsys, monkeypatch):
+    def end_peak(self):
+        raise BarrierEstimateError("barrier ratio peaks at grid end (r = 20)")
+
+    monkeypatch.setattr(choqlab.solver.Discretization, "c_hat",
+                        property(end_peak))
+    code, out, err = run_cli(capsys, "sweep-k", *FLAGS, *FAST_GRID,
+                             "--steps", "2")
+    assert code == 2 and out == ""
+    assert err == "error: barrier ratio peaks at grid end (r = 20)\n"
+
+
+def test_sweep_other_solve_errors_exit_2_without_hint(capsys, monkeypatch):
+    exc = NonIntegrableOriginError("riesz", 3.0, 3)
+
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(choqlab.cli, "estimate_kstar", failing)
+    code, out, err = run_cli(capsys, "sweep-k", *FLAGS, *FAST_GRID,
+                             "--k-lo", "1.0", "--k-hi", "16.0", "--steps", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: {exc}\n"
+
+
+def test_sweep_assembles_each_operator_once(capsys, assemble_counts):
+    code, out, _ = run_cli(capsys, "sweep-k", *FLAGS, *FAST_GRID,
+                           "--steps", "3")
+    assert code == 0
+    assert len(json.loads(out)["evaluations"]) == 5
+    assert assemble_counts == {"riesz": 1, "green": 1}
+
+
+@pytest.mark.parametrize("exponents, golden", [
+    (FLAGS, "sweep_k_3_2_2_1_ppd40_steps6.json"),
+    (["--N", "4", "--alpha", "1", "--p", "6/5", "--q", "1"],
+     "sweep_k_4_1_6-5_1_ppd40_steps6.json"),
+])
+def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
+    # recorded from the implementation that assembled the operators anew
+    # for every k; sharing them must not move a single bit
+    code, out, _ = run_cli(capsys, "sweep-k", *exponents,
+                           "--points-per-decade", "40", "--steps", "6")
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
+
+
 def test_sweep_supercritical_gate(capsys):
     code, _, _ = run_cli(capsys, "sweep-k", "--N", "3", "--alpha", "2",
                          "--p", "2", "--q", "3", *FAST_GRID,
@@ -303,6 +368,23 @@ def test_verify_kernels_csv_dump(capsys, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "r,gamma0,phi0,closed_form,residual"
     assert len(lines) == 201
+
+
+def test_verify_suite_names_match_the_suites():
+    from choqlab.verify import SUITES
+    assert choqlab.cli.VERIFY_SUITES == tuple(sorted(SUITES))
+
+
+def test_cli_import_leaves_verify_unloaded():
+    src = str(Path(choqlab.cli.__file__).parents[1])
+    code = ("import sys, choqlab.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'choqlab.verify', "
+            "'choqlab.reference') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_csv_flag_restricted_to_kernels(capsys, tmp_path):

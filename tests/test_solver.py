@@ -17,6 +17,8 @@ from choqlab.exponents import ProblemExponents, k_threshold
 from choqlab.operators import NonIntegrableOriginError, build_grid
 from choqlab.solver import (
     BarrierEstimateError,
+    BracketEndpointError,
+    Discretization,
     ProblemInstance,
     SolveVerdict,
     SupercriticalError,
@@ -254,3 +256,81 @@ def test_kstar_rejects_bad_endpoints():
         estimate_kstar(tmpl, 1.0, 0.5, steps=2)
     with pytest.raises(ValueError):
         estimate_kstar(tmpl, 0.5, 1.0, steps=0)
+
+
+def test_kstar_endpoint_errors_are_their_own_type():
+    tmpl = ProblemInstance(FLAGSHIP, k=0.5 * K_Q, grid=GRID, max_iter=400)
+    with pytest.raises(BracketEndpointError, match="did not converge"):
+        estimate_kstar(tmpl, 100.0, 200.0, steps=2)
+    with pytest.raises(BracketEndpointError, match="did not diverge"):
+        estimate_kstar(tmpl, 0.1 * K_Q, 0.5 * K_Q, steps=2)
+
+
+# ---------------------------------------------------------------------------
+# shared discretization
+
+
+def test_kstar_assembles_each_operator_once(assemble_counts):
+    tmpl = ProblemInstance(FLAGSHIP, k=1.0, grid=GRID)
+    br = estimate_kstar(tmpl, 0.5 * K_Q, 50.0 * K_Q, steps=4)
+    assert len(br.evaluations) == 6
+    assert assemble_counts == {"riesz": 1, "green": 1}
+
+
+def test_kstar_accepts_a_callers_discretization(assemble_counts):
+    disc = Discretization(FLAGSHIP, GRID)
+    tmpl = ProblemInstance(FLAGSHIP, k=1.0, grid=GRID)
+    shared = estimate_kstar(tmpl, 0.5 * K_Q, 50.0 * K_Q, steps=3, disc=disc)
+    assert assemble_counts == {"riesz": 1, "green": 1}
+    fresh = estimate_kstar(tmpl, 0.5 * K_Q, 50.0 * K_Q, steps=3)
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("k, verdict, active", [
+    (0.5 * K_Q, SolveVerdict.CONVERGED, True),
+    (2.0, SolveVerdict.CONVERGED, False),
+    (20.0, SolveVerdict.DIVERGED, False),
+])
+def test_shared_discretization_is_bit_identical(k, verdict, active):
+    # the shared object has already served other k, so its column caches
+    # and barrier core are warm when this solve starts
+    disc = Discretization(FLAGSHIP, GRID)
+    for other in (0.3 * K_Q, 50.0):
+        solve_minimal(ProblemInstance(FLAGSHIP, k=other, grid=GRID), disc)
+    inst = ProblemInstance(FLAGSHIP, k=k, grid=GRID)
+    shared = solve_minimal(inst, disc)
+    fresh = solve_minimal(inst)
+    assert shared.verdict is fresh.verdict is verdict
+    assert shared.barrier_active is fresh.barrier_active is active
+    assert shared.iterations == fresh.iterations
+    assert shared.barrier_constant == fresh.barrier_constant == C_HAT
+    assert shared.k_threshold_estimate == fresh.k_threshold_estimate
+    assert shared.fixed_point_residual == fresh.fixed_point_residual
+    assert shared.trace == fresh.trace
+    if verdict is SolveVerdict.CONVERGED:
+        assert np.array_equal(shared.profile.values, fresh.profile.values)
+        for name in ("origin_exponent", "tail", "annotation_warning"):
+            assert getattr(shared.profile, name) == getattr(fresh.profile,
+                                                            name)
+    else:
+        assert shared.profile is fresh.profile is None
+
+
+def test_discretization_source_and_barrier_match_profiles():
+    disc = Discretization(FLAGSHIP, GRID)
+    assert np.array_equal(disc.source(INST.k).values,
+                          gamma0_profile(3, GRID, scale=INST.k).values)
+    assert np.array_equal(barrier(INST, T_Q, disc).values,
+                          barrier(INST, T_Q).values)
+    assert disc.c_hat == C_HAT
+
+
+def test_discretization_must_match_the_instance():
+    disc = Discretization(FLAGSHIP, build_grid(1e-4, 30.0, 20))
+    with pytest.raises(ValueError, match="discretization"):
+        solve_minimal(INST, disc)
+    other = ProblemExponents(N=3, alpha=Fraction(2), p=Fraction(3, 2),
+                             q=Fraction(1))
+    with pytest.raises(ValueError, match="discretization"):
+        iterate_once(gamma0_profile(3, GRID), INST,
+                     Discretization(other, GRID))
