@@ -97,6 +97,19 @@ def _rational_from_config(value, name: str) -> Fraction:
                            f"config field {name}: {exc}") from exc
 
 
+def _int_from_config(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise CommandError(
+            EXIT_INVALID,
+            f"config field {name} must be an integer or an integer string, "
+            f"not {type(value).__name__}")
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise CommandError(EXIT_INVALID,
+                           f"config field {name}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # configuration assembly
 
@@ -128,9 +141,8 @@ def _resolve_exponents(args, config: dict) -> ProblemExponents:
         if flag is not None:
             fields[name] = flag
         elif name in section:
-            fields[name] = (int(section[name]) if name == "N"
-                            else _rational_from_config(section[name],
-                                                       f"exponents.{name}"))
+            parse = _int_from_config if name == "N" else _rational_from_config
+            fields[name] = parse(section[name], f"exponents.{name}")
         else:
             raise CommandError(EXIT_INVALID,
                                f"missing exponent {name} (flag --{name} "
@@ -141,8 +153,7 @@ def _resolve_exponents(args, config: dict) -> ProblemExponents:
         raise CommandError(EXIT_INVALID, str(exc)) from exc
 
 
-def _merged_section(args, config: dict, section: str, defaults: dict,
-                    flag_names: dict) -> dict:
+def _merged_section(args, config: dict, section: str, defaults: dict) -> dict:
     merged = dict(defaults)
     file_section = config.get(section, {})
     if not isinstance(file_section, dict):
@@ -150,7 +161,7 @@ def _merged_section(args, config: dict, section: str, defaults: dict,
     for key in merged:
         if key in file_section:
             merged[key] = file_section[key]
-        flag = getattr(args, flag_names[key])
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
     return merged
@@ -158,12 +169,8 @@ def _merged_section(args, config: dict, section: str, defaults: dict,
 
 def _build_instance(args, config: dict, exponents: ProblemExponents,
                     default_k: Optional[float] = None) -> ProblemInstance:
-    grid_cfg = _merged_section(args, config, "grid", _GRID_DEFAULTS, {
-        "r_min": "r_min", "r_max": "r_max",
-        "points_per_decade": "points_per_decade"})
-    solver_cfg = _merged_section(args, config, "solver", _SOLVER_DEFAULTS, {
-        "max_iter": "max_iter", "conv_tol": "conv_tol",
-        "blowup_cap": "blowup_cap"})
+    grid_cfg = _merged_section(args, config, "grid", _GRID_DEFAULTS)
+    solver_cfg = _merged_section(args, config, "solver", _SOLVER_DEFAULTS)
     k = args.k if args.k is not None else config.get("k", default_k)
     if k is None:
         raise CommandError(EXIT_INVALID, "missing source strength k "

@@ -13,10 +13,9 @@ irrational.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 Rational = Union[int, str, Fraction]
 
@@ -108,16 +107,6 @@ def classify(e: ProblemExponents) -> CriticalityReport:
     crit = Criticality.SUPERCRITICAL if triggers else Criticality.SUBCRITICAL
     return CriticalityReport(crit, tuple(triggers),
                              e.sum_threshold, e.single_threshold)
-
-
-def supercritical_density_exponent(e: ProblemExponents) -> tuple[Fraction, bool]:
-    """Power of the nonlinear density when u has the maximal r^{2-N} profile.
-
-    Returns ((2-N)(p+q) + alpha, locally_integrable) where local integrability
-    against the volume element r^{N-1} dr means exponent > -N.
-    """
-    exponent = Fraction(2 - e.N) * (e.p + e.q) + e.alpha
-    return exponent, exponent > -e.N
 
 
 # ---------------------------------------------------------------------------
@@ -225,78 +214,6 @@ def riesz_rate(rate: SingularityRate, N: int, alpha: Rational) -> SingularityRat
     return SingularityRate.bounded()
 
 
-@dataclass(frozen=True)
-class CompositeRates:
-    """Per-side results of the composite transfer G[I_alpha[V^p] V^q].
-
-    Each side is either a SingularityRate or None with the failing
-    inequality recorded in the matching *_error field.  The riesz_power side
-    bounds the contribution G[I_alpha[V^p]] V^q routed through the potential;
-    the power side bounds G[V^{q + ...}] routed through the plain power.
-    """
-
-    riesz_power: Optional[SingularityRate]
-    power: Optional[SingularityRate]
-    riesz_power_error: Optional[str] = None
-    power_error: Optional[str] = None
-
-
-def composite_rates(e: ProblemExponents, tau: Rational,
-                    t: Rational) -> CompositeRates:
-    """Rate bounds for the two routes through the composite operator.
-
-    V is O(r^-tau) with tau in (0, N-2]; t >= 1 is the splitting exponent of
-    the Young pair (t = 1 is the degenerate split with conjugate infinity).
-    Shared admissibility (p below N/(N-2), q strictly inside (1, N/(N-2)),
-    tau in range, t >= 1) raises ValueError; the per-side integrability
-    conditions (p tau - alpha) t < N and tau q t < N are reported per side
-    instead of raising, since one side can be usable while the other is not.
-    """
-    tau = as_fraction(tau)
-    t = as_fraction(t)
-    if not (0 < tau <= e.N - 2):
-        raise ValueError(f"tau must lie in (0, N-2], got {tau}")
-    if t < 1:
-        raise ValueError(f"splitting exponent t must be >= 1, got {t}")
-    if e.p >= e.single_threshold:
-        raise ValueError(
-            f"composite transfer requires p < N/(N-2) = {e.single_threshold}, "
-            f"got p = {e.p}")
-    if not (1 < e.q < e.single_threshold):
-        raise ValueError(
-            f"composite transfer requires q in (1, N/(N-2)) = "
-            f"(1, {e.single_threshold}), got q = {e.q}")
-
-    riesz_side: Optional[SingularityRate] = None
-    riesz_err: Optional[str] = None
-    if (e.p * tau - e.alpha) * t < e.N:
-        crossover = (e.alpha + 2 / t) / e.p
-        if tau > crossover:
-            riesz_side = SingularityRate.power(t * (e.p * tau - e.alpha) - 2)
-        elif tau == crossover:
-            riesz_side = SingularityRate.log()
-        else:
-            riesz_side = SingularityRate.bounded()
-    else:
-        riesz_err = (f"(p tau - alpha) t = {(e.p * tau - e.alpha) * t} "
-                     f"must be < N = {e.N}")
-
-    power_side: Optional[SingularityRate] = None
-    power_err: Optional[str] = None
-    if tau * e.q * t < e.N:
-        crossover = 2 / (e.q * t)
-        if tau > crossover:
-            power_side = SingularityRate.power(tau * e.q * t - 2)
-        elif tau == crossover:
-            power_side = SingularityRate.log()
-        else:
-            power_side = SingularityRate.bounded()
-    else:
-        power_err = (f"tau q t = {tau * e.q * t} must be < N = {e.N}")
-
-    return CompositeRates(riesz_side, power_side, riesz_err, power_err)
-
-
 # ---------------------------------------------------------------------------
 # bootstrap ledger
 
@@ -353,13 +270,9 @@ def s_sequence(e: ProblemExponents,
     sequence exceeds N/2 or when p(N - 2 s) - alpha s <= 0 (the potential
     term has become bounded and no further splitting is needed).  An exact
     N/2 hit is perturbed down by a hundredth of the last gap so the
-    iteration can continue through the removable boundary.
+    iteration can continue through the removable boundary.  Supercritical
+    tuples are rejected by bootstrap_t1.
     """
-    report = classify(e)
-    if report.is_supercritical:
-        raise ValueError(
-            "s-sequence requires subcritical exponents; triggers: "
-            + ", ".join(report.triggers))
     t1, case = bootstrap_t1(e)
     if t1 is None:
         raise ValueError(

@@ -10,8 +10,13 @@ sphere:
 Both angular averages have closed forms.  The Riesz average is a Gauss
 hypergeometric function of the radius ratio; the Green average is the
 classical radial Green function of -Delta + 1, a product of modified Bessel
-functions of the smaller and larger radius.  The direct angular quadratures
-survive as independent oracles in the test suite.
+functions of the smaller and larger radius.
+
+riesz_angular is the only evaluation of the Riesz 2F1 in the package: the
+operator assembly calls it at unit radius for every weight, origin column
+and tail column, and the test suite checks it directly against the angular
+quadrature oracle.  green_angular is the reference the operator's separable
+factors (green_halfline_factors) are checked against.
 
 All evaluators accept scalars or numpy arrays and broadcast.
 """
@@ -34,17 +39,6 @@ def unit_sphere_area(n: int) -> float:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def bessel_k(nu: float, x) -> np.ndarray | float:
-    """Modified Bessel function of the second kind, K_nu(x) for x > 0."""
-    if nu < 0:
-        nu = -nu  # K is even in its order
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("bessel_k requires x > 0")
-    out = special.kv(nu, x)
-    return float(out) if out.ndim == 0 else out
 
 
 def c_N(N: int) -> float:

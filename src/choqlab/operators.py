@@ -9,23 +9,24 @@ every weight is nonnegative and nodewise comparisons survive the operators
 exactly.  That preservation is what the monotone solver leans on.
 
 Assembly exploits two structural facts.  The Riesz kernel is homogeneous,
-so the hat integrals depend only on the log-distance j - i between node and
-cell (a Toeplitz family computed once per matrix).  The Green kernel factors
-as y0(min) yinf(max) across the diagonal, so its weights are outer products
-of per-cell moments, and the corrections below r_1 and beyond r_max inherit
-the same factorization.
+r^{alpha-N} shape(s/r) with shape(rho) = kernels.riesz_angular(N, alpha,
+1, rho), so the hat integrals depend only on the log-distance j - i between
+node and cell (a Toeplitz family computed once per matrix).  The Green
+kernel factors as y0(min) yinf(max) across the diagonal, so its weights are
+outer products of per-cell moments, and the corrections below r_1 and beyond
+r_max inherit the same factorization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 from scipy import special
 
-from .kernels import green_halfline_factors, unit_sphere_area
+from .kernels import green_halfline_factors, riesz_angular
 
 __all__ = [
     "RadialGrid", "RadialProfile", "ExpDecay", "ZeroTail", "OperatorMatrix",
@@ -203,29 +204,8 @@ def _graded_panels(a: float, b: float, toward_b: bool, n_panels: int = 12,
     return edges
 
 
-def _panel_quad(f, edges, n: int = 12):
-    """Composite Gauss-Legendre over the given panel edges; f vectorized."""
-    x, w = _leggauss01(n)
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        s = a + (b - a) * x
-        total += (b - a) * np.dot(w, f(s))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # operator matrices
-
-
-def _riesz_dimensionless(N: int, alpha: float, rho):
-    """k_alpha(r, s) = r^{alpha-N} * this(s/r): sphere-area-included shape."""
-    rho = np.asarray(rho, dtype=float)
-    lo = np.minimum(rho, 1.0)
-    hi = np.maximum(rho, 1.0)
-    z = (lo / hi) ** 2
-    z = np.minimum(z, 1.0)
-    hyp = special.hyp2f1((N - alpha) / 2.0, (2.0 - alpha) / 2.0, N / 2.0, z)
-    return unit_sphere_area(N) * hi ** (alpha - N) * hyp
 
 
 class OperatorMatrix:
@@ -281,7 +261,7 @@ class OperatorMatrix:
             # returns (A, B) contributions for hat factors (1-x) and x
             t = k_arr[:, None] + x[None, :]
             rho = np.exp(h * t)
-            f = _riesz_dimensionless(N, alpha, rho) * np.exp(h * t * N) * h
+            f = riesz_angular(N, alpha, 1.0, rho) * np.exp(h * t * N) * h
             A = f @ (w * (1.0 - x))
             B = f @ (w * x)
             return A, B
@@ -304,7 +284,7 @@ class OperatorMatrix:
                 xs = lo + (hi - lo) * x12
                 t = k + xs
                 rho = np.exp(h * t)
-                f = _riesz_dimensionless(N, alpha, rho) * np.exp(h * t * N) * h
+                f = riesz_angular(N, alpha, 1.0, rho) * np.exp(h * t * N) * h
                 a_val += (hi - lo) * np.dot(w12, f * (1.0 - xs))
                 b_val += (hi - lo) * np.dot(w12, f * xs)
             A[idx] = a_val
@@ -408,7 +388,7 @@ class OperatorMatrix:
         xg, wg = _jacobi01(24, N - 1.0 - sigma)
         s_left = 0.5 * r1 * xg
         rho_left = s_left[None, :] / nodes[:, None]
-        shape_left = _riesz_dimensionless(N, alpha, rho_left)
+        shape_left = riesz_angular(N, alpha, 1.0, rho_left)
         left = (0.5 * r1) ** (N - sigma) * r1 ** sigma \
             * (shape_left @ (wg * 1.0)) / nodes ** (N - alpha)
         # note: (s/r1)^{-sigma} s^{N-1} ds = r1^sigma s^{N-1-sigma} ds and the
@@ -421,7 +401,7 @@ class OperatorMatrix:
             s = lo + (hi - lo) * x12
             dens = (s / r1) ** (-sigma) * s ** (N - 1)
             rho = s[None, :] / nodes[:, None]
-            shape = _riesz_dimensionless(N, alpha, rho)
+            shape = riesz_angular(N, alpha, 1.0, rho)
             right += (hi - lo) * (shape * dens[None, :]) @ w12 \
                 / nodes ** (N - alpha)
         return left + right
@@ -468,13 +448,14 @@ class OperatorMatrix:
                 dens = (s / rmax) ** (-tail.power) \
                     * np.exp(-tail.rate * (s - rmax)) * s ** (N - 1)
                 rho = s[None, :] / nodes[:, None]
-                shape = _riesz_dimensionless(N, alpha, rho)
+                shape = riesz_angular(N, alpha, 1.0, rho)
                 col += (hi - lo) * (shape * dens[None, :]) @ w12
             return col * nodes ** (alpha - N)
         # algebraic tail: s = rmax/u turns the integral into a Jacobi rule
         # with weight u^{power - alpha - 1}; needs power > alpha to converge.
-        # After the substitution the integrand collapses to
-        # |S^{N-1}| rmax^alpha u^{power-alpha-1} 2F1(.; (u r_i / rmax)^2).
+        # By homogeneity the kernel is r_i^{alpha-N} shape(rho) with
+        # rho = s/r_i = rmax/(u r_i) >= 1, and the integrand collapses to
+        # rmax^alpha u^{power-alpha-1} rho^{N-alpha} shape(rho).
         if tail.power <= alpha + 1e-12:
             raise ValueError(
                 f"algebraic tail with power {tail.power:g} is not integrable "
@@ -482,10 +463,9 @@ class OperatorMatrix:
                 f"need power > alpha")
         beta = tail.power - alpha - 1.0
         xg, wg = _jacobi01(32, beta)
-        z = (xg[None, :] * (nodes[:, None] / rmax)) ** 2
-        hyp = special.hyp2f1((N - alpha) / 2.0, (2.0 - alpha) / 2.0,
-                             N / 2.0, z)
-        return unit_sphere_area(N) * rmax ** alpha * (hyp @ wg)
+        rho = rmax / (xg[None, :] * nodes[:, None])
+        shape = riesz_angular(N, alpha, 1.0, rho) * rho ** (N - alpha)
+        return rmax ** alpha * (shape @ wg)
 
     @staticmethod
     def _tail_panels(rmax: float, rate: float, n_panels: int = 9):

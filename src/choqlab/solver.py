@@ -31,7 +31,6 @@ from .exponents import (
     ProblemExponents,
     classify,
     k_threshold,
-    tangency_admissible,
 )
 from .kernels import gamma0, phi0
 from .operators import (
@@ -62,7 +61,6 @@ __all__ = [
     "iterate_once",
     "barrier",
     "estimate_barrier_constant",
-    "barrier_admissible",
     "solve_minimal",
     "estimate_kstar",
 ]
@@ -289,14 +287,6 @@ def barrier(inst: ProblemInstance, t: float,
     s = float(inst.exponents.p + inst.exponents.q)
     return pointwise_add(pointwise_scale(disc.barrier_core, t * inst.k ** s),
                          pointwise_scale(disc.phi0, inst.k))
-
-
-def barrier_admissible(inst: ProblemInstance, c_hat: float) -> bool:
-    """Whether the tangency inequality closes at this k with constant c_hat."""
-    ok, _ = tangency_admissible(c_hat, inst.k,
-                                float(inst.exponents.p),
-                                float(inst.exponents.q))
-    return ok
 
 
 # ---------------------------------------------------------------------------

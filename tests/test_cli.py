@@ -23,6 +23,7 @@ from choqlab.solver import BarrierEstimateError
 GOLDEN = Path(__file__).parent / "golden"
 
 FLAGS = ["--N", "3", "--alpha", "2", "--p", "2", "--q", "1"]
+FLAGS_41 = ["--N", "4", "--alpha", "1", "--p", "6/5", "--q", "1"]
 FAST_GRID = ["--r-min", "1e-3", "--r-max", "20", "--points-per-decade", "20"]
 
 
@@ -103,8 +104,8 @@ def test_classify_missing_exponent(capsys):
 # solve
 
 
-def solve_args(tmp_path, k="0.4"):
-    return ["solve", *FLAGS, *FAST_GRID, "--k", k,
+def solve_args(tmp_path, k="0.4", exponents=FLAGS):
+    return ["solve", *exponents, *FAST_GRID, "--k", k,
             "--profile-csv", str(tmp_path / "u.csv"),
             "--trace-json", str(tmp_path / "trace.json"),
             "--report-json", str(tmp_path / "report.json")]
@@ -136,13 +137,22 @@ def test_solve_converged_writes_everything(capsys, tmp_path):
 
 
 def test_solve_outputs_are_byte_identical(capsys, tmp_path):
-    run_cli(capsys, *solve_args(tmp_path))
-    first = {name: (tmp_path / name).read_bytes()
-             for name in ("u.csv", "u.csv.meta.json", "trace.json",
-                          "report.json")}
-    run_cli(capsys, *solve_args(tmp_path))
-    for name, blob in first.items():
-        assert (tmp_path / name).read_bytes() == blob
+    # the golden files pin the bytes across versions, not only between two
+    # runs; at alpha = 2 the Riesz kernel's 2F1 is identically 1, so only the
+    # alpha = 1 case checks its hypergeometric factor
+    for golden, args in (
+            ("solve_3_2_2_1_ppd20_k0.4", solve_args(tmp_path)),
+            ("solve_4_1_6-5_1_ppd20_k0.5",
+             solve_args(tmp_path, "0.5", FLAGS_41))):
+        run_cli(capsys, *args)
+        first = {name: (tmp_path / name).read_bytes()
+                 for name in ("u.csv", "u.csv.meta.json", "trace.json",
+                              "report.json")}
+        run_cli(capsys, *args)
+        for name, blob in first.items():
+            assert (tmp_path / name).read_bytes() == blob
+            assert blob == (GOLDEN / golden / name).read_bytes(), \
+                (golden, name)
 
 
 def test_solve_divergent_exit_code_and_partial_outputs(capsys, tmp_path):
@@ -202,13 +212,25 @@ def test_solve_reads_config_file(capsys, tmp_path):
     assert code == 4
 
 
+CONFIG_EXPONENT_CASES = [
+    ({"N": 3, "alpha": 2.0, "p": "2", "q": "1"}, "exactly"),
+    # an integer string is a valid N, so the float alpha is what fails
+    ({"N": "3", "alpha": 2.0, "p": "2", "q": "1"}, "exactly"),
+    ({"N": 3.9, "alpha": "2", "p": "2", "q": "1"}, "exponents.N"),
+    ({"N": "three", "alpha": "2", "p": "2", "q": "1"}, "exponents.N"),
+    ({"N": True, "alpha": "2", "p": "2", "q": "1"}, "exponents.N"),
+    ({"N": [3], "alpha": "2", "p": "2", "q": "1"}, "exponents.N"),
+]
+
+
 def test_config_rejects_float_exponents(capsys, tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(
-        {"exponents": {"N": 3, "alpha": 2.0, "p": "2", "q": "1"}, "k": 0.4}))
-    code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
-    assert code == 2
-    assert "exactly" in err
+    for exponents, message in CONFIG_EXPONENT_CASES:
+        cfg.write_text(json.dumps({"exponents": exponents, "k": 0.4}))
+        for command in ("solve", "classify"):
+            code, _, err = run_cli(capsys, command, "--config", str(cfg))
+            assert code == 2, (command, exponents)
+            assert message in err, (command, exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +348,7 @@ def test_sweep_assembles_each_operator_once(capsys, assemble_counts):
 
 @pytest.mark.parametrize("exponents, golden", [
     (FLAGS, "sweep_k_3_2_2_1_ppd40_steps6.json"),
-    (["--N", "4", "--alpha", "1", "--p", "6/5", "--q", "1"],
-     "sweep_k_4_1_6-5_1_ppd40_steps6.json"),
+    (FLAGS_41, "sweep_k_4_1_6-5_1_ppd40_steps6.json"),
 ])
 def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
     # recorded from the implementation that assembled the operators anew

@@ -21,12 +21,10 @@ from choqlab.exponents import (
     bootstrap_ledger,
     bootstrap_t1,
     classify,
-    composite_rates,
     green_rate,
     k_threshold,
     riesz_rate,
     s_sequence,
-    supercritical_density_exponent,
     T_sequence,
     tangency_admissible,
 )
@@ -139,15 +137,6 @@ def test_classify_exhaustive_exclusive(e):
     assert bool(rep.triggers) == rep.is_supercritical
 
 
-def test_density_exponent():
-    e = ProblemExponents(3, F(2), F(2), F(1))
-    expo, integrable = supercritical_density_exponent(e)
-    assert expo == F(-1) and integrable
-    e = ProblemExponents(3, F(2), F(2), F(3))
-    expo, integrable = supercritical_density_exponent(e)
-    assert expo == F(-3) and not integrable  # exactly -N
-
-
 # ---------------------------------------------------------------------------
 # rate algebra
 
@@ -183,34 +172,6 @@ def test_rate_transfer_monotone(t1, t2):
     P = SingularityRate.power
     assert green_rate(P(lo), 5) <= green_rate(P(hi), 5)
     assert riesz_rate(P(lo), 5, F(3, 2)) <= riesz_rate(P(hi), 5, F(3, 2))
-
-
-def test_composite_rates_examples():
-    e = ProblemExponents(5, F(2), F(1), F(3, 2))
-    # crossover (1/p)(alpha + 2/t) = 4 at t = 1: tau = 3 below it
-    out = composite_rates(e, F(3), F(1))
-    assert out.riesz_power == SingularityRate.bounded()
-    assert out.power == SingularityRate.power(F(3) * F(3, 2) * 1 - 2)
-    # equality branch tau = (1/p)(alpha + 2/t) = 3 at t = 2 gives a log;
-    # the other side violates tau q t < N and says so
-    out = composite_rates(e, F(3), F(2))
-    assert out.riesz_power == SingularityRate.log()
-    assert out.power is None and "N = 5" in out.power_error
-    # alpha = 1: equality again at t = 1 (power exponent would be zero)
-    e1 = ProblemExponents(5, F(1), F(1), F(3, 2))
-    out = composite_rates(e1, F(3), F(1))
-    assert out.riesz_power == SingularityRate.log()
-
-
-def test_composite_rates_shared_preconditions():
-    e = ProblemExponents(5, F(2), F(1), F(3, 2))
-    with pytest.raises(ValueError):
-        composite_rates(e, F(4), F(2))   # tau > N-2
-    with pytest.raises(ValueError):
-        composite_rates(e, F(3), F(1, 2))
-    with pytest.raises(ValueError):
-        # q = 1 not strictly inside (1, N/(N-2))
-        composite_rates(ProblemExponents(5, F(2), F(1), F(1)), F(2), F(2))
 
 
 # ---------------------------------------------------------------------------

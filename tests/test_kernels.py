@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from choqlab import kernels, reference
 from choqlab.kernels import (
     ReducedAccuracyWarning,
-    bessel_k,
     c_N,
     gamma0,
     green_angular,
@@ -20,37 +19,6 @@ from choqlab.kernels import (
     riesz_angular,
     unit_sphere_area,
 )
-
-
-# ---------------------------------------------------------------------------
-# Bessel wrapper
-
-
-def test_bessel_k_half_integer_closed_forms():
-    # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}; K_{3/2}(x) = same * (1 + 1/x)
-    assert math.isclose(bessel_k(0.5, 1.0),
-                        math.sqrt(math.pi / 2.0) * math.exp(-1.0),
-                        rel_tol=1e-12)
-    assert math.isclose(bessel_k(1.5, 2.0),
-                        math.sqrt(math.pi / 4.0) * math.exp(-2.0) * 1.5,
-                        rel_tol=1e-12)
-
-
-def test_bessel_k_tail_asymptotic():
-    # K_nu(x) e^x sqrt(x) -> sqrt(pi/2), with a (4 nu^2 - 1)/(8x) correction
-    target = math.sqrt(math.pi / 2.0)
-    for nu in [0.5, 1.0, 2.5]:
-        x = np.array([25.0, 100.0, 400.0])
-        dev = np.abs(bessel_k(nu, x) * np.exp(x) * np.sqrt(x) - target)
-        assert np.all(np.diff(dev) < 0) or dev.max() < 1e-12
-        assert dev[-1] < 0.01 * target
-
-
-def test_bessel_k_domain():
-    with pytest.raises(ValueError):
-        bessel_k(0.5, 0.0)
-    with pytest.raises(ValueError):
-        bessel_k(0.5, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from choqlab import reference
+from choqlab.kernels import ReducedAccuracyWarning
 from choqlab.operators import (
     ExpDecay,
     NonIntegrableOriginError,
@@ -177,8 +178,9 @@ def test_riesz_power_identity(N, alpha, m):
     if alpha > 1.0:
         assert errs[80] <= 0.35 * errs[40]
     else:
-        # the near-diagonal backoff for alpha <= 1 puts an h-independent
-        # floor (~6e-4) under the error, so refinement need not shrink it
+        # for alpha <= 1 the interior error falls as h^2 but the last node,
+        # where the grid hands over to the algebraic tail, keeps an
+        # h-independent error (~6e-4), so refinement need not shrink the max
         assert errs[80] <= 1.1 * errs[40]
 
 
@@ -270,6 +272,21 @@ def test_weights_and_columns_are_nonnegative():
         assert op.tail_column(ExpDecay(1.0, 1.0)).min() >= 0.0
         assert op.tail_column(ExpDecay(0.0, 5.0)).min() >= 0.0 \
             if kind == "riesz" else True
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0])
+def test_riesz_assembly_never_touches_the_divergent_diagonal(alpha):
+    # for alpha <= 1 riesz_angular warns when asked for rho = 1; the
+    # product-integration nodes of the weights, the origin cell and both
+    # tail rules must all stay off the diagonal
+    g = build_grid(1e-3, 10.0, 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ReducedAccuracyWarning)
+        op = assemble("riesz", 3, g, alpha=alpha)
+        op.origin_column(0.0)
+        op.origin_column(1.5)
+        op.tail_column(ExpDecay(1.0, 1.0))
+        op.tail_column(ExpDecay(0.0, 3.0))
 
 
 def test_apply_is_linear():

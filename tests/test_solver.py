@@ -7,7 +7,6 @@ residual) comes from the structure of the scheme, not from tuning.
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +22,6 @@ from choqlab.solver import (
     SolveVerdict,
     SupercriticalError,
     barrier,
-    barrier_admissible,
     estimate_barrier_constant,
     estimate_kstar,
     gamma0_profile,
@@ -201,15 +199,6 @@ def test_barrier_dominates_both_fundamental_solutions():
         assert np.all(kphi.values >= kgam.values)
     with pytest.raises(ValueError):
         barrier(INST, 0.0)
-
-
-def test_barrier_admissible_at_tangency():
-    at = replace(INST, k=K_Q, blowup_cap=None)
-    assert barrier_admissible(at, C_HAT)
-    above = replace(INST, k=K_Q * (1.0 + 1e-6), blowup_cap=None)
-    assert not barrier_admissible(above, C_HAT)
-    below = replace(INST, k=0.5 * K_Q, blowup_cap=None)
-    assert barrier_admissible(below, C_HAT)
 
 
 def test_barrier_constant_refinement_stability():
