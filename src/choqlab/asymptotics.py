@@ -36,7 +36,6 @@ from .operators import (
     apply,
     assemble,
     build_grid,
-    pointwise_power,
 )
 
 __all__ = [

@@ -313,6 +313,18 @@ def cmd_solve(args) -> int:
         "barrier_active": outcome.barrier_active,
         "fixed_point_residual": outcome.fixed_point_residual,
     }
+    # the analyses can still reject the profile; do that before any file
+    # is written, so exit 2 leaves the filesystem untouched
+    if report_json is not None:
+        report = {"verdict": outcome.verdict.value, **summary}
+        if outcome.profile is not None:
+            try:
+                report.update(_analysis_report(outcome.profile, e, inst.k))
+            except ValueError as exc:
+                raise CommandError(EXIT_INVALID, str(exc))
+        else:
+            report.update({"singularity": None, "decay": None,
+                           "lower_bound_violation": None, "probes": []})
 
     if profile_csv is not None and outcome.profile is not None:
         write_profile(profile_csv, outcome.profile)
@@ -330,14 +342,6 @@ def cmd_solve(args) -> int:
         })
         summary["trace_json"] = trace_json
     if report_json is not None:
-        report = {"verdict": outcome.verdict.value, **summary}
-        report.pop("profile_csv", None)
-        report.pop("trace_json", None)
-        if outcome.profile is not None:
-            report.update(_analysis_report(outcome.profile, e, inst.k))
-        else:
-            report.update({"singularity": None, "decay": None,
-                           "lower_bound_violation": None, "probes": []})
         write_json(report_json, report)
         summary["report_json"] = report_json
 

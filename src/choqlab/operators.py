@@ -8,22 +8,26 @@ reduced radial kernel against piecewise-linear hat functions in log r, so
 every weight is nonnegative and nodewise comparisons survive the operators
 exactly.  That preservation is what the monotone solver leans on.
 
-Assembly exploits two structural facts.  The Riesz kernel is homogeneous,
-r^{alpha-N} shape(s/r) with shape(rho) = kernels.riesz_angular(N, alpha,
-1, rho), so the hat integrals depend only on the log-distance j - i between
-node and cell (a Toeplitz family computed once per matrix).  The Green
-kernel factors as y0(min) yinf(max) across the diagonal, so its weights are
-outer products of per-cell moments, and the corrections below r_1 and beyond
-r_max inherit the same factorization.
+Assembly exploits two structural facts and builds no per-entry mask.  The
+Riesz kernel is homogeneous, r^{alpha-N} shape(s/r) with shape(rho) =
+kernels.riesz_angular(N, alpha, 1, rho), so the hat integrals depend only
+on the log-distance j - i between node and cell: row i is a window of one
+Toeplitz family, scaled by r_i^alpha.  The Green kernel factors as y0(min)
+yinf(max) across the diagonal, so its weights are outer products of
+per-cell moments split at the diagonal, and the corrections below r_1 and
+beyond r_max inherit the same factorization.  The Gauss rules behind the
+cell integrals are cached and read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .kernels import green_halfline_factors, riesz_angular
@@ -141,9 +145,11 @@ class RadialProfile:
         object.__setattr__(self, "values", values)
         if values.shape != self.grid.nodes.shape:
             raise ValueError("values must match the grid")
-        if np.any(~np.isfinite(values)):
+        # NaN propagates through min and max, so one pass each covers it
+        lo, hi = values.min(), values.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("values must be finite")
-        if np.any(values < 0.0):
+        if lo < 0.0:
             raise ValueError("values must be nonnegative")
         if not (np.isfinite(self.origin_exponent)
                 and self.origin_exponent >= 0.0):
@@ -180,15 +186,24 @@ class NonIntegrableOriginError(ValueError):
 # quadrature helpers
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=32)
 def _leggauss01(n: int):
+    """Gauss-Legendre nodes/weights on [0, 1], shared and read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    return _read_only((x + 1.0) / 2.0, w / 2.0)
 
 
+@lru_cache(maxsize=32)
 def _jacobi01(n: int, beta: float):
-    """Nodes/weights for int_0^1 x^beta f(x) dx, beta > -1."""
+    """Nodes/weights for int_0^1 x^beta f(x) dx, beta > -1 (read-only)."""
     x, w = special.roots_jacobi(n, 0.0, beta)
-    return (x + 1.0) / 2.0, w * 0.5 ** (beta + 1.0)
+    return _read_only((x + 1.0) / 2.0, w * 0.5 ** (beta + 1.0))
 
 
 def _graded_panels(a: float, b: float, toward_b: bool, n_panels: int = 12,
@@ -244,6 +259,22 @@ class OperatorMatrix:
         return self._green_weights()
 
     def _riesz_weights(self) -> np.ndarray:
+        """Toeplitz fill: w[i, l] = r_i^alpha * (A(l - i) + B(l - 1 - i)).
+
+        Node l is the left node of cell l (none for l = M-1) and the right
+        node of cell l-1 (none for l = 0).  A and B are indexed from
+        k = -(M-1), so row i of either block is the length-(M-1) window
+        starting at (M-1) - i.
+        """
+        m = self.grid.size
+        A, B = self._riesz_cell_integrals()
+        w = np.zeros((m, m))
+        w[:, :m - 1] = sliding_window_view(A, m - 1)[::-1]
+        w[:, 1:] += sliding_window_view(B, m - 1)[::-1]
+        w *= self.grid.nodes[:, None] ** self.alpha
+        return w
+
+    def _riesz_cell_integrals(self):
         """Toeplitz hat integrals: cell j to node pair, offset k = j - i.
 
         With s = r_i e^{h(k+x)} the cell integral against a hat factor is
@@ -289,32 +320,38 @@ class OperatorMatrix:
                 b_val += (hi - lo) * np.dot(w12, f * xs)
             A[idx] = a_val
             B[idx] = b_val
-
-        # w[i, l] = r_i^alpha * (A(l - i) when l is a left cell node,
-        #                        + B(l - 1 - i) when l is a right cell node)
-        w = np.zeros((m, m))
-        offset = m - 1  # index of k = 0 in A/B arrays
-        i_idx = np.arange(m)[:, None]
-        l_idx = np.arange(m)[None, :]
-        k_left = l_idx - i_idx          # cell l as left node, valid l <= m-2
-        k_right = l_idx - 1 - i_idx     # cell l-1 as right node, valid l >= 1
-        left_ok = l_idx <= m - 2
-        right_ok = l_idx >= 1
-        w += np.where(left_ok, A[np.clip(k_left + offset, 0, A.size - 1)], 0.0)
-        w += np.where(right_ok, B[np.clip(k_right + offset, 0, B.size - 1)], 0.0)
-        w *= grid.nodes[:, None] ** alpha
-        return w
+        return A, B
 
     def _green_weights(self) -> np.ndarray:
         """Separable fill: kernel = y0(min) yinf(max) on each side.
 
-        Per-cell moments of y0 and yinf against the two hat factors are
-        integrated once; row i is y0(r_i) times the yinf moments above the
-        diagonal plus yinf(r_i) times the y0 moments below.  The diagonal
-        node itself splits exactly between its two cells.
+        Row i is y0(r_i) times the yinf moments above the diagonal plus
+        yinf(r_i) times the y0 moments below.  Node l is the left node of
+        cell l (PA, QA; none for l = M-1) and the right node of cell l-1
+        (PB, QB; none for l = 0); the diagonal node splits exactly between
+        its outer and its inner cell.
         """
+        m = self.grid.size
+        y0_n, yinf_n, PA, PB, QA, QB = self._green_cell_moments()
+        PA_l = np.append(PA, 0.0)
+        QA_l = np.append(QA, 0.0)
+        PB_l = np.append(0.0, PB)
+        QB_l = np.append(0.0, QB)
+        # add the two products; y0 * (PA + PB) would round differently
+        w = np.multiply(y0_n[:, None], PA_l)
+        part = np.multiply(y0_n[:, None], PB_l)
+        w += part
+        below = np.tri(m, dtype=bool)
+        np.multiply(yinf_n[:, None], QA_l, out=w, where=below)
+        np.multiply(yinf_n[:, None], QB_l, out=part, where=below)
+        np.add(w, part, out=w, where=below)
+        np.fill_diagonal(w, y0_n * PA_l + yinf_n * QB_l)
+        return w
+
+    def _green_cell_moments(self):
+        """y0 and yinf at the nodes, and the per-cell moments of yinf (PA,
+        PB) and y0 (QA, QB) against the left and right hat factors."""
         grid, N = self.grid, self.N
-        m = grid.size
         nodes = grid.nodes
         y0_n, yinf_n = green_halfline_factors(N, nodes)
 
@@ -331,25 +368,7 @@ class OperatorMatrix:
         PB = (yinf_s * meas) @ (w16 * x16)
         QA = (y0_s * meas) @ (w16 * (1.0 - x16))
         QB = (y0_s * meas) @ (w16 * x16)
-
-        w = np.zeros((m, m))
-        i_idx = np.arange(m)[:, None]
-        l_idx = np.arange(m)[None, :]
-        # cell l (left node), l <= m-2: above diagonal iff l >= i else below
-        left_above = (l_idx <= m - 2) & (l_idx >= i_idx)
-        left_below = (l_idx <= m - 2) & (l_idx < i_idx)
-        # cell l-1 (right node), l >= 1: above diagonal iff l-1 >= i
-        right_above = (l_idx >= 1) & (l_idx - 1 >= i_idx)
-        right_below = (l_idx >= 1) & (l_idx - 1 < i_idx)
-        PA_l = np.broadcast_to(np.append(PA, 0.0)[None, :], (m, m))
-        QA_l = np.broadcast_to(np.append(QA, 0.0)[None, :], (m, m))
-        PB_l = np.broadcast_to(np.append(0.0, PB)[None, :], (m, m))
-        QB_l = np.broadcast_to(np.append(0.0, QB)[None, :], (m, m))
-        w += np.where(left_above, PA_l, 0.0) * y0_n[:, None]
-        w += np.where(right_above, PB_l, 0.0) * y0_n[:, None]
-        w += np.where(left_below, QA_l, 0.0) * yinf_n[:, None]
-        w += np.where(right_below, QB_l, 0.0) * yinf_n[:, None]
-        return w
+        return y0_n, yinf_n, PA, PB, QA, QB
 
     # -- origin cell
 

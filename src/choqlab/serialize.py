@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import IO, Union
 
 import numpy as np
 

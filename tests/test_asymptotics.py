@@ -7,7 +7,6 @@ operator output classes must agree with the exact rate algebra on all nine
 branch combinations.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np

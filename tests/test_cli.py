@@ -193,6 +193,21 @@ def test_solve_invalid_inputs_write_nothing(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solve_analysis_error_exits_2_and_writes_nothing(capsys, tmp_path):
+    # at 4 ppd the tail window holds fewer than three nodes, so the decay
+    # fit rejects the converged profile; that is invalid input, decided
+    # before any artifact is written
+    code, _, err = run_cli(capsys, "solve", *FLAGS, "--k", "0.5",
+                           "--r-min", "1e-3", "--r-max", "20",
+                           "--points-per-decade", "4",
+                           "--profile-csv", str(tmp_path / "u.csv"),
+                           "--trace-json", str(tmp_path / "trace.json"),
+                           "--report-json", str(tmp_path / "report.json"))
+    assert code == 2
+    assert "tail window has fewer than three nodes" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_reads_config_file(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     config = {

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqlab import kernels, reference
+from choqlab import reference
 from choqlab.kernels import (
     ReducedAccuracyWarning,
     c_N,

@@ -17,14 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
-from choqlab import reference
+from choqlab import operators, reference
 from choqlab.kernels import ReducedAccuracyWarning
 from choqlab.operators import (
     ExpDecay,
     NonIntegrableOriginError,
     RadialProfile,
     ZERO_TAIL,
-    ZeroTail,
     apply,
     assemble,
     build_grid,
@@ -69,10 +68,16 @@ def test_profile_validation():
         RadialProfile(g, np.ones(g.size - 1))
     with pytest.raises(ValueError):
         RadialProfile(g, -np.ones(g.size))
-    bad = np.ones(g.size)
-    bad[3] = np.nan
-    with pytest.raises(ValueError):
-        RadialProfile(g, bad)
+    for bad_entries, message in (({3: np.nan}, "finite"),
+                                 ({3: np.inf}, "finite"),
+                                 ({3: -np.inf}, "finite"),
+                                 ({3: -1e-300}, "nonnegative"),
+                                 ({2: -1.0, 3: np.nan}, "finite")):
+        bad = np.ones(g.size)
+        for index, value in bad_entries.items():
+            bad[index] = value
+        with pytest.raises(ValueError, match=f"values must be {message}"):
+            RadialProfile(g, bad)
     with pytest.raises(ValueError):
         RadialProfile(g, np.ones(g.size), origin_exponent=-1.0)
 
@@ -287,6 +292,83 @@ def test_riesz_assembly_never_touches_the_divergent_diagonal(alpha):
         op.origin_column(1.5)
         op.tail_column(ExpDecay(1.0, 1.0))
         op.tail_column(ExpDecay(0.0, 3.0))
+
+
+# The fills read the Toeplitz family through sliding windows and split the
+# Green outer products at the diagonal.  The masked per-entry definitions
+# below are the fills they replaced; the two must agree to the last bit.
+
+
+def masked_riesz_fill(A, B, nodes, alpha):
+    m = nodes.size
+    w = np.zeros((m, m))
+    offset = m - 1
+    i_idx = np.arange(m)[:, None]
+    l_idx = np.arange(m)[None, :]
+    k_left = l_idx - i_idx
+    k_right = l_idx - 1 - i_idx
+    w += np.where(l_idx <= m - 2,
+                  A[np.clip(k_left + offset, 0, A.size - 1)], 0.0)
+    w += np.where(l_idx >= 1,
+                  B[np.clip(k_right + offset, 0, B.size - 1)], 0.0)
+    w *= nodes[:, None] ** alpha
+    return w
+
+
+def masked_green_fill(y0_n, yinf_n, PA, PB, QA, QB):
+    m = y0_n.size
+    w = np.zeros((m, m))
+    i_idx = np.arange(m)[:, None]
+    l_idx = np.arange(m)[None, :]
+    left_above = (l_idx <= m - 2) & (l_idx >= i_idx)
+    left_below = (l_idx <= m - 2) & (l_idx < i_idx)
+    right_above = (l_idx >= 1) & (l_idx - 1 >= i_idx)
+    right_below = (l_idx >= 1) & (l_idx - 1 < i_idx)
+    PA_l = np.broadcast_to(np.append(PA, 0.0)[None, :], (m, m))
+    QA_l = np.broadcast_to(np.append(QA, 0.0)[None, :], (m, m))
+    PB_l = np.broadcast_to(np.append(0.0, PB)[None, :], (m, m))
+    QB_l = np.broadcast_to(np.append(0.0, QB)[None, :], (m, m))
+    w += np.where(left_above, PA_l, 0.0) * y0_n[:, None]
+    w += np.where(right_above, PB_l, 0.0) * y0_n[:, None]
+    w += np.where(left_below, QA_l, 0.0) * yinf_n[:, None]
+    w += np.where(right_below, QB_l, 0.0) * yinf_n[:, None]
+    return w
+
+
+def assert_fills_match_masked_definition(N, alpha, grid):
+    riesz = assemble("riesz", N, grid, alpha=alpha)
+    A, B = riesz._riesz_cell_integrals()
+    assert np.array_equal(riesz.weights,
+                          masked_riesz_fill(A, B, grid.nodes, alpha))
+    green = assemble("green", N, grid)
+    assert np.array_equal(green.weights,
+                          masked_green_fill(*green._green_cell_moments()))
+
+
+@pytest.mark.parametrize("N, alpha", [(3, 2.0), (4, 1.0), (3, 0.8),
+                                      (5, 2.5), (6, 3.2)])
+@pytest.mark.parametrize("ppd", [20, 40])
+def test_fills_match_masked_definition(N, alpha, ppd):
+    assert_fills_match_masked_definition(N, alpha, build_grid(1e-3, 20.0, ppd))
+
+
+def test_fills_match_masked_definition_on_smallest_grids():
+    for r_max, size in ((10.0, 2), (100.0, 3)):
+        grid = build_grid(1.0, r_max, 1)
+        assert grid.size == size
+        assert_fills_match_masked_definition(3, 2.0, grid)
+        assert_fills_match_masked_definition(4, 1.0, grid)
+
+
+def test_cached_quadrature_rules_are_read_only():
+    for rule in (operators._leggauss01(12), operators._leggauss01(24),
+                 operators._jacobi01(24, 1.5)):
+        for arr in rule:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    assert operators._leggauss01(16) is operators._leggauss01(16)
+    assert operators._jacobi01(32, 0.25) is operators._jacobi01(32, 0.25)
 
 
 def test_apply_is_linear():
