@@ -43,6 +43,7 @@ from .solver import (
     SolveVerdict,
     SupercriticalError,
     estimate_kstar,
+    require_subcritical,
     solve_minimal,
 )
 
@@ -205,15 +206,6 @@ def _require_writable(paths) -> None:
                                f"output directory not writable: {parent}")
 
 
-def _gate_subcritical(exponents: ProblemExponents) -> None:
-    report = classify(exponents)
-    if report.is_supercritical:
-        raise CommandError(
-            EXIT_SUPERCRITICAL,
-            "supercritical exponents, no singular solution exists "
-            f"(triggers: {', '.join(report.triggers)}); nothing computed")
-
-
 # ---------------------------------------------------------------------------
 # JSON fragments shared by solve/report
 
@@ -298,7 +290,7 @@ def cmd_solve(args) -> int:
     trace_json = _resolve_output(args, config, "trace_json")
     report_json = _resolve_output(args, config, "report_json")
     _require_writable([profile_csv, trace_json, report_json])
-    _gate_subcritical(e)
+    require_subcritical(e)
 
     try:
         outcome = solve_minimal(inst)
@@ -358,7 +350,7 @@ def cmd_sweep_k(args) -> int:
         raise CommandError(EXIT_INVALID,
                            f"steps must be at least 1, got {args.steps}")
     _require_writable([args.output])
-    _gate_subcritical(e)
+    require_subcritical(e)
 
     # one discretization serves c_hat and every solve of the bisection
     disc = Discretization(e, inst.grid)
@@ -406,7 +398,7 @@ def cmd_report(args) -> int:
         raise CommandError(EXIT_INVALID,
                            f"k must be positive, got {args.k}")
     _require_writable([args.report_json, args.plot_csv])
-    _gate_subcritical(e)
+    require_subcritical(e)
     try:
         profile = read_profile(args.profile_csv)
     except (OSError, ValueError, KeyError) as exc:

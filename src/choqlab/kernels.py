@@ -79,6 +79,7 @@ def phi0(N: int, r) -> np.ndarray | float:
 
 
 _DIAGONAL_BACKOFF = 5e-4  # relative separation used for alpha <= 1 diagonals
+_DIAGONAL_ZONE = 1e-12  # 1 - rho^2 below which alpha <= 1 backs off
 
 
 def riesz_angular(N: int, alpha: float, r, s) -> np.ndarray | float:
@@ -91,8 +92,10 @@ def riesz_angular(N: int, alpha: float, r, s) -> np.ndarray | float:
 
     Symmetric, positive, and homogeneous of degree alpha - N.  On the
     diagonal r = s the value is finite for alpha > 1 (Gauss summation) and
-    divergent for alpha <= 1; there the evaluation backs off to a relative
-    separation of 5e-4 and flags ReducedAccuracyWarning.
+    divergent for alpha <= 1.  For alpha <= 1, wherever 1 - rho^2 < 1e-12
+    (on the diagonal, or so near it that SciPy's 2F1 overflows to inf) the
+    evaluation backs off to a relative separation of 5e-4 and flags
+    ReducedAccuracyWarning.
     """
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
@@ -106,12 +109,12 @@ def riesz_angular(N: int, alpha: float, r, s) -> np.ndarray | float:
     lo = np.minimum(r, s)
     z = (lo / hi) ** 2
     if alpha <= 1.0:
-        on_diag = z >= 1.0
+        on_diag = 1.0 - z < _DIAGONAL_ZONE
         if np.any(on_diag):
             warnings.warn(
-                "riesz_angular on the diagonal with alpha <= 1 is divergent; "
-                "returning the value at relative separation 5e-4",
-                ReducedAccuracyWarning, stacklevel=2)
+                "riesz_angular within 1e-12 of the diagonal with alpha <= 1 "
+                "is divergent; returning the value at relative separation "
+                "5e-4", ReducedAccuracyWarning, stacklevel=2)
             z = np.where(on_diag, (1.0 - _DIAGONAL_BACKOFF) ** 2, z)
     hyp = special.hyp2f1((N - alpha) / 2.0, (2.0 - alpha) / 2.0, N / 2.0, z)
     out = unit_sphere_area(N) * hi ** (alpha - N) * hyp

@@ -14,9 +14,17 @@ kernels.riesz_angular(N, alpha, 1, rho), so the hat integrals depend only
 on the log-distance j - i between node and cell: row i is a window of one
 Toeplitz family, scaled by r_i^alpha.  The Green kernel factors as y0(min)
 yinf(max) across the diagonal, so its weights are outer products of
-per-cell moments split at the diagonal, and the corrections below r_1 and
-beyond r_max inherit the same factorization.  The Gauss rules behind the
-cell integrals are cached and read-only.
+per-cell moments split at the diagonal.
+
+Each annotation is one integral of the kernel against a 1-D density, so
+each grid end has one quadrature rule (s, w) with the density folded into
+w, and one evaluator turns any rule into a column: r_i^{alpha-N}
+shape(s/r_i) @ w for Riesz, one Green factor at the nodes times the moment
+of the other.  Row 0 meets the kernel's diagonal singularity at s = r_1
+and row M-1 at s = r_max, so both rules grade their panels into that end,
+as do the two Riesz cells that touch the diagonal.  Columns are cached per
+(end, model parameters); weights and columns are checked nonnegative when
+built.  The Gauss rules are cached and read-only.
 """
 
 from __future__ import annotations
@@ -219,6 +227,26 @@ def _graded_panels(a: float, b: float, toward_b: bool, n_panels: int = 12,
     return edges
 
 
+def _panel_rule(edges: np.ndarray, n: int):
+    """Composite n-point Gauss-Legendre rule over consecutive panels."""
+    x, w = _leggauss01(n)
+    widths = np.diff(edges)[:, None]
+    return (edges[:-1, None] + widths * x).ravel(), (widths * w).ravel()
+
+
+def _require_nonnegative(what: str, values: np.ndarray) -> np.ndarray:
+    """values unchanged, or ValueError if an entry is negative or NaN."""
+    lowest = values.min()
+    if not lowest >= 0.0:
+        raise ValueError(f"{what} must be >= 0, found {lowest:g}")
+    return values
+
+
+# rule nodes per kernel evaluation in a column: bounds the M x block
+# temporaries whatever the length of the rule
+_COLUMN_BLOCK = 12
+
+
 # ---------------------------------------------------------------------------
 # operator matrices
 
@@ -246,10 +274,10 @@ class OperatorMatrix:
         self.N = N
         self.alpha = alpha
         self.grid = grid
-        self._origin_cols: dict[float, np.ndarray] = {}
-        self._tail_cols: dict[tuple, np.ndarray] = {}
-        self.weights = self._assemble_weights()
-        assert np.all(self.weights >= 0.0), "product weights must be >= 0"
+        # (end, rounded model parameters) -> column
+        self._columns: dict[tuple, np.ndarray] = {}
+        self.weights = _require_nonnegative(f"{kind} product weights",
+                                            self._assemble_weights())
 
     # -- grid-part weights
 
@@ -302,24 +330,10 @@ class OperatorMatrix:
         x24, w24 = _leggauss01(24)
         regular = (ks != 0) & (ks != -1)
         A[regular], B[regular] = cell_integrals(ks[regular], x24, w24)
-
-        # diagonal-touching cells: grade panels into the singular corner
-        x12, w12 = _leggauss01(12)
-        for k, toward_left in ((0, True), (-1, False)):
-            idx = np.where(ks == k)[0]
-            if idx.size == 0:
-                continue
-            edges = _graded_panels(0.0, 1.0, toward_b=not toward_left)
-            a_val = b_val = 0.0
-            for lo, hi in zip(edges, edges[1:]):
-                xs = lo + (hi - lo) * x12
-                t = k + xs
-                rho = np.exp(h * t)
-                f = riesz_angular(N, alpha, 1.0, rho) * np.exp(h * t * N) * h
-                a_val += (hi - lo) * np.dot(w12, f * (1.0 - xs))
-                b_val += (hi - lo) * np.dot(w12, f * xs)
-            A[idx] = a_val
-            B[idx] = b_val
+        # the corner is x = 0 in cell k = 0 and x = 1 in cell k = -1
+        for k, toward_b in ((0, False), (-1, True)):
+            x, w = _panel_rule(_graded_panels(0.0, 1.0, toward_b), 12)
+            A[ks == k], B[ks == k] = cell_integrals(np.array([k]), x, w)
         return A, B
 
     def _green_weights(self) -> np.ndarray:
@@ -370,127 +384,107 @@ class OperatorMatrix:
         QB = (y0_s * meas) @ (w16 * x16)
         return y0_n, yinf_n, PA, PB, QA, QB
 
-    # -- origin cell
+    # -- origin and tail columns: one rule per grid end
 
     def origin_column(self, sigma: float) -> np.ndarray:
         """Column c with c_i = integral over (0, r_1) of the sigma-model
         against the kernel, normalized to unit value at r_1."""
-        key = round(float(sigma), 12)
-        col = self._origin_cols.get(key)
-        if col is None:
-            col = self._build_origin_column(float(sigma))
-            self._origin_cols[key] = col
-        return col
-
-    def _build_origin_column(self, sigma: float) -> np.ndarray:
+        sigma = float(sigma)
         if sigma < 0:
             raise ValueError("origin exponent must be >= 0")
-        N = self.N
-        if sigma >= N:
-            raise NonIntegrableOriginError(self.kind, sigma, N)
-        r1 = self.grid.r_min
-        nodes = self.grid.nodes
-
-        if self.kind == "green":
-            # separable: yinf(r_i) * int_0^{r1} (s/r1)^{-sigma} s^{N-1} y0(s) ds
-            xg, wg = _jacobi01(24, N - 1.0 - sigma)
-            s = r1 * xg
-            y0_s, _ = green_halfline_factors(N, s)
-            moment = r1 ** N * np.dot(wg, y0_s)
-            _, yinf_n = green_halfline_factors(N, nodes)
-            return yinf_n * moment
-
-        alpha = self.alpha
-        # split [0, r1] at r1/2: Jacobi handles the s^{N-1-sigma} weight on
-        # the left, graded panels handle the row-0 kernel singularity at
-        # s -> r1 on the right
-        xg, wg = _jacobi01(24, N - 1.0 - sigma)
-        s_left = 0.5 * r1 * xg
-        rho_left = s_left[None, :] / nodes[:, None]
-        shape_left = riesz_angular(N, alpha, 1.0, rho_left)
-        left = (0.5 * r1) ** (N - sigma) * r1 ** sigma \
-            * (shape_left @ (wg * 1.0)) / nodes ** (N - alpha)
-        # note: (s/r1)^{-sigma} s^{N-1} ds = r1^sigma s^{N-1-sigma} ds and the
-        # kernel is r^{alpha-N} shape(s/r), giving the prefactors above
-
-        edges = _graded_panels(0.5 * r1, r1, toward_b=True)
-        x12, w12 = _leggauss01(12)
-        right = np.zeros(nodes.size)
-        for lo, hi in zip(edges, edges[1:]):
-            s = lo + (hi - lo) * x12
-            dens = (s / r1) ** (-sigma) * s ** (N - 1)
-            rho = s[None, :] / nodes[:, None]
-            shape = riesz_angular(N, alpha, 1.0, rho)
-            right += (hi - lo) * (shape * dens[None, :]) @ w12 \
-                / nodes ** (N - alpha)
-        return left + right
-
-    # -- tail beyond r_max
+        if sigma >= self.N:
+            raise NonIntegrableOriginError(self.kind, sigma, self.N)
+        return self._cached_column(("origin", round(sigma, 12)),
+                                   lambda: self._origin_rule(sigma))
 
     def tail_column(self, tail: TailModel) -> np.ndarray:
+        """Column c with c_i = integral beyond r_max of the tail model
+        against the kernel, normalized to unit value at r_max."""
         if isinstance(tail, ZeroTail):
             return np.zeros(self.grid.size)
-        key = (round(tail.rate, 12), round(tail.power, 12))
-        col = self._tail_cols.get(key)
-        if col is None:
-            col = self._build_tail_column(tail)
-            self._tail_cols[key] = col
-        return col
+        return self._cached_column(
+            ("tail", round(tail.rate, 12), round(tail.power, 12)),
+            lambda: self._tail_rule(tail))
 
-    def _build_tail_column(self, tail: ExpDecay) -> np.ndarray:
-        N = self.N
-        rmax = self.grid.r_max
-        nodes = self.grid.nodes
+    def _cached_column(self, key: tuple, rule) -> np.ndarray:
+        if key not in self._columns:
+            self._columns[key] = _require_nonnegative(
+                f"{self.kind} {key[0]} column", self._column(*rule()))
+        return self._columns[key]
 
+    def _column(self, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """c_i = sum_k w_k K(r_i, s_k) for a rule (s, w) that lies wholly
+        below r_1 or wholly beyond r_max, density already folded into w."""
+        N, nodes = self.N, self.grid.nodes
         if self.kind == "green":
-            # kernel decay e^{-s} converges regardless of the model rate
-            lam_eff = tail.rate + 1.0
-            edges = self._tail_panels(rmax, lam_eff)
-            x12, w12 = _leggauss01(12)
-            moment = 0.0
-            for lo, hi in zip(edges, edges[1:]):
-                s = lo + (hi - lo) * x12
-                _, yinf_s = green_halfline_factors(N, s)
-                dens = (s / rmax) ** (-tail.power) \
-                    * np.exp(-tail.rate * (s - rmax)) * s ** (N - 1)
-                moment += (hi - lo) * np.dot(w12, yinf_s * dens)
-            y0_n, _ = green_halfline_factors(N, nodes)
-            return y0_n * moment
-
+            # kernel y0(min) yinf(max): the rule's moment times one factor
+            y0_n, yinf_n = green_halfline_factors(N, nodes)
+            y0_s, yinf_s = green_halfline_factors(N, s)
+            if s[0] > self.grid.r_max:
+                return y0_n * (yinf_s @ w)
+            return yinf_n * (y0_s @ w)
+        # kernel r_i^{alpha-N} shape(s/r_i), evaluated block by block
         alpha = self.alpha
-        if tail.rate > 0.0:
-            edges = self._tail_panels(rmax, tail.rate)
-            x12, w12 = _leggauss01(12)
-            col = np.zeros(nodes.size)
-            for lo, hi in zip(edges, edges[1:]):
-                s = lo + (hi - lo) * x12
-                dens = (s / rmax) ** (-tail.power) \
-                    * np.exp(-tail.rate * (s - rmax)) * s ** (N - 1)
-                rho = s[None, :] / nodes[:, None]
-                shape = riesz_angular(N, alpha, 1.0, rho)
-                col += (hi - lo) * (shape * dens[None, :]) @ w12
-            return col * nodes ** (alpha - N)
-        # algebraic tail: s = rmax/u turns the integral into a Jacobi rule
-        # with weight u^{power - alpha - 1}; needs power > alpha to converge.
-        # By homogeneity the kernel is r_i^{alpha-N} shape(rho) with
-        # rho = s/r_i = rmax/(u r_i) >= 1, and the integrand collapses to
-        # rmax^alpha u^{power-alpha-1} rho^{N-alpha} shape(rho).
+        col = np.zeros(nodes.size)
+        for j in range(0, s.size, _COLUMN_BLOCK):
+            block = slice(j, j + _COLUMN_BLOCK)
+            col += riesz_angular(N, alpha, 1.0,
+                                 s[block] / nodes[:, None]) @ w[block]
+        return col * nodes ** (alpha - N)
+
+    def _origin_rule(self, sigma: float):
+        """Rule for the density (s/r_1)^{-sigma} s^{N-1} on (0, r_1).
+
+        Jacobi on (0, r_1/2) carries the s^{N-1-sigma} weight; panels
+        graded into r_1 carry the kernel's singularity at s = r_1 = r_i
+        for row 0.
+        """
+        N, r1 = self.N, self.grid.r_min
+        xj, wj = _jacobi01(24, N - 1.0 - sigma)
+        s, w = _panel_rule(_graded_panels(0.5 * r1, r1, toward_b=True), 12)
+        return (np.concatenate((0.5 * r1 * xj, s)),
+                np.concatenate(((0.5 * r1) ** (N - sigma) * r1 ** sigma * wj,
+                                w * (s / r1) ** (-sigma) * s ** (N - 1))))
+
+    def _tail_rule(self, tail: ExpDecay):
+        """Rule for the density f(s) s^{N-1} beyond r_max, where f(s) =
+        (s/r_max)^{-power} e^{-rate (s - r_max)} is the tail model.
+
+        Both rules grade into r_max, where row M-1 of the Riesz kernel is
+        singular: the exponential rule over its first decay length, the
+        algebraic one over u = r_max/s in (1/2, 1).
+        """
+        N, rmax = self.N, self.grid.r_max
+        # the Green kernel's own e^{-s} decay sets its length scale
+        decay = tail.rate + (1.0 if self.kind == "green" else 0.0)
+        if decay > 0.0:
+            # doubling panels stop at 32 t0, where the integrand has
+            # fallen by e^{-48}
+            t0 = 1.5 / decay
+            s_near, w_near = _panel_rule(
+                _graded_panels(rmax, rmax + t0, toward_b=False), 6)
+            s_far, w_far = _panel_rule(rmax + t0 * 2.0 ** np.arange(6), 12)
+            s = np.concatenate((s_near, s_far))
+            dens = (s / rmax) ** (-tail.power) \
+                * np.exp(-tail.rate * (s - rmax)) * s ** (N - 1)
+            return s, np.concatenate((w_near, w_far)) * dens
+        # algebraic Riesz tail: s = rmax/u turns the density into
+        # rmax^N u^{power-N-1} du on (0, 1), and Jacobi on (0, 1/2) carries
+        # its u^beta part, beta = power - alpha - 1 (the kernel supplies
+        # u^{N-alpha} as u -> 0); that needs power > alpha to converge
+        alpha = self.alpha
         if tail.power <= alpha + 1e-12:
             raise ValueError(
                 f"algebraic tail with power {tail.power:g} is not integrable "
                 f"against the order-{alpha:g} Riesz kernel beyond r_max; "
                 f"need power > alpha")
         beta = tail.power - alpha - 1.0
-        xg, wg = _jacobi01(32, beta)
-        rho = rmax / (xg[None, :] * nodes[:, None])
-        shape = riesz_angular(N, alpha, 1.0, rho) * rho ** (N - alpha)
-        return rmax ** alpha * (shape @ wg)
-
-    @staticmethod
-    def _tail_panels(rmax: float, rate: float, n_panels: int = 9):
-        t0 = 1.5 / rate
-        edges = [rmax] + [rmax + t0 * 2.0 ** j for j in range(n_panels)]
-        return np.asarray(edges)
+        xj, wj = _jacobi01(32, beta)
+        u_near, w_near = _panel_rule(
+            _graded_panels(0.5, 1.0, toward_b=True), 6)
+        u = np.concatenate((0.5 * xj, u_near))
+        q = np.concatenate((0.5 ** (beta + 1.0) * wj, w_near * u_near ** beta))
+        return rmax / u, rmax ** N * q * u ** (alpha - N)
 
 
 def assemble(kind: str, N: int, grid: RadialGrid,

@@ -90,8 +90,8 @@ class SupercriticalError(ValueError):
         self.report = report
         names = ", ".join(report.triggers)
         super().__init__(
-            f"supercritical exponents (threshold hit: {names}); no singular "
-            f"solution exists in this regime and the iteration is refused")
+            f"supercritical exponents (triggers: {names}); no singular "
+            f"solution exists in this regime, nothing computed")
 
 
 class BarrierEstimateError(RuntimeError):

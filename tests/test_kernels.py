@@ -146,6 +146,25 @@ def test_riesz_angular_diagonal():
     assert np.isfinite(v) and v > 0
 
 
+@pytest.mark.parametrize("alpha", [0.8, 1.0])
+def test_riesz_angular_backs_off_next_to_the_diagonal(alpha):
+    # SciPy's 2F1 overflows to inf for 0 < 1 - z below ~6e-14 when
+    # alpha <= 1; within 1e-12 of the diagonal the kernel backs off and warns
+    for s in (1000.0000000000011, 1000.0 * (1.0 + 4e-13),
+              1000.0 / (1.0 + 1e-15)):
+        with pytest.warns(ReducedAccuracyWarning):
+            v = riesz_angular(3, alpha, 1000.0, s)
+        assert np.isfinite(v) and v > 0
+    with pytest.warns(ReducedAccuracyWarning):
+        arr = riesz_angular(3, alpha, 1.0, np.array([0.5, 1.0 + 1e-14, 2.0]))
+    assert np.all(np.isfinite(arr))
+    assert arr[0] == riesz_angular(3, alpha, 1.0, 0.5)
+    # outside the zone the value is SciPy's, finite and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ReducedAccuracyWarning)
+        assert np.isfinite(riesz_angular(3, alpha, 1.0, 1.0 + 1e-11))
+
+
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_green_angular_vs_quadrature(N):
     for r, s in [(0.5, 1.3), (2.0, 0.3), (1.0, 1.0), (3.0, 3.01)]:

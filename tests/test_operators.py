@@ -15,10 +15,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
 from choqlab import operators, reference
-from choqlab.kernels import ReducedAccuracyWarning
+from choqlab.kernels import (
+    ReducedAccuracyWarning,
+    green_halfline_factors,
+    riesz_angular,
+)
 from choqlab.operators import (
     ExpDecay,
     NonIntegrableOriginError,
@@ -180,17 +185,62 @@ def test_riesz_power_identity(N, alpha, m):
         exact = riesz_power_constant(N, alpha, m) * g.nodes ** (alpha - m)
         errs[ppd] = np.abs(out.values / exact - 1.0).max()
     assert errs[40] <= 6e-3
-    if alpha > 1.0:
-        assert errs[80] <= 0.35 * errs[40]
-    else:
-        # for alpha <= 1 the interior error falls as h^2 but the last node,
-        # where the grid hands over to the algebraic tail, keeps an
-        # h-independent error (~6e-4), so refinement need not shrink the max
-        assert errs[80] <= 1.1 * errs[40]
+    assert errs[80] <= 0.35 * errs[40]
 
 
 # ---------------------------------------------------------------------------
 # direct quadrature comparisons
+
+
+def riesz_tail_integral(N, alpha, r, r_max, tail):
+    # int_{r_max}^inf tail(s) s^{N-1} K(r, s) ds with s = r_max (1 + t^5),
+    # which turns the kernel's singularity at s = r = r_max into t^{5alpha-1}
+    def integrand(t):
+        s = r_max * (1.0 + t ** 5)
+        return ((s / r_max) ** (-tail.power)
+                * math.exp(-tail.rate * (s - r_max)) * s ** (N - 1)
+                * riesz_angular(N, alpha, r, s) * 5.0 * r_max * t ** 4)
+
+    with warnings.catch_warnings():
+        # the substitution samples a few points within 1e-12 of the diagonal,
+        # and quad reports roundoff as it closes in on epsrel
+        warnings.simplefilter("ignore", ReducedAccuracyWarning)
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return sum(integrate.quad(integrand, a, b, limit=400, epsabs=0.0,
+                                  epsrel=1e-12)[0]
+                   for a, b in ((0.0, 1.0), (1.0, np.inf)))
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0])
+def test_riesz_tail_columns_at_the_singular_last_node(alpha):
+    # row M-1 meets the kernel's diagonal singularity at s = r_max, so both
+    # tail rules grade into r_max; an ungraded rule is off by ~1e-3 here at
+    # every resolution
+    N = 3
+    g = build_grid(1e-3, 1e3, 40)
+    op = assemble("riesz", N, g, alpha=alpha)
+    for tail in (ExpDecay(0.0, 1.5), ExpDecay(1.5, 0.0)):
+        col = op.tail_column(tail)
+        for i in (-1, -2):
+            exact = riesz_tail_integral(N, alpha, g.nodes[i], g.r_max, tail)
+            assert math.isclose(col[i], exact, rel_tol=5e-5), (tail, i)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_green_origin_column_against_direct(N):
+    # the origin column is G applied to (s/r_1)^{-sigma} on (0, r_1)
+    g = build_grid(1e-2, 20.0, 20)
+    op = assemble("green", N, g)
+    r1 = g.r_min
+    for sigma in sorted({1.0, N - 2.0, N - 0.5}):
+        col = op.origin_column(sigma)
+        for i in (0, g.size // 2, g.size - 1):
+            # scaled so the exact value is 1: quad's absolute tolerance
+            # would swallow entries as small as 1e-22
+            direct = reference.green_apply_direct(
+                N, lambda s: (s / r1) ** (-sigma) / col[i], g.nodes[i],
+                s_max=r1)
+            assert math.isclose(direct, 1.0, rel_tol=1e-8), (sigma, i)
 
 
 @pytest.mark.parametrize("N,alpha", [(3, 2.0), (4, 1.5)])
@@ -294,6 +344,36 @@ def test_riesz_assembly_never_touches_the_divergent_diagonal(alpha):
         op.tail_column(ExpDecay(0.0, 3.0))
 
 
+def test_negative_weights_are_refused(monkeypatch):
+    # the monotone solver rests on nonnegative weights; the check must be
+    # an exception, not an assert that python -O strips
+    g = build_grid(1e-3, 10.0, 10)
+    clean = assemble("riesz", 3, g, alpha=1.5)._riesz_cell_integrals()
+
+    def one_negative(self):
+        A, B = (part.copy() for part in clean)
+        A[A.size // 2] = -1e-30
+        return A, B
+
+    monkeypatch.setattr(operators.OperatorMatrix, "_riesz_cell_integrals",
+                        one_negative)
+    with pytest.raises(ValueError, match="product weights must be >= 0"):
+        assemble("riesz", 3, g, alpha=1.5)
+
+
+def test_negative_columns_are_refused(monkeypatch):
+    g = build_grid(1e-3, 10.0, 10)
+    op = assemble("riesz", 3, g, alpha=1.5)
+    monkeypatch.setattr(operators, "riesz_angular",
+                        lambda *args: -np.ones(np.shape(args[-1])))
+    with pytest.raises(ValueError, match="origin column must be >= 0"):
+        op.origin_column(1.0)
+    with pytest.raises(ValueError, match="tail column must be >= 0"):
+        op.tail_column(ExpDecay(1.0, 1.0))
+    with pytest.raises(ValueError, match="tail column must be >= 0"):
+        op.tail_column(ExpDecay(0.0, 2.0))
+
+
 # The fills read the Toeplitz family through sliding windows and split the
 # Green outer products at the diagonal.  The masked per-entry definitions
 # below are the fills they replaced; the two must agree to the last bit.
@@ -358,6 +438,65 @@ def test_fills_match_masked_definition_on_smallest_grids():
         assert grid.size == size
         assert_fills_match_masked_definition(3, 2.0, grid)
         assert_fills_match_masked_definition(4, 1.0, grid)
+
+
+# Each origin column and diagonal Riesz cell is one kernel product over a
+# composite rule.  The per-panel loops below are what that replaced; only
+# the summation order differs, so they agree to a few ulps.
+
+
+def looped_origin_column(op, sigma):
+    N, r1, nodes = op.N, op.grid.r_min, op.grid.nodes
+    xg, wg = operators._jacobi01(24, N - 1.0 - sigma)
+    if op.kind == "green":
+        y0_s, _ = green_halfline_factors(N, r1 * xg)
+        return green_halfline_factors(N, nodes)[1] * r1 ** N * np.dot(wg, y0_s)
+    alpha = op.alpha
+    rho = 0.5 * r1 * xg[None, :] / nodes[:, None]
+    shape = riesz_angular(N, alpha, 1.0, rho)
+    col = (0.5 * r1) ** (N - sigma) * r1 ** sigma * (shape @ wg)
+    x12, w12 = operators._leggauss01(12)
+    edges = operators._graded_panels(0.5 * r1, r1, toward_b=True)
+    for lo, hi in zip(edges, edges[1:]):
+        s = lo + (hi - lo) * x12
+        shape = riesz_angular(N, alpha, 1.0, s[None, :] / nodes[:, None])
+        col += (hi - lo) * (shape * (s / r1) ** (-sigma) * s ** (N - 1)) @ w12
+    return col / nodes ** (N - alpha)
+
+
+def looped_diagonal_cells(op):
+    N, alpha, h = op.N, op.alpha, op.grid.log_step
+    x12, w12 = operators._leggauss01(12)
+    cells = []
+    for k, toward_b in ((-1, True), (0, False)):
+        edges = operators._graded_panels(0.0, 1.0, toward_b)
+        a = b = 0.0
+        for lo, hi in zip(edges, edges[1:]):
+            x = lo + (hi - lo) * x12
+            f = riesz_angular(N, alpha, 1.0, np.exp(h * (k + x))) \
+                * np.exp(h * (k + x) * N) * h
+            a += (hi - lo) * np.dot(w12, f * (1.0 - x))
+            b += (hi - lo) * np.dot(w12, f * x)
+        cells.append((a, b))
+    return np.array(cells)
+
+
+@pytest.mark.parametrize("N, alpha", [(3, 2.0), (4, 1.0), (3, 0.8),
+                                      (5, 2.5), (6, 3.2)])
+@pytest.mark.parametrize("ppd", [20, 40])
+def test_rules_match_the_panel_loops(N, alpha, ppd):
+    g = build_grid(1e-3, 20.0, ppd)
+    riesz = assemble("riesz", N, g, alpha=alpha)
+    A, B = riesz._riesz_cell_integrals()
+    m = g.size
+    np.testing.assert_allclose(
+        np.column_stack((A[m - 2:m], B[m - 2:m])),
+        looped_diagonal_cells(riesz), rtol=2e-15, atol=0.0)
+    for op in (riesz, assemble("green", N, g)):
+        for sigma in (0.0, 1.0, N - 2.0, N - 0.5):
+            np.testing.assert_allclose(op.origin_column(sigma),
+                                       looped_origin_column(op, sigma),
+                                       rtol=2e-15, atol=0.0)
 
 
 def test_cached_quadrature_rules_are_read_only():
