@@ -294,7 +294,7 @@ def cmd_solve(args) -> int:
 
     try:
         outcome = solve_minimal(inst)
-    except BarrierEstimateError as exc:
+    except (BarrierEstimateError, ValueError) as exc:
         raise CommandError(EXIT_INVALID, str(exc))
     summary = {
         "verdict": outcome.verdict.value,

@@ -250,13 +250,9 @@ def bootstrap_t1(e: ProblemExponents) -> tuple[Optional[Fraction], BootstrapCase
     case = bootstrap_case(e)
     if case is not BootstrapCase.P_ABOVE_ALPHA_CRITICAL:
         return None, case
+    # t1 > 1 balances the two Young shares, spending exactly the available
+    # integrability: (1/t1) N/(p(N-2)-alpha) = ((t1-1)/t1)(1/q) N/(N-2)
     t1 = ((e.p + e.q) * (e.N - 2) - e.alpha) / (e.p * (e.N - 2) - e.alpha)
-    # balance identity: the two Young shares spend exactly the available
-    # integrability, (1/t1) N/(p(N-2)-alpha) = ((t1-1)/t1)(1/q) N/(N-2)
-    lhs = Fraction(e.N) / (e.p * (e.N - 2) - e.alpha) / t1
-    rhs = (t1 - 1) / t1 / e.q * Fraction(e.N, e.N - 2)
-    assert lhs == rhs, "balance identity violated; t1 formula is wrong"
-    assert t1 > 1
     return t1, case
 
 
@@ -334,13 +330,8 @@ def T_sequence(e: ProblemExponents) -> tuple[list[Fraction], int]:
             f"T-sequence needs the p-above case (p(N-2) > alpha); "
             f"got {case.value}")
     ratio = e.q * t1 / (t1 - 1)
-    assert ratio == ((e.p + e.q) * (e.N - 2) - e.alpha) / Fraction(e.N - 2)
-    assert ratio > 1
-
     T0 = Fraction(2 - e.N)
     T1 = 2 + e.alpha - (e.p + e.q) * (e.N - 2)
-    assert T1 == 2 + ratio * T0, "closed form for T_1 disagrees with recursion"
-    assert T1 > T0, "subcritical window should give T_1 > T_0"
     seq = [T0, T1]
     while seq[-1] <= 0:
         seq.append(2 + ratio * seq[-1])

@@ -3,18 +3,21 @@
 A radial function is carried as nodal values on a geometric grid plus two
 annotations: a power-law model (r/r_1)^{-sigma} below the first node and a
 tail model beyond the last.  The Riesz potential and the Green operator of
--Delta + 1 become dense matrices whose entries are exact integrals of the
-reduced radial kernel against piecewise-linear hat functions in log r, so
-every weight is nonnegative and nodewise comparisons survive the operators
-exactly.  That preservation is what the monotone solver leans on.
+-Delta + 1 are product-integration rules whose weights are exact integrals
+of the reduced radial kernel against piecewise-linear hat functions in
+log r, so every weight is nonnegative and nodewise comparisons survive the
+operators exactly.  That preservation is what the monotone solver leans on.
 
-Assembly exploits two structural facts and builds no per-entry mask.  The
-Riesz kernel is homogeneous, r^{alpha-N} shape(s/r) with shape(rho) =
-kernels.riesz_angular(N, alpha, 1, rho), so the hat integrals depend only
-on the log-distance j - i between node and cell: row i is a window of one
-Toeplitz family, scaled by r_i^alpha.  The Green kernel factors as y0(min)
-yinf(max) across the diagonal, so its weights are outer products of
-per-cell moments split at the diagonal.
+Neither operator is stored as a matrix.  The Riesz kernel is homogeneous,
+r^{alpha-N} shape(s/r) with shape(rho) = kernels.riesz_angular(N, alpha,
+1, rho), so the hat integrals depend only on the log-distance l - i between
+output node and input node: the weights are r_i^alpha times one Toeplitz
+family over the interior nodes, plus one column each for the end nodes, and
+applying them is one correlation.  The Green kernel factors as y0(min)
+yinf(max) across the diagonal, so the weights are semiseparable and
+applying them is one suffix and one prefix sum of per-node moments.  Either
+way each output is a fixed-order sum of nonnegative products, which keeps
+rounding monotone in the input.
 
 Each annotation is one integral of the kernel against a 1-D density, so
 each grid end has one quadrature rule (s, w) with the density folded into
@@ -23,8 +26,8 @@ shape(s/r_i) @ w for Riesz, one Green factor at the nodes times the moment
 of the other.  Row 0 meets the kernel's diagonal singularity at s = r_1
 and row M-1 at s = r_max, so both rules grade their panels into that end,
 as do the two Riesz cells that touch the diagonal.  Columns are cached per
-(end, model parameters); weights and columns are checked nonnegative when
-built.  The Gauss rules are cached and read-only.
+(end, model parameters); factors and columns are checked finite and
+nonnegative when built.  The Gauss rules are cached and read-only.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .kernels import green_halfline_factors, riesz_angular
@@ -43,6 +45,7 @@ from .kernels import green_halfline_factors, riesz_angular
 __all__ = [
     "RadialGrid", "RadialProfile", "ExpDecay", "ZeroTail", "OperatorMatrix",
     "NonIntegrableOriginError", "build_grid", "assemble", "apply",
+    "origin_slope_disagrees",
     "pointwise_power", "pointwise_product", "pointwise_add", "pointwise_scale",
 ]
 
@@ -235,10 +238,12 @@ def _panel_rule(edges: np.ndarray, n: int):
 
 
 def _require_nonnegative(what: str, values: np.ndarray) -> np.ndarray:
-    """values unchanged, or ValueError if an entry is negative or NaN."""
-    lowest = values.min()
+    """values unchanged, or ValueError if an entry is negative, NaN or inf."""
+    lowest, highest = values.min(), values.max()
     if not lowest >= 0.0:
         raise ValueError(f"{what} must be >= 0, found {lowest:g}")
+    if not math.isfinite(highest):
+        raise ValueError(f"{what} must be finite, found {highest:g}")
     return values
 
 
@@ -246,17 +251,23 @@ def _require_nonnegative(what: str, values: np.ndarray) -> np.ndarray:
 # temporaries whatever the length of the rule
 _COLUMN_BLOCK = 12
 
+# y0(r) = r^{1-N/2} I_{N/2-1}(r) carries e^r, which leaves the float range
+# just past ln(DBL_MAX) = 709.78
+GREEN_R_LIMIT = 709.78
+
 
 # ---------------------------------------------------------------------------
-# operator matrices
+# operators
 
 
 class OperatorMatrix:
     """Discretized radial integral operator (kind "riesz" or "green").
 
-    weights[i, j] is the contribution of the nodal value f_j to the output
-    at r_i from the grid interval [r_1, r_max]; the origin cell and the tail
-    are added per profile from its annotations.  All weights are >= 0.
+    The product weight w[i, l] is the contribution of the nodal value f_l
+    to the output at r_i from the grid interval [r_1, r_max]; the origin
+    cell and the tail are added per profile from its annotations.  The
+    weights are held as their O(M) factors (see matvec), all checked
+    finite and >= 0.
     """
 
     def __init__(self, kind: str, N: int, grid: RadialGrid,
@@ -276,31 +287,52 @@ class OperatorMatrix:
         self.grid = grid
         # (end, rounded model parameters) -> column
         self._columns: dict[tuple, np.ndarray] = {}
-        self.weights = _require_nonnegative(f"{kind} product weights",
-                                            self._assemble_weights())
+        factors = (self._riesz_factors() if kind == "riesz"
+                   else self._green_factors())
+        _require_nonnegative(f"{kind} product weights",
+                             np.concatenate(factors))
+        self._factors = _read_only(*factors)
 
-    # -- grid-part weights
+    # -- grid-part weights in factored form
 
-    def _assemble_weights(self) -> np.ndarray:
+    def matvec(self, values: np.ndarray, origin: np.ndarray,
+               tail: np.ndarray) -> np.ndarray:
+        """Nodal output for nodal input values, whose origin cell and tail
+        contribute the columns origin and tail (see origin_column and
+        tail_column) scaled by the first and last value."""
         if self.kind == "riesz":
-            return self._riesz_weights()
-        return self._green_weights()
+            out = self._riesz_grid_part(values)
+        else:
+            out = self._green_grid_part(values)
+        out += origin * values[0]
+        out += tail * values[-1]
+        return out
 
-    def _riesz_weights(self) -> np.ndarray:
-        """Toeplitz fill: w[i, l] = r_i^alpha * (A(l - i) + B(l - 1 - i)).
+    def _riesz_grid_part(self, v: np.ndarray) -> np.ndarray:
+        """r_i^alpha (sum over interior l of T(l - i) v_l + A(-i) v_0
+        + B(M-2-i) v_{M-1}), the interior sum as one correlation."""
+        r_alpha, toeplitz, first, last = self._factors
+        if v.size > 2:
+            # correlate gives c_j = sum_n T[n + j] v[n + 1], and row i
+            # reads T(l - i) at index l - i + M - 2, so row i is c_{M-1-i}
+            inner = np.correlate(toeplitz, v[1:-1])[::-1]
+        else:
+            inner = 0.0
+        return r_alpha * (inner + first * v[0] + last * v[-1])
 
-        Node l is the left node of cell l (none for l = M-1) and the right
-        node of cell l-1 (none for l = 0).  A and B are indexed from
-        k = -(M-1), so row i of either block is the length-(M-1) window
-        starting at (M-1) - i.
+    def _riesz_factors(self):
+        """(r_i^alpha, T, first, last): w[i, l] = r_i^alpha T(l - i) for
+        interior l with T(d) = A(d) + B(d - 1), w[i, 0] = r_i^alpha A(-i)
+        and w[i, M-1] = r_i^alpha B(M-2-i).
+
+        Node l is the left node of cell l (A; none for l = M-1) and the
+        right node of cell l-1 (B; none for l = 0).  A and B are indexed
+        from offset -(M-1), so T runs over d = 2-M .. M-2.
         """
         m = self.grid.size
         A, B = self._riesz_cell_integrals()
-        w = np.zeros((m, m))
-        w[:, :m - 1] = sliding_window_view(A, m - 1)[::-1]
-        w[:, 1:] += sliding_window_view(B, m - 1)[::-1]
-        w *= self.grid.nodes[:, None] ** self.alpha
-        return w
+        return (self.grid.nodes ** self.alpha, A[1:] + B[:-1],
+                A[m - 1::-1], B[m - 2:][::-1])
 
     def _riesz_cell_integrals(self):
         """Toeplitz hat integrals: cell j to node pair, offset k = j - i.
@@ -336,31 +368,34 @@ class OperatorMatrix:
             A[ks == k], B[ks == k] = cell_integrals(np.array([k]), x, w)
         return A, B
 
-    def _green_weights(self) -> np.ndarray:
-        """Separable fill: kernel = y0(min) yinf(max) on each side.
+    def _green_grid_part(self, v: np.ndarray) -> np.ndarray:
+        """y0_i (sum_{l>i} P_l v_l + PA_i v_i)
+        + yinf_i (sum_{l<i} Q_l v_l + QB_i v_i), by a suffix and a prefix
+        sum that run in a fixed order."""
+        y0, yinf, P, Q, PA, QB = self._factors
+        above = np.append(np.cumsum((P * v)[:0:-1])[::-1], 0.0)
+        below = np.append(0.0, np.cumsum((Q * v)[:-1]))
+        return y0 * (above + PA * v) + yinf * (below + QB * v)
 
-        Row i is y0(r_i) times the yinf moments above the diagonal plus
-        yinf(r_i) times the y0 moments below.  Node l is the left node of
-        cell l (PA, QA; none for l = M-1) and the right node of cell l-1
-        (PB, QB; none for l = 0); the diagonal node splits exactly between
-        its outer and its inner cell.
+    def _green_factors(self):
+        """(y0, yinf, P, Q, PA, QB) at the nodes: w[i, l] = y0_i P_l above
+        the diagonal, yinf_i Q_l below it, y0_i PA_i + yinf_i QB_i on it.
+
+        Node l is the left node of cell l (PA, QA; none for l = M-1) and
+        the right node of cell l-1 (PB, QB; none for l = 0); P and Q add
+        both cells' yinf and y0 moments, and the diagonal node splits
+        between its outer cell (PA) and its inner one (QB).
         """
-        m = self.grid.size
         y0_n, yinf_n, PA, PB, QA, QB = self._green_cell_moments()
+        if not math.isfinite(y0_n[-1]):
+            raise ValueError(
+                f"green factor y0(r) overflows at r_max = "
+                f"{self.grid.r_max:g}; it is finite only below r = "
+                f"{GREEN_R_LIMIT}")
         PA_l = np.append(PA, 0.0)
-        QA_l = np.append(QA, 0.0)
-        PB_l = np.append(0.0, PB)
         QB_l = np.append(0.0, QB)
-        # add the two products; y0 * (PA + PB) would round differently
-        w = np.multiply(y0_n[:, None], PA_l)
-        part = np.multiply(y0_n[:, None], PB_l)
-        w += part
-        below = np.tri(m, dtype=bool)
-        np.multiply(yinf_n[:, None], QA_l, out=w, where=below)
-        np.multiply(yinf_n[:, None], QB_l, out=part, where=below)
-        np.add(w, part, out=w, where=below)
-        np.fill_diagonal(w, y0_n * PA_l + yinf_n * QB_l)
-        return w
+        return (y0_n, yinf_n, PA_l + np.append(0.0, PB),
+                np.append(QA, 0.0) + QB_l, PA_l, QB_l)
 
     def _green_cell_moments(self):
         """y0 and yinf at the nodes, and the per-cell moments of yinf (PA,
@@ -418,7 +453,7 @@ class OperatorMatrix:
         N, nodes = self.N, self.grid.nodes
         if self.kind == "green":
             # kernel y0(min) yinf(max): the rule's moment times one factor
-            y0_n, yinf_n = green_halfline_factors(N, nodes)
+            y0_n, yinf_n = self._factors[:2]
             y0_s, yinf_s = green_halfline_factors(N, s)
             if s[0] > self.grid.r_max:
                 return y0_n * (yinf_s @ w)
@@ -489,7 +524,7 @@ class OperatorMatrix:
 
 def assemble(kind: str, N: int, grid: RadialGrid,
              alpha: Optional[float] = None) -> OperatorMatrix:
-    """Build the dense operator for the given kind ("riesz" needs alpha)."""
+    """Build the operator for the given kind ("riesz" needs alpha)."""
     return OperatorMatrix(kind, N, grid, alpha)
 
 
@@ -522,16 +557,28 @@ def _green_tail_out(N: int, tail: TailModel) -> TailModel:
     return ExpDecay(tail.rate, tail.power)
 
 
+def origin_slope_disagrees(values: np.ndarray, origin_exponent: float,
+                           log_step: float) -> bool:
+    """True when the declared origin exponent is more than 0.5 off the
+    slope of the first two nodes (only judged where both are positive)."""
+    if values[0] > 0.0 and values[1] > 0.0:
+        # two logs, not the log of a ratio that can overflow or underflow
+        slope = (math.log(values[0]) - math.log(values[1])) / log_step
+        return abs(slope - origin_exponent) > 0.5
+    return False
+
+
 def apply(matrix: OperatorMatrix, profile: RadialProfile) -> RadialProfile:
     """Apply the operator, producing a profile with transferred annotations.
 
-    Output = weights @ values + origin column * values[0] + tail column *
-    values[-1].  The origin exponent moves through the rate-transfer rules
-    (minus alpha for Riesz, minus 2 for Green, clamped at bounded); the tail
-    becomes the kernel's own decay for Green and the algebraic r^{alpha-N}
-    falloff for Riesz.  If the declared origin exponent disagrees with the
-    slope of the first two nodes by more than 0.5, the output profile is
-    flagged (annotation_warning) but still produced.
+    Output = matrix.matvec(values, origin column, tail column), the columns
+    selected by the profile's annotations.  The origin exponent moves
+    through the rate-transfer rules (minus alpha for Riesz, minus 2 for
+    Green, clamped at bounded); the tail becomes the kernel's own decay for
+    Green and the algebraic r^{alpha-N} falloff for Riesz.  If the declared
+    origin exponent disagrees with the slope of the first two nodes by more
+    than 0.5, the output profile is flagged (annotation_warning) but still
+    produced.
     """
     if profile.grid is not matrix.grid and not np.array_equal(
             profile.grid.nodes, matrix.grid.nodes):
@@ -540,17 +587,11 @@ def apply(matrix: OperatorMatrix, profile: RadialProfile) -> RadialProfile:
         return RadialProfile(profile.grid, np.zeros(profile.grid.size),
                              origin_exponent=0.0, tail=ZERO_TAIL)
 
-    warn = profile.annotation_warning
     v = profile.values
-    if v[0] > 0.0 and v[1] > 0.0:
-        slope = math.log(v[0] / v[1]) / matrix.grid.log_step
-        if abs(slope - profile.origin_exponent) > 0.5:
-            warn = True
-
-    out = matrix.weights @ v
-    out = out + matrix.origin_column(profile.origin_exponent) * v[0]
-    out = out + matrix.tail_column(profile.tail) * v[-1]
-    out = np.maximum(out, 0.0)
+    warn = profile.annotation_warning or origin_slope_disagrees(
+        v, profile.origin_exponent, matrix.grid.log_step)
+    out = matrix.matvec(v, matrix.origin_column(profile.origin_exponent),
+                        matrix.tail_column(profile.tail))
 
     if matrix.kind == "riesz":
         sigma = _riesz_sigma_out(profile.origin_exponent, matrix.alpha)

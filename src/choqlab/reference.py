@@ -58,14 +58,16 @@ def riesz_apply_direct(N: int, alpha: float, f, r: float,
     # split at the diagonal where the angular average has a kink
     pieces = []
     if r < s_max:
-        a, _ = integrate.quad(inner, 0.0, r, limit=300)
-        b, _ = integrate.quad(inner, r, min(4.0 * r + 10.0, s_max), limit=300)
+        a, _ = integrate.quad(inner, 0.0, r, limit=300, epsabs=0.0)
+        b, _ = integrate.quad(inner, r, min(4.0 * r + 10.0, s_max),
+                              limit=300, epsabs=0.0)
         pieces = [a, b]
         if s_max > 4.0 * r + 10.0:
-            c, _ = integrate.quad(inner, 4.0 * r + 10.0, s_max, limit=300)
+            c, _ = integrate.quad(inner, 4.0 * r + 10.0, s_max, limit=300,
+                                  epsabs=0.0)
             pieces.append(c)
     else:
-        a, _ = integrate.quad(inner, 0.0, s_max, limit=300)
+        a, _ = integrate.quad(inner, 0.0, s_max, limit=300, epsabs=0.0)
         pieces = [a]
     return float(sum(pieces))
 
@@ -81,12 +83,12 @@ def green_apply_direct(N: int, f, r: float, s_max: float = np.inf) -> float:
         else sorted({0.0, min(r, s_max), s_max})
     if s_max == np.inf:
         for a, b in zip(cuts, cuts[1:]):
-            v, _ = integrate.quad(inner, a, b, limit=300)
+            v, _ = integrate.quad(inner, a, b, limit=300, epsabs=0.0)
             out += v
     else:
         for a, b in zip(cuts, cuts[1:]):
             if b > a:
-                v, _ = integrate.quad(inner, a, b, limit=300)
+                v, _ = integrate.quad(inner, a, b, limit=300, epsabs=0.0)
                 out += v
     return float(out)
 

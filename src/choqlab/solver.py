@@ -39,6 +39,7 @@ from .operators import (
     RadialProfile,
     apply,
     assemble,
+    origin_slope_disagrees,
     pointwise_add,
     pointwise_power,
     pointwise_product,
@@ -70,6 +71,11 @@ __all__ = [
 _DIVERGENCE_RUN = 10
 
 _CAP_FACTOR = 1e12
+
+# largest r_max a solve accepts: the Green factor y0(r) carries e^r, which
+# overflows a float just past r = 709.78 (operators.GREEN_R_LIMIT), and a
+# solution decaying like e^{-r} is below 1e-300 long before that
+R_MAX_CEILING = 700.0
 
 
 def _overflow_guard(s: float) -> float:
@@ -160,9 +166,10 @@ class ProblemInstance:
         if self.grid.r_min > 1e-3:
             raise ValueError(
                 f"solver grids need r_min <= 1e-3, got {self.grid.r_min}")
-        if self.grid.r_max < 20.0:
+        if not 20.0 <= self.grid.r_max <= R_MAX_CEILING:
             raise ValueError(
-                f"solver grids need r_max >= 20, got {self.grid.r_max}")
+                f"solver grids need 20 <= r_max <= {R_MAX_CEILING:g}, got "
+                f"{self.grid.r_max:g}")
         guard = _overflow_guard(float(self.exponents.p + self.exponents.q))
         if self.blowup_cap is None:
             cap = _CAP_FACTOR * self.k * float(gamma0(self.exponents.N,
@@ -184,10 +191,10 @@ class Discretization:
     """Everything one (exponents, grid) pair fixes, shared by every k.
 
     The iteration map depends on k only through its source k Gamma_0, so
-    both operator matrices (with the origin and tail columns they cache),
-    the unit Gamma_0 and Phi_0 profiles, and the barrier core and c_hat
-    are built once; the last two on first use, so iterating never pays
-    for them.
+    both operators (with the origin and tail columns they cache), the unit
+    Gamma_0 and Phi_0 profiles, the step columns, and the barrier core and
+    c_hat are built once; the last three on first use, so a step never
+    pays for the barrier and a zero profile never pays for the columns.
     """
 
     def __init__(self, exponents: ProblemExponents, grid: RadialGrid):
@@ -209,6 +216,27 @@ class Discretization:
         potential = apply(self.riesz, pointwise_power(v, float(ex.p)))
         return apply(self.green, pointwise_product(
             potential, pointwise_power(v, float(ex.q))))
+
+    @cached_property
+    def step_plan(self) -> tuple:
+        """The annotations and columns of one step from the source.
+
+        Every iterate carries the source's annotations, so every step
+        meets the same origin exponents and tails.  They are found once by
+        carrying Gamma_0 through the annotated map, and the result is
+        ((sigma, origin column, tail column) for Riesz on v^p,
+        (sigma, origin column, tail column) for Green on I_alpha[v^p] v^q).
+        Raises NonIntegrableOriginError when v^p or the product is not
+        integrable at the origin.
+        """
+        ex = self.exponents
+        powered = pointwise_power(self.gamma0, float(ex.p))
+        product = pointwise_product(apply(self.riesz, powered),
+                                    pointwise_power(self.gamma0, float(ex.q)))
+        return tuple(
+            (prof.origin_exponent, op.origin_column(prof.origin_exponent),
+             op.tail_column(prof.tail))
+            for op, prof in ((self.riesz, powered), (self.green, product)))
 
     @cached_property
     def barrier_core(self) -> RadialProfile:
@@ -252,19 +280,45 @@ def iterate_once(v: RadialProfile, inst: ProblemInstance,
                  disc: Optional[Discretization] = None) -> RadialProfile:
     """One step v -> G[I_alpha[v^p] v^q] + k Gamma_0.
 
-    The output is re-annotated with the source's own exponent N-2 and tail:
-    the nonlinear correction is strictly milder at the origin in the
+    v must be zero or carry the source's own annotations (origin exponent
+    N-2 and the Gamma_0 tail), as every iterate from k Gamma_0 does; any
+    other nonzero v is a ValueError.  The output is re-annotated the same
+    way: the nonlinear correction is strictly milder at the origin in the
     subcritical class, so k Gamma_0 keeps the leading annotation, and
     freezing it makes every iterate share the same origin and tail columns
     (comparisons between iterates then survive rounding exactly).
+
+    The step runs on plain arrays with the columns of disc.step_plan and
+    builds one profile at the end; values and annotation_warning are
+    bit-identical to the annotated composition apply / pointwise_* of
+    disc.nonlinear_image plus the source.
     """
     disc = _discretization(inst, disc)
-    source = disc.source(inst.k)
+    unit = disc.gamma0
     if v.is_zero():
-        return source
-    out = pointwise_add(disc.nonlinear_image(v), source)
-    return replace(out, origin_exponent=source.origin_exponent,
-                   tail=source.tail)
+        return disc.source(inst.k)
+    if v.origin_exponent != unit.origin_exponent or v.tail != unit.tail:
+        raise ValueError(
+            f"iterate_once needs the source's annotations (origin exponent "
+            f"{unit.origin_exponent:g}, tail {unit.tail}), got "
+            f"{v.origin_exponent:g} and {v.tail}")
+    (sigma_r, origin_r, tail_r), (sigma_g, origin_g, tail_g) = disc.step_plan
+    ex, h = disc.exponents, disc.grid.log_step
+    x = v.values
+    powered = x ** float(ex.p)
+    product = disc.riesz.matvec(powered, origin_r, tail_r) \
+        * x ** float(ex.q)
+    # apply() returns an unflagged zero for a zero input, so a product
+    # that underflowed to zero carries no warning
+    warn = bool(product.any()) and (
+        v.annotation_warning
+        or origin_slope_disagrees(powered, sigma_r, h)
+        or origin_slope_disagrees(product, sigma_g, h))
+    values = disc.green.matvec(product, origin_g, tail_g) \
+        + unit.values * inst.k
+    return RadialProfile(disc.grid, values,
+                         origin_exponent=unit.origin_exponent, tail=unit.tail,
+                         annotation_warning=warn)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,32 @@ def test_solve_analysis_error_exits_2_and_writes_nothing(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solve_beyond_the_float_safe_r_max_exits_2(capsys, tmp_path):
+    # the Green factor y0 overflows past r = 709.78, so the instance refuses
+    # r_max = 1000 before anything is assembled or written
+    code, out, err = run_cli(capsys, "solve", *FLAGS, "--r-max", "1000",
+                             "--points-per-decade", "5", "--k", "0.4",
+                             "--profile-csv", str(tmp_path / "u.csv"),
+                             "--trace-json", str(tmp_path / "trace.json"),
+                             "--report-json", str(tmp_path / "report.json"))
+    assert code == 2 and out == ""
+    assert "r_max <= 700" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_other_solve_errors_exit_2(capsys, tmp_path, monkeypatch):
+    exc = NonIntegrableOriginError("green", 3.5, 3)
+
+    def failing(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(choqlab.cli, "solve_minimal", failing)
+    code, out, err = run_cli(capsys, *solve_args(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: {exc}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_reads_config_file(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     config = {
@@ -366,8 +392,9 @@ def test_sweep_assembles_each_operator_once(capsys, assemble_counts):
     (FLAGS_41, "sweep_k_4_1_6-5_1_ppd40_steps6.json"),
 ])
 def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
-    # recorded from the implementation that assembled the operators anew
-    # for every k; sharing them must not move a single bit
+    # sharing one discretization across every k must not move a single
+    # bit; re-recorded when apply moved to the structured sums, which
+    # changed the last digit of c_hat and of the derived k
     code, out, _ = run_cli(capsys, "sweep-k", *exponents,
                            "--points-per-decade", "40", "--steps", "6")
     assert code == 0

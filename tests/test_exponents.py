@@ -227,16 +227,39 @@ def test_ledger_empty_outside_p_above():
     assert led.n0 is None and led.n1 is None
 
 
+def assert_bootstrap_identities(e):
+    """The rational identities bootstrap_t1 and T_sequence rest on."""
+    t1, _ = bootstrap_t1(e)
+    lhs = F(e.N) / (e.p * (e.N - 2) - e.alpha) / t1
+    rhs = (t1 - 1) / t1 / e.q * F(e.N, e.N - 2)
+    assert lhs == rhs, "balance identity"
+    assert t1 > 1
+    ratio = e.q * t1 / (t1 - 1)
+    assert ratio == ((e.p + e.q) * (e.N - 2) - e.alpha) / F(e.N - 2)
+    assert ratio > 1
+    T, _ = T_sequence(e)
+    assert T[0] == 2 - e.N
+    assert T[1] == 2 + e.alpha - (e.p + e.q) * (e.N - 2)
+    assert T[1] == 2 + ratio * T[0], "closed form of T_1 is the recursion"
+    assert T[1] > T[0]
+
+
+def test_bootstrap_identities_over_classification_table():
+    p_above = [ProblemExponents(N, alpha, p, q)
+               for N, alpha, p, q, crit, _ in CLASSIFICATION_TABLE
+               if crit is Criticality.SUBCRITICAL]
+    p_above = [e for e in p_above if bootstrap_case(e)
+               is BootstrapCase.P_ABOVE_ALPHA_CRITICAL]
+    assert len(p_above) == 2
+    for e in p_above:
+        assert_bootstrap_identities(e)
+
+
 @given(exponent_tuples(subcritical=True))
 @settings(max_examples=200, deadline=None)
 def test_balance_identity(e):
-    t1, case = bootstrap_t1(e)
-    if t1 is None:
-        return
-    lhs = F(1, 1) / t1 * F(e.N) / (e.p * (e.N - 2) - e.alpha)
-    rhs = (t1 - 1) / t1 / e.q * F(e.N, e.N - 2)
-    assert lhs == rhs
-    assert t1 > 1
+    if bootstrap_case(e) is BootstrapCase.P_ABOVE_ALPHA_CRITICAL:
+        assert_bootstrap_identities(e)
 
 
 @given(exponent_tuples(subcritical=True))

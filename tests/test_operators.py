@@ -1,11 +1,11 @@
 """Product-integration operators against frozen values and direct quadrature.
 
-The two dense operators (Riesz potential and the Green operator of -Delta+1)
-are checked three ways: frozen closed-form values for the indicator of the
+The two operators (Riesz potential and the Green operator of -Delta+1) are
+checked three ways: frozen closed-form values for the indicator of the
 unit ball, the exact power-law composition identity for the Riesz potential,
 and slow direct quadrature from reference.py.  Structural properties that
-the solver relies on (nonnegative weights, exact comparison preservation,
-linearity) get their own tests.
+the solver relies on (nonnegative weights and outputs, exact comparison
+preservation, linearity) get their own tests.
 """
 
 import math
@@ -235,12 +235,12 @@ def test_green_origin_column_against_direct(N):
     for sigma in sorted({1.0, N - 2.0, N - 0.5}):
         col = op.origin_column(sigma)
         for i in (0, g.size // 2, g.size - 1):
-            # scaled so the exact value is 1: quad's absolute tolerance
-            # would swallow entries as small as 1e-22
+            # unscaled: at the last node and sigma = N - 1/2 the exact value
+            # is as small as 1e-22, which the oracle resolves only because
+            # it integrates with no absolute tolerance
             direct = reference.green_apply_direct(
-                N, lambda s: (s / r1) ** (-sigma) / col[i], g.nodes[i],
-                s_max=r1)
-            assert math.isclose(direct, 1.0, rel_tol=1e-8), (sigma, i)
+                N, lambda s: (s / r1) ** (-sigma), g.nodes[i], s_max=r1)
+            assert math.isclose(col[i], direct, rel_tol=1e-8), (sigma, i)
 
 
 @pytest.mark.parametrize("N,alpha", [(3, 2.0), (4, 1.5)])
@@ -319,10 +319,11 @@ def test_green_is_symmetric_in_the_radial_measure():
 
 
 def test_weights_and_columns_are_nonnegative():
+    # every weight is a product or a sum of products of these factors
     g = build_grid(1e-3, 10.0, 20)
     for kind, alpha in (("riesz", 1.5), ("green", None)):
         op = assemble(kind, 4, g, alpha=alpha)
-        assert op.weights.min() >= 0.0
+        assert min(factor.min() for factor in op._factors) >= 0.0
         assert op.origin_column(1.2).min() >= 0.0
         assert op.tail_column(ExpDecay(1.0, 1.0)).min() >= 0.0
         assert op.tail_column(ExpDecay(0.0, 5.0)).min() >= 0.0 \
@@ -374,9 +375,15 @@ def test_negative_columns_are_refused(monkeypatch):
         op.tail_column(ExpDecay(0.0, 2.0))
 
 
-# The fills read the Toeplitz family through sliding windows and split the
-# Green outer products at the diagonal.  The masked per-entry definitions
-# below are the fills they replaced; the two must agree to the last bit.
+# apply never forms the weight matrix: Riesz runs one correlation with the
+# Toeplitz family, Green a suffix and a prefix sum of the separable factors.
+# The masked per-entry definitions below build the M x M matrix entry by
+# entry from the same cell integrals, and stay here as the reference.  Only
+# the order of the roundings differs; the worst relative gap measured over
+# these grids and random, power-law and exponentially small inputs is
+# 2.6e-15 (Green, 160 ppd), so the tolerance is 5e-15.
+
+GRID_PART_RTOL = 5e-15
 
 
 def masked_riesz_fill(A, B, nodes, alpha):
@@ -417,22 +424,30 @@ def masked_green_fill(y0_n, yinf_n, PA, PB, QA, QB):
 
 def assert_fills_match_masked_definition(N, alpha, grid):
     riesz = assemble("riesz", N, grid, alpha=alpha)
-    A, B = riesz._riesz_cell_integrals()
-    assert np.array_equal(riesz.weights,
-                          masked_riesz_fill(A, B, grid.nodes, alpha))
     green = assemble("green", N, grid)
-    assert np.array_equal(green.weights,
-                          masked_green_fill(*green._green_cell_moments()))
+    dense = {riesz: masked_riesz_fill(*riesz._riesz_cell_integrals(),
+                                      grid.nodes, alpha),
+             green: masked_green_fill(*green._green_cell_moments())}
+    rng = np.random.default_rng(grid.size)
+    no_column = np.zeros(grid.size)
+    for v in (rng.random(grid.size),
+              rng.random(grid.size) * rng.integers(0, 2, grid.size),
+              grid.nodes ** -2.5, np.exp(-grid.nodes) / grid.nodes):
+        for op, weights in dense.items():
+            np.testing.assert_allclose(op.matvec(v, no_column, no_column),
+                                       weights @ v, rtol=GRID_PART_RTOL,
+                                       atol=0.0, err_msg=op.kind)
 
 
 @pytest.mark.parametrize("N, alpha", [(3, 2.0), (4, 1.0), (3, 0.8),
                                       (5, 2.5), (6, 3.2)])
-@pytest.mark.parametrize("ppd", [20, 40])
+@pytest.mark.parametrize("ppd", [20, 40, 160])
 def test_fills_match_masked_definition(N, alpha, ppd):
     assert_fills_match_masked_definition(N, alpha, build_grid(1e-3, 20.0, ppd))
 
 
 def test_fills_match_masked_definition_on_smallest_grids():
+    # m = 2 has no interior node, so the correlation drops out entirely
     for r_max, size in ((10.0, 2), (100.0, 3)):
         grid = build_grid(1.0, r_max, 1)
         assert grid.size == size
@@ -522,23 +537,48 @@ def test_apply_is_linear():
     np.testing.assert_allclose(out_sum.values, parts, rtol=1e-12, atol=1e-300)
 
 
+_CMP_GRID = build_grid(1e-2, 1.0, 20)
+_CMP_OPS = (assemble("riesz", 3, _CMP_GRID, alpha=1.5),
+            assemble("green", 3, _CMP_GRID))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_comparison_preservation_is_exact(seed):
     # f <= g nodewise (same annotations) must give apply(f) <= apply(g)
-    # without any float slack: the weights are nonnegative and the dot
-    # product accumulates in a fixed order, so rounding is monotone.
+    # without any float slack: every output is a fixed-order sum of
+    # nonnegative products, so rounding is monotone
     g = _CMP_GRID
     rng = np.random.default_rng(seed)
     f = rng.random(g.size)
     h = f + rng.random(g.size) * rng.integers(0, 2, g.size)
-    out_f = apply(_CMP_OP, RadialProfile(g, f)).values
-    out_h = apply(_CMP_OP, RadialProfile(g, h)).values
-    assert np.all(out_f <= out_h)
+    for op in _CMP_OPS:
+        out_f = apply(op, RadialProfile(g, f)).values
+        out_h = apply(op, RadialProfile(g, h)).values
+        assert np.all(out_f <= out_h), op.kind
 
 
-_CMP_GRID = build_grid(1e-2, 1.0, 20)
-_CMP_OP = assemble("green", 3, _CMP_GRID)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0),
+                          st.floats(5e-324, 1e-300),
+                          st.floats(0.0, 1e100)),
+                min_size=_CMP_GRID.size, max_size=_CMP_GRID.size),
+       st.sampled_from([0.0, 1.0, 2.5]))
+def test_apply_of_nonnegative_input_is_nonnegative(values, sigma):
+    # apply adds no clamp: nonnegative factors, columns and inputs give a
+    # nonnegative output by construction, zeros and subnormals included
+    prof = RadialProfile(_CMP_GRID, np.array(values), origin_exponent=sigma,
+                         tail=ExpDecay(1.0, 0.0))
+    for op in _CMP_OPS:
+        assert apply(op, prof).values.min() >= 0.0, op.kind
+
+
+def test_green_factors_refuse_overflow():
+    # y0(r) carries e^r, which overflows past r = 709.78
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="green factor y0.*overflows"):
+        assemble("green", 3, build_grid(1.0, 1000.0, 5))
+    assemble("green", 3, build_grid(1.0, 700.0, 5))
 
 
 def test_zero_profile_short_circuits():
@@ -602,6 +642,11 @@ def test_annotation_warning_on_mismatched_slope():
     assert apply(op, flat_but_declared_steep).annotation_warning
     honest = RadialProfile(g, g.nodes ** -2.5, origin_exponent=2.5)
     assert not apply(op, honest).annotation_warning
+    # the slope check must survive a ratio of the first two values that
+    # underflows (1e-308 / 1e16)
+    extreme = np.ones(g.size)
+    extreme[:2] = 1e-308, 1e16
+    assert apply(op, RadialProfile(g, extreme)).annotation_warning
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from choqlab.exponents import ProblemExponents, k_threshold
-from choqlab.operators import NonIntegrableOriginError, build_grid
+from choqlab.operators import (
+    ExpDecay,
+    NonIntegrableOriginError,
+    RadialProfile,
+    build_grid,
+    pointwise_add,
+)
 from choqlab.solver import (
     BarrierEstimateError,
     BracketEndpointError,
@@ -107,6 +113,42 @@ def test_iterate_raises_on_inner_riesz_divergence():
     src = gamma0_profile(3, GRID, scale=1.0)
     with pytest.raises(NonIntegrableOriginError):
         iterate_once(src, inst)
+
+
+@pytest.mark.parametrize("ex, k", [
+    (FLAGSHIP, 0.9),
+    (ProblemExponents(4, Fraction(1), Fraction(6, 5), Fraction(1)), 1.0),
+    (ProblemExponents(3, Fraction(4, 5), Fraction(1, 2), Fraction(1)), 1.0),
+])
+def test_iterate_once_is_the_annotated_composition(ex, k):
+    # the step on plain arrays must reproduce apply / pointwise_* to the
+    # last bit, annotation_warning included
+    grid = build_grid(1e-4, 30.0, 20)
+    inst = ProblemInstance(ex, k=k, grid=grid)
+    disc = Discretization(ex, grid)
+    source = disc.source(k)
+    # the same values with a flat first cell, so the slope check fires
+    flat = source.values.copy()
+    flat[0] = flat[1]
+    for start in (source, RadialProfile(grid, flat, source.origin_exponent,
+                                        source.tail)):
+        v = start
+        for _ in range(4):
+            step = iterate_once(v, inst, disc)
+            composed = pointwise_add(disc.nonlinear_image(v), source)
+            assert np.array_equal(step.values, composed.values)
+            assert step.annotation_warning == composed.annotation_warning
+            assert (step.origin_exponent, step.tail) == \
+                (source.origin_exponent, source.tail)
+            v = step
+        assert v.annotation_warning is (start is not source)
+
+
+def test_iterate_refuses_foreign_annotations():
+    src = gamma0_profile(3, GRID, scale=INST.k)
+    for origin, tail in ((0.0, src.tail), (1.0, ExpDecay(0.5, 1.0))):
+        with pytest.raises(ValueError, match="source's annotations"):
+            iterate_once(RadialProfile(GRID, src.values, origin, tail), INST)
 
 
 # ---------------------------------------------------------------------------
