@@ -304,6 +304,8 @@ def cmd_solve(args) -> int:
         "k_threshold_estimate": outcome.k_threshold_estimate,
         "barrier_active": outcome.barrier_active,
         "fixed_point_residual": outcome.fixed_point_residual,
+        "stop_reason": outcome.stop_reason,
+        "annotation_warning": outcome.annotation_warning,
     }
     # the analyses can still reject the profile; do that before any file
     # is written, so exit 2 leaves the filesystem untouched
@@ -326,8 +328,13 @@ def cmd_solve(args) -> int:
         write_json(trace_json, {
             "verdict": outcome.verdict.value,
             "iterations": outcome.iterations,
+            "stop_reason": outcome.stop_reason,
             "sup_norms": list(trace.sup_norms),
+            "methods": list(trace.methods),
             "rel_deltas": list(trace.rel_deltas),
+            "ratios": list(trace.ratios),
+            "bounds": list(trace.bounds),
+            "jacobian_products": list(trace.jacobian_products),
             "mono_violations": list(trace.mono_violations),
             "barrier_margins": None if trace.barrier_margins is None
             else list(trace.barrier_margins),
@@ -405,7 +412,8 @@ def cmd_report(args) -> int:
         raise CommandError(EXIT_INVALID, f"cannot load profile: {exc}")
 
     try:
-        report = _analysis_report(profile, e, args.k)
+        report = {"annotation_warning": profile.annotation_warning,
+                  **_analysis_report(profile, e, args.k)}
     except ValueError as exc:
         raise CommandError(EXIT_INVALID, str(exc))
     write_json(args.report_json, report)

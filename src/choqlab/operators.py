@@ -578,14 +578,15 @@ def apply(matrix: OperatorMatrix, profile: RadialProfile) -> RadialProfile:
     Green and the algebraic r^{alpha-N} falloff for Riesz.  If the declared
     origin exponent disagrees with the slope of the first two nodes by more
     than 0.5, the output profile is flagged (annotation_warning) but still
-    produced.
+    produced.  An incoming flag is carried through, a zero input's too.
     """
     if profile.grid is not matrix.grid and not np.array_equal(
             profile.grid.nodes, matrix.grid.nodes):
         raise ValueError("profile grid does not match operator grid")
     if profile.is_zero():
         return RadialProfile(profile.grid, np.zeros(profile.grid.size),
-                             origin_exponent=0.0, tail=ZERO_TAIL)
+                             origin_exponent=0.0, tail=ZERO_TAIL,
+                             annotation_warning=profile.annotation_warning)
 
     v = profile.values
     warn = profile.annotation_warning or origin_slope_disagrees(

@@ -126,6 +126,7 @@ def sidecar_dict(profile: RadialProfile) -> dict:
     return {
         "origin_exponent": float(profile.origin_exponent),
         "tail_model": tail_to_dict(profile.tail),
+        "annotation_warning": profile.annotation_warning,
     }
 
 
@@ -156,6 +157,12 @@ def read_profile(csv_path: str) -> RadialProfile:
     grid = RadialGrid(nodes, ppd)
     with open(_sidecar_path(csv_path)) as fh:
         meta = json.load(fh)
+    # sidecars written before the flag was recorded carry no warning
+    warning = meta.get("annotation_warning", False)
+    if not isinstance(warning, bool):
+        raise ValueError(f"annotation_warning must be true or false, got "
+                         f"{warning!r}")
     return RadialProfile(grid, values,
                          origin_exponent=float(meta["origin_exponent"]),
-                         tail=tail_from_dict(meta["tail_model"]))
+                         tail=tail_from_dict(meta["tail_model"]),
+                         annotation_warning=warning)

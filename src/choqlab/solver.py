@@ -1,15 +1,29 @@
 """Monotone iteration for the minimal singular solution.
 
-The scheme starts from v_0 = k Gamma_0 and repeats
+The scheme starts from v_0 = k Gamma_0 and repeats the Picard step
 
-    v_{n+1} = G[ I_alpha[v_n^p] v_n^q ] + k Gamma_0,
+    v_{n+1} = T(v_n) = G[ I_alpha[v_n^p] v_n^q ] + k Gamma_0,
 
 where G is the Green operator of -Delta + 1.  Every term added is
 nonnegative and the discrete operators preserve nodewise comparisons
 exactly (nonnegative weights, identical annotation columns across
 iterates), so the iterates increase monotonically up to float rounding.
 They either converge to the minimal fixed point, or blow up past any
-ceiling when the point source is too strong.
+ceiling when the point source is too strong.  Convergence is judged at
+every node: the stop is an a posteriori bound on max_i |v* - v_n|_i / v_n,i
+built from the nodewise increments, since a sup-relative change is
+dominated by the r^{2-N} peak at r_min and says nothing about the tail.
+
+Near the threshold k* the Picard steps contract like rho(J) -> 1, where J
+is the derivative of T.  For p, q >= 1, T is order-convex, so Newton's
+method started from the subsolution k Gamma_0 also increases monotonically
+and stays below the minimal solution while rho(J) < 1 (Ortega &
+Rheinboldt 1970, 13.3).  solve_minimal switches to guarded Newton steps,
+solved by a restarted GMRES on Jacobian products, once the measured
+contraction passes 0.7, and falls back to Picard whenever a Newton step
+fails its guard.  A failed guard is also where rho(J) >= 1 shows: a
+Collatz-Wielandt lower bound above 1 certifies that no fixed point lies
+above the iterate.
 
 The barrier w_t = t k^{p+q} G[I_alpha[Phi_0^p] Phi_0^q] + k Phi_0 built
 from the slower Yukawa kernel Phi_0 dominates the whole sequence whenever
@@ -19,6 +33,7 @@ which pins down the guaranteed-convergence threshold k_q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -71,6 +86,38 @@ __all__ = [
 _DIVERGENCE_RUN = 10
 
 _CAP_FACTOR = 1e12
+
+# a Newton step is tried once two Picard steps contract by more than this;
+# one Newton step costs about as much as 12 Picard steps (a GMRES solve of
+# about 10 Jacobian products), so below it Picard is cheaper
+_NEWTON_RATIO = 0.7
+
+# rounding allowance of the Newton guard, relative to each node
+_GUARD_EPS = 1e-12
+
+# GMRES for the Newton correction y = d / v, right-hand side b = (T(v) -
+# v) / v.  The forcing term rtol = min(1e-2, ||b||_inf^2), at least 1e-12
+# (inexact Newton, Eisenstat & Walker 1996), keeps the convergence
+# quadratic while sparing products far from the solution.  The residual
+# it leaves, about ||b||^3, mostly stays below the convexity gain in
+# T(w) - w, about ||d||^2 >= ||b||^2; where it does not, the guard rejects
+# the step.  A constant loose rtol does not shrink with b, and its error
+# turned increments negative.  The target never falls below a floor whose
+# error in y, about 30 times the floor for 1 - rho(J) >= 1/30, stays
+# under _GUARD_EPS.  A converging solve needs about 3-12 products a step;
+# beyond the fold I - J turns indefinite and GMRES can stagnate, so 40
+# products end it
+_GMRES_RTOL = 1e-12
+_FORCING_MAX = 1e-2
+_GMRES_FLOOR = 1e-14
+_GMRES_RESTART = 20
+_GMRES_MAX_PRODUCTS = 40
+
+# most power steps behind the Collatz-Wielandt bounds, and the margin above
+# 1 the lower bound must clear (the spectral gap |lambda_2/lambda_1| is
+# about 0.26, so 12 steps fix the Perron direction to about 1e-7)
+_POWER_STEPS = 12
+_SPECTRAL_MARGIN = 1e-9
 
 # largest r_max a solve accepts: the Green factor y0(r) carries e^r, which
 # overflows a float just past r = 709.78 (operators.GREEN_R_LIMIT), and a
@@ -238,6 +285,28 @@ class Discretization:
              op.tail_column(prof.tail))
             for op, prof in ((self.riesz, powered), (self.green, product)))
 
+    def jacobian(self, x: np.ndarray):
+        """d -> J d, the derivative of the step map at the iterate values x:
+
+            J d = G[ I_alpha[p x^{p-1} d] x^q + q x^{q-1} I_alpha[x^p] d ],
+
+        applied with the step plan's columns, which are the exact
+        derivative of the discrete map because matvec is linear in its
+        values for fixed columns.  Two matvecs per product.
+        """
+        (_, origin_r, tail_r), (_, origin_g, tail_g) = self.step_plan
+        p, q = float(self.exponents.p), float(self.exponents.q)
+        riesz, green = self.riesz.matvec, self.green.matvec
+        d_power = p * x ** (p - 1.0)
+        x_q = x ** q
+        d_factor = q * x ** (q - 1.0) * riesz(x ** p, origin_r, tail_r)
+
+        def product(d: np.ndarray) -> np.ndarray:
+            return green(riesz(d_power * d, origin_r, tail_r) * x_q
+                         + d_factor * d, origin_g, tail_g)
+
+        return product
+
     @cached_property
     def barrier_core(self) -> RadialProfile:
         """G[I_alpha[Phi_0^p] Phi_0^q]."""
@@ -308,12 +377,9 @@ def iterate_once(v: RadialProfile, inst: ProblemInstance,
     powered = x ** float(ex.p)
     product = disc.riesz.matvec(powered, origin_r, tail_r) \
         * x ** float(ex.q)
-    # apply() returns an unflagged zero for a zero input, so a product
-    # that underflowed to zero carries no warning
-    warn = bool(product.any()) and (
-        v.annotation_warning
-        or origin_slope_disagrees(powered, sigma_r, h)
-        or origin_slope_disagrees(product, sigma_g, h))
+    warn = (v.annotation_warning
+            or origin_slope_disagrees(powered, sigma_r, h)
+            or origin_slope_disagrees(product, sigma_g, h))
     values = disc.green.matvec(product, origin_g, tail_g) \
         + unit.values * inst.k
     return RadialProfile(disc.grid, values,
@@ -355,15 +421,29 @@ class SolveVerdict(Enum):
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """Per-iteration audit of the monotone scheme.
+    """Per-step audit of the guarded scheme.
 
-    mono_violations[n] is max_i (v_n - v_{n+1})_i / sup v_n clamped at 0;
-    anything above float-rounding scale signals a weights bug.
-    barrier_margins[n] is min_i (w - v_{n+1})_i when the barrier is active.
+    Step n takes v_{n-1} to v_n by methods[n] ("picard" or "newton").
+    rel_deltas[n] is the nodewise increment max_i |v_n - v_{n-1}|_i / v_n,i
+    and ratios[n] the contraction estimate rel_deltas[n] / rel_deltas[n-1]
+    when both steps used the same method (else None).  bounds[n] is the a
+    posteriori bound delta ratio / (1 - ratio) on the nodewise distance
+    from v_n to the fixed point, the sum of the later increments if each
+    shrinks by at least the ratio (None without a ratio below 1); the stop
+    is judged on it.  jacobian_products[n] counts the Jacobian products
+    spent on the way to v_n, a rejected Newton attempt and its certificate
+    included.
+    mono_violations[n] is max_i (v_{n-1} - v_n)_i / sup v_{n-1} clamped at
+    0; anything above rounding scale signals a weights bug.
+    barrier_margins[n] is min_i (w - v_n)_i when the barrier is active.
     """
 
     sup_norms: tuple
+    methods: tuple
     rel_deltas: tuple
+    ratios: tuple
+    bounds: tuple
+    jacobian_products: tuple
     mono_violations: tuple
     barrier_margins: Optional[tuple]
 
@@ -374,6 +454,15 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """stop_reason says why the solve stopped: "bound" (a Picard step's
+    error bound) or "newton" (a Newton step's) fell below conv_tol; the
+    sup norm passed blowup_cap ("cap") or the Collatz-Wielandt bound on
+    rho(J) passed 1 ("spectral"); max_iter ran out ("budget").
+    fixed_point_residual is max_i |T(v) - v|_i / v_i at the returned
+    profile; annotation_warning is set once any step of the solve saw a
+    declared origin exponent disagree with the profile's slope.
+    """
+
     verdict: SolveVerdict
     profile: Optional[RadialProfile]
     iterations: int
@@ -382,18 +471,157 @@ class SolveOutcome:
     barrier_constant: float
     k_threshold_estimate: float
     barrier_active: bool
+    stop_reason: str
+    annotation_warning: bool
+
+
+def _nodewise(change: np.ndarray, scale: np.ndarray) -> float:
+    """max_i |change_i| / scale_i for a positive scale."""
+    return float(np.max(np.abs(change) / scale))
+
+
+def _gmres(operator, b: np.ndarray, rtol: float,
+           floor: float = _GMRES_FLOOR, restart: int = _GMRES_RESTART,
+           max_products: int = _GMRES_MAX_PRODUCTS) -> tuple:
+    """Restarted GMRES for operator(y) = b from y = 0.
+
+    Arnoldi by modified Gram-Schmidt, the least-squares problem by Givens
+    rotations (Saad & Schultz 1986; Kelley 1995, ch. 6).  Returns (y,
+    converged, products): converged once the residual 2-norm, as the
+    rotations carry it, is at most max(rtol ||b||, floor).
+    """
+    y = np.zeros_like(b)
+    target = max(rtol * float(np.linalg.norm(b)), floor)
+    r = b
+    products = 0
+    while True:
+        beta = float(np.linalg.norm(r))
+        if beta <= target:
+            return y, True, products
+        m = min(restart, max_products - products)
+        if m < 1:
+            return y, False, products
+        basis = np.empty((m + 1, b.size))
+        basis[0] = r / beta
+        # the rotated Hessenberg columns (upper triangular), the rotations
+        # and the rotated right-hand side, all as Python floats
+        cols: list = []
+        cs: list = []
+        sn: list = []
+        g = [beta]
+        for j in range(m):
+            w = operator(basis[j])
+            products += 1
+            col = []
+            for i in range(j + 1):
+                h = float(w @ basis[i])
+                w -= h * basis[i]
+                col.append(h)
+            h_next = float(np.linalg.norm(w))
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            rho = math.hypot(col[j], h_next)
+            if rho == 0.0:
+                return y, False, products
+            cs.append(col[j] / rho)
+            sn.append(h_next / rho)
+            col[j] = rho
+            cols.append(col)
+            g.append(-sn[j] * g[j])
+            g[j] *= cs[j]
+            if abs(g[j + 1]) <= target or h_next == 0.0:
+                break
+            basis[j + 1] = w / h_next
+        # back substitution in Python: a LAPACK call here would be the
+        # solve's only one and grows the peak RSS by its work buffers
+        n = j + 1
+        z = [0.0] * n
+        for i in reversed(range(n)):
+            z[i] = (g[i] - sum(cols[l][i] * z[l]
+                               for l in range(i + 1, n))) / cols[i][i]
+        y = y + np.array(z) @ basis[:n]
+        if abs(g[n]) <= target:
+            return y, True, products
+        r = b - operator(y)
+        products += 1
+
+
+def _newton_step(v: RadialProfile, tv: RadialProfile, inst: ProblemInstance,
+                 disc: Discretization) -> tuple:
+    """((w, T(w)), products) for the guarded Newton step from v, or (None,
+    products) when the step fails its guard.
+
+    The correction d solves (I - J(v)) d = T(v) - v in the nodewise-scaled
+    variable y = d / v, so the Krylov residual is relative at every node,
+    to the forcing term set out beside _FORCING_MAX.
+    w = v + d is accepted only when GMRES converged, d >= -eps v, w stays
+    below blowup_cap (so that T(w) is finite) and w is still a
+    subsolution, T(w) - w >= -eps w.
+    """
+    x = v.values
+    jac = disc.jacobian(x)
+    b = (tv.values - x) / x
+    forcing = min(_FORCING_MAX, float(np.abs(b).max()) ** 2)
+    y, converged, products = _gmres(lambda z: z - jac(x * z) / x, b,
+                                    max(forcing, _GMRES_RTOL))
+    # written so that a NaN fails the test
+    if not (converged and y.min() >= -_GUARD_EPS):
+        return None, products
+    w_values = x + x * y
+    if not w_values.max() <= inst.blowup_cap:
+        return None, products
+    w = replace(v, values=w_values)
+    tw = iterate_once(w, inst, disc)
+    if np.any(tw.values - w.values < -_GUARD_EPS * w.values):
+        return None, products
+    return (w, tw), products
+
+
+def _spectral_certificate(jac, x: np.ndarray) -> tuple:
+    """(rho(J) > 1 + margin is certified, products spent), by power steps
+    of the nonnegative J from z = x > 0.
+
+    After every step the Collatz-Wielandt bounds min_i (J z)_i / z_i <=
+    rho(J) <= max_i (J z)_i / z_i are checked: the lower one above the
+    margin certifies, the upper one at or below it rules the certificate
+    out, and either ends the power steps early.
+    """
+    z = x
+    for n in range(1, _POWER_STEPS + 1):
+        jz = jac(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = jz / z
+        # written so that a NaN certifies nothing
+        if ratio.min() > 1.0 + _SPECTRAL_MARGIN:
+            return True, n
+        if not ratio.max() > 1.0 + _SPECTRAL_MARGIN:
+            return False, n
+        z = jz / jz.max()
+    return False, _POWER_STEPS
 
 
 def solve_minimal(inst: ProblemInstance,
                   disc: Optional[Discretization] = None) -> SolveOutcome:
-    """Run the monotone iteration from v_0 = k Gamma_0 to a verdict.
+    """Run the guarded monotone scheme from v_0 = k Gamma_0 to a verdict.
 
-    Converged: relative sup-norm delta below conv_tol; the reported
-    residual re-applies the map once more, so the fixed-point defect is
-    measured rather than inferred.  Diverged: sup norm beyond blowup_cap
-    and still growing for 10 consecutive steps.  Otherwise the budget ran
-    out and the verdict stays undetermined (near k* the scheme slows down
-    without telling which side of the threshold it is on).  A disc built
+    The solve stops on the nodewise a posteriori bound
+    delta_n lambda_n / (1 - lambda_n) < conv_tol, with delta_n the nodewise
+    increment and lambda_n = delta_n / delta_{n-1} over two steps of the
+    same method.  For p, q >= 1 a Newton step replaces the Picard step once
+    0.7 < lambda_n < 1, and Newton steps follow until the stop.  Their
+    ratios fall toward 0 as the convergence turns quadratic, so there the
+    bound, which predicts the next increment as delta_n lambda_n, is
+    conservative (stop reasons "bound" after a Picard step, "newton" after
+    a Newton step).  A Newton step that fails its guard is
+    replaced by a Picard step, after a Collatz-Wielandt bound on rho(J)
+    at the iterate: above 1 + 1e-9 it certifies divergence ("spectral"),
+    since for p, q >= 1 and v below the minimal solution v*, 0 <= J(v) <=
+    J(v*) and rho(J(v*)) <= 1.  Diverged also when the sup norm passes
+    blowup_cap and keeps growing for 10 consecutive steps ("cap").
+    Otherwise the budget ran out and the verdict stays undetermined
+    ("budget").  The residual T(v) - v of the returned profile is always
+    computed, since every step needs it for the next one.  A disc built
     for the same exponents and grid is reused rather than rebuilt.
     """
     require_subcritical(inst.exponents)
@@ -404,10 +632,17 @@ def solve_minimal(inst: ProblemInstance,
     k_q, t_q = k_threshold(c_hat, float(ex.p), float(ex.q))
     active = inst.k <= k_q
     w = barrier(inst, t_q, disc) if active else None
+    newton_ok = ex.p >= 1 and ex.q >= 1
 
-    v = disc.source(inst.k)
+    # v is the iterate and tv = T(v) once computed; a Picard step computes
+    # it at the start of the next step, after the divergence checks
+    v, tv = disc.source(inst.k), None
     sups = [v.sup]
+    methods: list = []
     deltas: list = []
+    ratios: list = []
+    bounds: list = []
+    products: list = []
     violations: list = []
     margins: list = [] if active else None
     if active:
@@ -416,39 +651,81 @@ def solve_minimal(inst: ProblemInstance,
     guard = _overflow_guard(float(ex.p + ex.q))
     growth_run = 0
     verdict = SolveVerdict.MAX_ITERATIONS
+    reason = "budget"
     iterations = inst.max_iter
+    ratio = None
+    # after the m-th uncertified rejection Newton waits 2^m steps, which
+    # bounds the work a guard that keeps failing can waste
+    rejections, retry_at = 0, 0
     for n in range(1, inst.max_iter + 1):
-        v_next = iterate_once(v, inst, disc)
+        if tv is None:
+            tv = iterate_once(v, inst, disc)
+        step, spent = None, 0
+        if newton_ok and n >= retry_at and (
+                (methods and methods[-1] == "newton")
+                or (ratio is not None and _NEWTON_RATIO < ratio < 1.0)):
+            step, spent = _newton_step(v, tv, inst, disc)
+            if step is None:
+                certified, used = _spectral_certificate(
+                    disc.jacobian(v.values), v.values)
+                spent += used
+                if certified:
+                    if products:
+                        products[-1] += spent
+                    verdict, reason, iterations = \
+                        SolveVerdict.DIVERGED, "spectral", n - 1
+                    break
+                retry_at = n + 2 ** rejections
+                rejections += 1
+        method = "picard" if step is None else "newton"
+        v_next, tv_next = (tv, None) if step is None else step
+
+        delta = _nodewise(v_next.values - v.values, v_next.values)
+        same = bool(methods) and methods[-1] == method and deltas[-1] > 0.0
+        ratio = delta / deltas[-1] if same else None
+        if delta == 0.0:
+            bound = 0.0
+        elif ratio is not None and ratio < 1.0:
+            bound = delta * ratio / (1.0 - ratio)
+        else:
+            bound = None
         sup_prev, sup_next = v.sup, v_next.sup
         sups.append(sup_next)
-        deltas.append(float(np.max(np.abs(v_next.values - v.values))
-                            / sup_next))
+        methods.append(method)
+        deltas.append(delta)
+        ratios.append(ratio)
+        bounds.append(bound)
+        products.append(spent)
         violations.append(max(0.0, float(np.max(v.values - v_next.values))
                               / sup_prev))
         if active:
             margins.append(float((w.values - v_next.values).min()))
 
         growth_run = growth_run + 1 if sup_next > sup_prev else 0
-        v = v_next
-        if deltas[-1] < inst.conv_tol:
-            verdict = SolveVerdict.CONVERGED
-            iterations = n
+        v, tv = v_next, tv_next
+        if bound is not None and bound < inst.conv_tol:
+            verdict, iterations = SolveVerdict.CONVERGED, n
+            reason = "bound" if method == "picard" else "newton"
             break
         if sup_next > inst.blowup_cap and (growth_run >= _DIVERGENCE_RUN
                                            or sup_next > guard):
-            verdict = SolveVerdict.DIVERGED
-            iterations = n
+            verdict, reason, iterations = SolveVerdict.DIVERGED, "cap", n
             break
 
     residual = None
     profile = None
     if verdict is SolveVerdict.CONVERGED:
         profile = v
-        once_more = iterate_once(v, inst, disc)
-        residual = float(np.max(np.abs(once_more.values - v.values)) / v.sup)
+        if tv is None:
+            tv = iterate_once(v, inst, disc)
+        residual = _nodewise(tv.values - v.values, v.values)
 
     trace = IterationTrace(sup_norms=tuple(sups),
+                           methods=tuple(methods),
                            rel_deltas=tuple(deltas),
+                           ratios=tuple(ratios),
+                           bounds=tuple(bounds),
+                           jacobian_products=tuple(products),
                            mono_violations=tuple(violations),
                            barrier_margins=tuple(margins) if active else None)
     return SolveOutcome(verdict=verdict,
@@ -458,7 +735,12 @@ def solve_minimal(inst: ProblemInstance,
                         fixed_point_residual=residual,
                         barrier_constant=c_hat,
                         k_threshold_estimate=k_q,
-                        barrier_active=active)
+                        barrier_active=active,
+                        stop_reason=reason,
+                        # T(v) also judged v's own slopes, and its flag
+                        # carries every earlier one
+                        annotation_warning=(v if tv is None
+                                            else tv).annotation_warning)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
 """Fixtures shared by several test modules."""
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# the test modules import their shared oracles (oracles.py) from this
+# directory, whatever import mode pytest runs in
+sys.path.insert(0, str(Path(__file__).parent))
 
 import choqlab.solver
 

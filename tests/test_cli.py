@@ -18,6 +18,7 @@ import choqlab.cli
 import choqlab.solver
 from choqlab.cli import main, parse_rational
 from choqlab.operators import NonIntegrableOriginError
+from choqlab.serialize import read_profile
 from choqlab.solver import BarrierEstimateError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -117,8 +118,12 @@ def test_solve_converged_writes_everything(capsys, tmp_path):
     summary = json.loads(out)
     assert summary["verdict"] == "converged"
     assert summary["barrier_active"] is True
+    assert summary["stop_reason"] == "bound"
+    assert summary["annotation_warning"] is False
 
     report = json.loads((tmp_path / "report.json").read_text())
+    assert report["stop_reason"] == "bound"
+    assert report["annotation_warning"] is False
     assert report["singularity"]["rel_err"] <= 0.05
     assert report["singularity"]["accepted"] is True
     assert report["lower_bound_violation"] <= 1e-8
@@ -129,11 +134,27 @@ def test_solve_converged_writes_everything(capsys, tmp_path):
     assert trace["verdict"] == "converged"
     assert len(trace["sup_norms"]) == trace["iterations"] + 1
     assert max(trace["mono_violations"]) <= 1e-8
+    assert trace["stop_reason"] == "bound"
+    for key in ("methods", "rel_deltas", "ratios", "bounds",
+                "jacobian_products"):
+        assert len(trace[key]) == trace["iterations"], key
+    assert trace["ratios"][0] is None and trace["bounds"][0] is None
+    assert trace["bounds"][-1] < 1e-8
 
     header = (tmp_path / "u.csv").read_text().splitlines()[0]
     assert header == "r,value"
     meta = json.loads((tmp_path / "u.csv.meta.json").read_text())
     assert meta["origin_exponent"] == 1.0
+    assert meta["annotation_warning"] is False
+
+
+def test_solve_near_the_fold_reports_newton_steps(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, *solve_args(tmp_path, k="3.2"))
+    assert code == 0
+    assert json.loads(out)["stop_reason"] == "newton"
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert "newton" in trace["methods"]
+    assert sum(trace["jacobian_products"]) > 0
 
 
 def test_solve_outputs_are_byte_identical(capsys, tmp_path):
@@ -159,6 +180,7 @@ def test_solve_divergent_exit_code_and_partial_outputs(capsys, tmp_path):
     code, out, _ = run_cli(capsys, *solve_args(tmp_path, k="100"))
     assert code == 4
     assert json.loads(out)["verdict"] == "diverged"
+    assert json.loads(out)["stop_reason"] == "cap"
     assert not (tmp_path / "u.csv").exists()
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["verdict"] == "diverged"
@@ -293,6 +315,28 @@ def test_report_roundtrips_stored_profile(capsys, tmp_path):
     assert plot_lines[0] == "r,u,u_r_scaled,k_gamma0"
     assert len(plot_lines) == 1 + len(
         (tmp_path / "u.csv").read_text().splitlines()) - 1
+
+
+def test_report_carries_the_sidecar_warning(capsys, tmp_path):
+    run_cli(capsys, *solve_args(tmp_path))
+    meta_path = tmp_path / "u.csv.meta.json"
+    report_args = ["report", *FLAGS, "--k", "0.4",
+                   "--profile-csv", str(tmp_path / "u.csv"),
+                   "--report-json", str(tmp_path / "report2.json")]
+    meta = json.loads(meta_path.read_text())
+    for flag in (False, True):
+        meta["annotation_warning"] = flag
+        meta_path.write_text(json.dumps(meta))
+        assert read_profile(str(tmp_path / "u.csv")).annotation_warning \
+            is flag
+        code, _, _ = run_cli(capsys, *report_args)
+        assert code == 0
+        report = json.loads((tmp_path / "report2.json").read_text())
+        assert report["annotation_warning"] is flag
+    meta["annotation_warning"] = "yes"
+    meta_path.write_text(json.dumps(meta))
+    code, _, err = run_cli(capsys, *report_args)
+    assert code == 2 and "annotation_warning" in err
 
 
 def test_report_missing_profile(capsys, tmp_path):
@@ -448,6 +492,24 @@ def test_cli_import_leaves_verify_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_solve_leaves_scipy_sparse_unloaded(tmp_path):
+    # the Newton steps run a hand-written GMRES, so a solve that takes
+    # them still pays no scipy.sparse import
+    src = str(Path(choqlab.cli.__file__).parents[1])
+    trace = tmp_path / "trace.json"
+    argv = ["solve", *FLAGS, *FAST_GRID, "--k", "3.2",
+            "--trace-json", str(trace)]
+    code = ("import sys, choqlab.cli; "
+            f"assert choqlab.cli.main({argv!r}) == 0; "
+            "print('scipy.sparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert "newton" in json.loads(trace.read_text())["methods"]
 
 
 def test_verify_csv_flag_restricted_to_kernels(capsys, tmp_path):

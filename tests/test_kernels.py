@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqlab import reference
+import oracles
 from choqlab.kernels import (
     ReducedAccuracyWarning,
     c_N,
@@ -80,14 +80,14 @@ def test_c_N_formula_and_extrapolation():
 def test_flux_normalization_unit_mass():
     # -int_{dB_eps} d_r Gamma_0 -> 1: the delta carries unit mass
     for N in (3, 4, 5):
-        flux = reference.flux_normalization(N, lambda r: gamma0(N, r))
+        flux = oracles.flux_normalization(N, lambda r: gamma0(N, r))
         assert abs(flux - 1.0) < 1e-5
 
 
 def test_radial_ode_residual():
     r = np.geomspace(1e-3, 20.0, 120)
     for N in (3, 4, 5, 6):
-        res = reference.radial_ode_residual(N, lambda rr: gamma0(N, rr), r)
+        res = oracles.radial_ode_residual(N, lambda rr: gamma0(N, rr), r)
         assert res.max() < 1e-8
 
 
@@ -132,7 +132,7 @@ def test_riesz_angular_homogeneity():
 def test_riesz_angular_vs_quadrature(N, alpha):
     for r, s in [(0.5, 1.3), (1.0, 1.01), (2.0, 0.1), (1.0, 0.999)]:
         ours = riesz_angular(N, alpha, r, s)
-        ref = reference.riesz_angular_quad(N, alpha, r, s)
+        ref = oracles.riesz_angular_quad(N, alpha, r, s)
         assert math.isclose(ours, ref, rel_tol=1e-8), (N, alpha, r, s)
 
 
@@ -169,7 +169,7 @@ def test_riesz_angular_backs_off_next_to_the_diagonal(alpha):
 def test_green_angular_vs_quadrature(N):
     for r, s in [(0.5, 1.3), (2.0, 0.3), (1.0, 1.0), (3.0, 3.01)]:
         ours = green_angular(N, r, s)
-        ref = reference.green_angular_quad(N, r, s)
+        ref = oracles.green_angular_quad(N, r, s)
         assert math.isclose(ours, ref, rel_tol=1e-8), (N, r, s)
 
 

@@ -3,7 +3,7 @@
 The two operators (Riesz potential and the Green operator of -Delta+1) are
 checked three ways: frozen closed-form values for the indicator of the
 unit ball, the exact power-law composition identity for the Riesz potential,
-and slow direct quadrature from reference.py.  Structural properties that
+and slow direct quadrature from oracles.py.  Structural properties that
 the solver relies on (nonnegative weights and outputs, exact comparison
 preservation, linearity) get their own tests.
 """
@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
-from choqlab import operators, reference
+import oracles
+from choqlab import operators
 from choqlab.kernels import (
     ReducedAccuracyWarning,
     green_halfline_factors,
@@ -37,6 +38,7 @@ from choqlab.operators import (
     pointwise_product,
     pointwise_scale,
 )
+from choqlab.reference import discrete_radial_lhs
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +126,7 @@ def test_riesz_indicator_matches_direct_everywhere():
     out = apply(assemble("riesz", 3, g, alpha=2.0), indicator_profile(g))
     f = lambda s: np.where(s <= 1.0, 1.0, 0.0)
     for i in (0, g.size // 2, g.size - 1):
-        direct = reference.riesz_apply_direct(3, 2.0, f, g.nodes[i], s_max=1.0)
+        direct = oracles.riesz_apply_direct(3, 2.0, f, g.nodes[i], s_max=1.0)
         assert math.isclose(out.values[i], direct, rel_tol=1e-9)
 
 
@@ -140,7 +142,7 @@ def inverse_property_error(ppd):
     g = build_grid(1e-4, 30.0, ppd)
     f = bump_values(g.nodes)
     u = apply(assemble("green", 3, g), RadialProfile(g, f))
-    lhs = reference.discrete_radial_lhs(3, g.nodes, u.values)
+    lhs = discrete_radial_lhs(3, g.nodes, u.values)
     err = np.abs(lhs - f[2:-2]) / f.max()
     return err[3:-3].max()
 
@@ -238,7 +240,7 @@ def test_green_origin_column_against_direct(N):
             # unscaled: at the last node and sigma = N - 1/2 the exact value
             # is as small as 1e-22, which the oracle resolves only because
             # it integrates with no absolute tolerance
-            direct = reference.green_apply_direct(
+            direct = oracles.green_apply_direct(
                 N, lambda s: (s / r1) ** (-sigma), g.nodes[i], s_max=r1)
             assert math.isclose(col[i], direct, rel_tol=1e-8), (sigma, i)
 
@@ -259,7 +261,7 @@ def test_riesz_matches_direct_quadrature(N, alpha):
             out = apply(assemble("riesz", N, g, alpha=alpha), prof)
             e = []
             for i in (0, g.size // 2, g.size - 1):
-                direct = reference.riesz_apply_direct(N, alpha, f, g.nodes[i],
+                direct = oracles.riesz_apply_direct(N, alpha, f, g.nodes[i],
                                                       s_max=1.0)
                 e.append(abs(out.values[i] / direct - 1.0))
             errs[ppd] = max(e)
@@ -279,10 +281,10 @@ def test_green_exponential_tail_against_direct():
         prof = RadialProfile(g, f(g.nodes), tail=ExpDecay(1.0, 0.0))
         out = apply(assemble("green", N, g), prof)
         mid = abs(out.values[g.size // 2]
-                  / reference.green_apply_direct(N, f, g.nodes[g.size // 2])
+                  / oracles.green_apply_direct(N, f, g.nodes[g.size // 2])
                   - 1.0)
         end = abs(out.values[-1]
-                  / reference.green_apply_direct(N, f, g.nodes[-1]) - 1.0)
+                  / oracles.green_apply_direct(N, f, g.nodes[-1]) - 1.0)
         errs[ppd] = (mid, end)
     assert errs[40][0] <= 1e-3
     assert errs[40][1] <= 0.1
@@ -297,7 +299,7 @@ def test_riesz_exponential_tail_against_direct():
                          tail=ExpDecay(0.5, 1.0))
     out = apply(assemble("riesz", N, g, alpha=alpha), prof)
     for i in (0, g.size // 2, g.size - 1):
-        direct = reference.riesz_apply_direct(N, alpha, f, g.nodes[i])
+        direct = oracles.riesz_apply_direct(N, alpha, f, g.nodes[i])
         assert math.isclose(out.values[i], direct, rel_tol=8e-3)
 
 
@@ -378,7 +380,7 @@ def test_negative_columns_are_refused(monkeypatch):
 # apply never forms the weight matrix: Riesz runs one correlation with the
 # Toeplitz family, Green a suffix and a prefix sum of the separable factors.
 # The masked per-entry definitions below build the M x M matrix entry by
-# entry from the same cell integrals, and stay here as the reference.  Only
+# entry from the same cell integrals, and stay here as the oracles.  Only
 # the order of the roundings differs; the worst relative gap measured over
 # these grids and random, power-law and exponentially small inputs is
 # 2.6e-15 (Green, 160 ppd), so the tolerance is 5e-15.
@@ -647,6 +649,20 @@ def test_annotation_warning_on_mismatched_slope():
     extreme = np.ones(g.size)
     extreme[:2] = 1e-308, 1e16
     assert apply(op, RadialProfile(g, extreme)).annotation_warning
+
+
+@pytest.mark.parametrize("kind", ["riesz", "green"])
+def test_annotation_warning_survives_a_zero_input(kind):
+    # a flagged profile that underflowed to zero keeps its flag through
+    # the operator, as it would through pointwise_power or _product
+    g = build_grid(1e-3, 1.0, 20)
+    op = assemble(kind, 3, g, alpha=2.0 if kind == "riesz" else None)
+    for flagged in (True, False):
+        zero = RadialProfile(g, np.zeros(g.size),
+                             annotation_warning=flagged)
+        out = apply(op, zero)
+        assert out.is_zero()
+        assert out.annotation_warning is flagged
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from choqlab.operators import (
     build_grid,
     pointwise_add,
 )
+import choqlab.solver
 from choqlab.solver import (
     BarrierEstimateError,
     BracketEndpointError,
@@ -61,7 +62,12 @@ def test_flagship_trace_is_monotone():
     assert max(tr.mono_violations) <= 1e-8
     assert np.all(np.diff(tr.sup_norms) >= 0.0)
     assert len(tr.sup_norms) == tr.iterations + 1
-    assert len(tr.rel_deltas) == tr.iterations
+    for steps in (tr.methods, tr.rel_deltas, tr.ratios, tr.bounds,
+                  tr.jacobian_products, tr.mono_violations):
+        assert len(steps) == tr.iterations
+    assert OUTCOME.stop_reason == "bound"
+    assert tr.bounds[-1] < INST.conv_tol
+    assert not OUTCOME.annotation_warning
 
 
 def test_flagship_barrier_dominates_all_iterates():
@@ -201,6 +207,7 @@ def test_default_blowup_cap():
 def test_large_k_diverges():
     out = solve_minimal(ProblemInstance(FLAGSHIP, k=100.0, grid=GRID))
     assert out.verdict is SolveVerdict.DIVERGED
+    assert out.stop_reason == "cap"
     assert out.iterations < 50
     assert not out.barrier_active
     assert out.profile is None
@@ -365,3 +372,173 @@ def test_discretization_must_match_the_instance():
     with pytest.raises(ValueError, match="discretization"):
         iterate_once(gamma0_profile(3, GRID), INST,
                      Discretization(other, GRID))
+
+
+# ---------------------------------------------------------------------------
+# the nodewise stop, Newton steps and the divergence certificate
+
+EXP_41 = ProblemExponents(4, Fraction(1), Fraction(6, 5), Fraction(1))
+EXP_P_BELOW_1 = ProblemExponents(3, Fraction(4, 5), Fraction(1, 2),
+                                 Fraction(1))
+
+# converging solves on the 40-ppd grid; the last two of each p, q >= 1 set
+# lie within 0.3% below the discrete fold, where Newton steps take over
+CONVERGING = [(FLAGSHIP, 3.0), (FLAGSHIP, 3.27), (FLAGSHIP, 3.275),
+              (EXP_41, 1.3), (EXP_41, 1.465), (EXP_41, 1.468),
+              (EXP_P_BELOW_1, 0.017)]
+
+# rounding floor of a nodewise relative change
+ROUNDING = 64 * np.finfo(float).eps
+
+
+def test_false_convergence_of_the_sup_norm_stop_is_gone():
+    # the sup-relative stop reported (4,1,6/5,1) at k = 1.47 converged
+    # while the profile still moved by 2% a step; iterating on blew up
+    out = solve_minimal(ProblemInstance(EXP_41, k=1.47, grid=GRID))
+    assert out.verdict is SolveVerdict.DIVERGED
+    assert out.profile is None
+
+
+@pytest.mark.parametrize("ex, k", CONVERGING)
+def test_one_more_step_moves_no_node_beyond_the_bound(ex, k):
+    inst = ProblemInstance(ex, k=k, grid=GRID)
+    out = solve_minimal(inst)
+    assert out.verdict is SolveVerdict.CONVERGED
+    assert out.stop_reason in ("bound", "newton")
+    bound = out.trace.bounds[-1]
+    assert bound < inst.conv_tol
+    v = out.profile.values
+    move = np.max(np.abs(iterate_once(out.profile, inst).values - v) / v)
+    assert move <= bound + ROUNDING
+    assert out.fixed_point_residual == move
+
+
+@pytest.mark.parametrize("ex, k", [(FLAGSHIP, 3.27), (EXP_41, 1.465)])
+def test_newton_limit_is_the_picard_limit(ex, k, monkeypatch):
+    inst = ProblemInstance(ex, k=k, grid=GRID)
+    newton = solve_minimal(inst)
+    assert "newton" in newton.trace.methods
+    # Newton needs _NEWTON_RATIO < ratio < 1, an empty range at 1.0
+    monkeypatch.setattr(choqlab.solver, "_NEWTON_RATIO", 1.0)
+    picard = solve_minimal(inst)
+    assert set(picard.trace.methods) == {"picard"}
+    assert newton.verdict is picard.verdict is SolveVerdict.CONVERGED
+    ref = picard.profile.values
+    gap = np.max(np.abs(newton.profile.values - ref) / ref)
+    assert gap <= inst.conv_tol
+
+
+@pytest.mark.parametrize("ex, k", [(FLAGSHIP, 3.27), (FLAGSHIP, 3.4),
+                                   (EXP_41, 1.465), (EXP_41, 1.52)])
+def test_newton_increments_are_nonnegative(ex, k, monkeypatch):
+    # converging and diverging solves alike: every accepted Newton step
+    # moves every node up, so the iterates stay monotone
+    increments = []
+    step = choqlab.solver._newton_step
+
+    def recorded(v, tv, inst, disc):
+        out = step(v, tv, inst, disc)
+        if out[0] is not None:
+            w = out[0][0]
+            increments.append(np.min((w.values - v.values) / v.values))
+        return out
+
+    monkeypatch.setattr(choqlab.solver, "_newton_step", recorded)
+    out = solve_minimal(ProblemInstance(ex, k=k, grid=GRID))
+    assert increments
+    assert min(increments) >= -ROUNDING
+    assert max(out.trace.mono_violations) <= ROUNDING
+    assert np.all(np.diff(out.trace.sup_norms) >= 0.0)
+
+
+def test_exponents_below_one_take_only_picard_steps():
+    # p = 1/2 breaks the convexity Newton's monotonicity rests on, so the
+    # switch stays off even where Picard contracts slowly
+    out = solve_minimal(ProblemInstance(EXP_P_BELOW_1, k=0.017, grid=GRID))
+    assert out.verdict is SolveVerdict.CONVERGED
+    assert max(r for r in out.trace.ratios if r is not None) > 0.9
+    assert set(out.trace.methods) == {"picard"}
+    assert sum(out.trace.jacobian_products) == 0
+
+
+@pytest.mark.parametrize("ex, k", CONVERGING + [
+    (FLAGSHIP, 3.2), (EXP_41, 1.45)])
+def test_certificate_never_fires_where_the_solve_converges(ex, k,
+                                                           monkeypatch):
+    verdicts = []
+    certificate = choqlab.solver._spectral_certificate
+
+    def recorded(jac, x):
+        out = certificate(jac, x)
+        verdicts.append(out[0])
+        return out
+
+    monkeypatch.setattr(choqlab.solver, "_spectral_certificate", recorded)
+    out = solve_minimal(ProblemInstance(ex, k=k, grid=GRID))
+    assert out.verdict is SolveVerdict.CONVERGED
+    assert not any(verdicts)
+
+
+def test_certificate_fires_beyond_the_fold():
+    inst = ProblemInstance(EXP_41, k=1.52, grid=GRID)
+    out = solve_minimal(inst)
+    assert out.verdict is SolveVerdict.DIVERGED
+    assert out.stop_reason == "spectral"
+    # the certificate ends the solve long before the sup norm nears the cap
+    assert out.trace.sup_norms[-1] < 1e-6 * inst.blowup_cap
+
+
+def test_a_guard_that_keeps_failing_falls_back_to_picard(monkeypatch):
+    # every Newton attempt is rejected and never certified: the solve
+    # ends on Picard steps and the honest bound, and the attempts thin
+    # out geometrically instead of costing a GMRES solve every step
+    attempts = []
+
+    def rejected(v, tv, inst, disc):
+        attempts.append(len(attempts))
+        return None, 1
+
+    monkeypatch.setattr(choqlab.solver, "_newton_step", rejected)
+    monkeypatch.setattr(choqlab.solver, "_spectral_certificate",
+                        lambda jac, x: (False, 1))
+    out = solve_minimal(ProblemInstance(FLAGSHIP, k=3.27, grid=GRID))
+    assert out.verdict is SolveVerdict.CONVERGED
+    assert out.stop_reason == "bound"
+    assert set(out.trace.methods) == {"picard"}
+    assert out.iterations > 100
+    assert 1 <= len(attempts) <= math.log2(out.iterations) + 2
+
+
+@pytest.mark.parametrize("k", [0.5 * K_Q, 3.27])
+def test_annotation_warning_reaches_the_outcome(k, monkeypatch):
+    # a slope check that always fires, on a Picard stop and a Newton stop
+    monkeypatch.setattr(choqlab.solver, "origin_slope_disagrees",
+                        lambda values, sigma, log_step: True)
+    out = solve_minimal(ProblemInstance(FLAGSHIP, k=k, grid=GRID))
+    assert out.verdict is SolveVerdict.CONVERGED
+    assert out.annotation_warning and out.profile.annotation_warning
+
+
+def test_budget_stop_is_undetermined():
+    out = solve_minimal(ProblemInstance(FLAGSHIP, k=3.27, grid=GRID,
+                                        max_iter=2))
+    assert out.verdict is SolveVerdict.MAX_ITERATIONS
+    assert out.stop_reason == "budget"
+    assert out.profile is None and out.fixed_point_residual is None
+
+
+def test_gmres_solves_a_nonsymmetric_system_across_restarts():
+    rng = np.random.default_rng(7)
+    a = np.eye(60) + 0.4 * rng.standard_normal((60, 60)) / np.sqrt(60)
+    b = rng.standard_normal(60)
+    for restart in (5, 60):
+        y, converged, products = choqlab.solver._gmres(
+            lambda z: a @ z, b, rtol=1e-12, floor=0.0, restart=restart)
+        assert converged
+        assert np.linalg.norm(a @ y - b) <= 1e-11 * np.linalg.norm(b)
+        assert products <= choqlab.solver._GMRES_MAX_PRODUCTS
+    # a budget too small to converge is reported as such
+    _, converged, products = choqlab.solver._gmres(
+        lambda z: a @ z, b, rtol=1e-12, floor=0.0, restart=5,
+        max_products=6)
+    assert not converged and products <= 6
