@@ -11,6 +11,7 @@ byte-identical across repeated runs of the same configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -324,20 +325,11 @@ def cmd_solve(args) -> int:
         write_profile(profile_csv, outcome.profile)
         summary["profile_csv"] = profile_csv
     if trace_json is not None:
-        trace = outcome.trace
         write_json(trace_json, {
             "verdict": outcome.verdict.value,
             "iterations": outcome.iterations,
             "stop_reason": outcome.stop_reason,
-            "sup_norms": list(trace.sup_norms),
-            "methods": list(trace.methods),
-            "rel_deltas": list(trace.rel_deltas),
-            "ratios": list(trace.ratios),
-            "bounds": list(trace.bounds),
-            "jacobian_products": list(trace.jacobian_products),
-            "mono_violations": list(trace.mono_violations),
-            "barrier_margins": None if trace.barrier_margins is None
-            else list(trace.barrier_margins),
+            **dataclasses.asdict(outcome.trace),
         })
         summary["trace_json"] = trace_json
     if report_json is not None:
@@ -351,6 +343,13 @@ def cmd_solve(args) -> int:
 def cmd_sweep_k(args) -> int:
     config = _load_config_file(args.config)
     e = _resolve_exponents(args, config)
+    # every solve of the bisection runs with its own k's default cap
+    if _merged_section(args, config, "solver",
+                       _SOLVER_DEFAULTS)["blowup_cap"] is not None:
+        raise CommandError(
+            EXIT_INVALID, "sweep-k sets the blow-up cap of every solve "
+                          "itself; --blowup-cap and solver.blowup_cap are "
+                          "for solve")
     # k on the template is a placeholder; every run replaces it
     inst = _build_instance(args, config, e, default_k=1.0)
     if args.steps < 1:

@@ -6,8 +6,7 @@ transfer rules for the two integral operators are all decided by comparisons
 that are rational in (N, alpha, p, q).  Everything in this module therefore
 runs on `fractions.Fraction`; floats are rejected at the door so binary
 rounding can never flip a boundary case.  The only floating point lives in
-`k_threshold` and `tangency_admissible`, whose outputs are generically
-irrational.
+`k_threshold`, whose outputs are generically irrational.
 """
 
 from __future__ import annotations
@@ -386,26 +385,3 @@ def k_threshold(c: float, p: float, q: float) -> tuple[float, float]:
     k_q = (1.0 / (c * s)) ** (1.0 / (s - 1.0)) * (s - 1.0) / s
     t_q = (s / (s - 1.0)) ** s
     return k_q, t_q
-
-
-def tangency_admissible(c: float, k: float, p: float, q: float,
-                        rel_tol: float = 1e-12) -> tuple[bool, Optional[float]]:
-    """Whether the barrier inequality admits some t > 1 at source strength k.
-
-    Admissible iff c k^{s-1} <= (1/s)((s-1)/s)^{s-1} with s = p + q, up to
-    rel_tol so the tangency point itself counts.  On success returns the
-    canonical witness t_q; on failure (False, None).
-    """
-    if not c > 0:
-        raise ValueError(f"domination constant c must be positive, got {c}")
-    if not k >= 0:
-        raise ValueError(f"source strength k must be nonnegative, got {k}")
-    s = float(p) + float(q)
-    if not s > 1:
-        raise ValueError(f"p + q must exceed 1, got {s}")
-    bound = (1.0 / s) * ((s - 1.0) / s) ** (s - 1.0)
-    lhs = c * k ** (s - 1.0)
-    if lhs <= bound * (1.0 + rel_tol):
-        t_q = (s / (s - 1.0)) ** s
-        return True, t_q
-    return False, None

@@ -5,18 +5,20 @@ one-dimensional integrals against kernels obtained by averaging over the
 sphere:
 
     I_alpha[f](r) = int_0^inf f(s) s^{N-1} riesz_angular(N, alpha, r, s) ds
-    G[f](r)       = int_0^inf f(s) s^{N-1} green_angular(N, r, s) ds
+    G[f](r)       = int_0^inf f(s) s^{N-1} y0(min(r,s)) yinf(max(r,s)) ds
 
 Both angular averages have closed forms.  The Riesz average is a Gauss
 hypergeometric function of the radius ratio; the Green average is the
 classical radial Green function of -Delta + 1, a product of modified Bessel
-functions of the smaller and larger radius.
+functions of the smaller and larger radius, whose two factors
+green_halfline_factors returns.
 
 riesz_angular is the only evaluation of the Riesz 2F1 in the package: the
 operator assembly calls it at unit radius for every weight, origin column
 and tail column, and the test suite checks it directly against the angular
-quadrature oracle.  green_angular is the reference the operator's separable
-factors (green_halfline_factors) are checked against.
+quadrature oracle.  The test suite checks the Green factors through their
+product, against a closed-form Bessel kernel that it checks against the
+same kind of oracle.
 
 All evaluators accept scalars or numpy arrays and broadcast.
 """
@@ -121,40 +123,14 @@ def riesz_angular(N: int, alpha: float, r, s) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def green_angular(N: int, r, s) -> np.ndarray | float:
-    """Spherical average of Gamma_0(|x - y|): the radial kernel of G.
-
-    Equals the Sturm-Liouville Green function of the radial operator
-    -u'' - ((N-1)/r) u' + u with weight s^{N-1}:
-
-        (r s)^{1 - N/2} I_{N/2-1}(min(r,s)) K_{N/2-1}(max(r,s)).
-
-    Finite on the diagonal for N >= 3 (the |x-y|^{2-N} singularity is
-    angularly integrable); evaluated through scaled Bessel functions so only
-    the decaying factor e^{-(max-min)} appears explicitly.
-    """
-    if N < 3:
-        raise ValueError(f"N must be >= 3, got {N}")
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(r <= 0.0) or np.any(s <= 0.0):
-        raise ValueError("green_angular requires r, s > 0")
-    nu = N / 2.0 - 1.0
-    lo = np.minimum(r, s)
-    hi = np.maximum(r, s)
-    # ive(nu, x) = I(x) e^{-x}, kve(nu, x) = K(x) e^{x}
-    out = (r * s) ** (1.0 - N / 2.0) * special.ive(nu, lo) \
-        * special.kve(nu, hi) * np.exp(lo - hi)
-    return float(out) if out.ndim == 0 else out
-
-
 def green_halfline_factors(N: int, r):
-    """The two homogeneous radial solutions whose product is green_angular.
+    """The two homogeneous radial solutions whose product is the Green kernel.
 
     Returns (y0, yinf) with y0(r) = r^{1-N/2} I_{N/2-1}(r) regular at the
     origin and yinf(r) = r^{1-N/2} K_{N/2-1}(r) decaying at infinity, so
-    green_angular(N, r, s) = y0(min) * yinf(max).  Exposed for the operator
-    assembly, which exploits this separability cell by cell.
+    the spherical average of Gamma_0(|x - y|) over |x| = r, |y| = s is
+    y0(min) * yinf(max).  Exposed for the operator assembly, which exploits
+    this separability cell by cell.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):

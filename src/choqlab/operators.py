@@ -33,7 +33,7 @@ nonnegative when built.  The Gauss rules are cached and read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -46,7 +46,7 @@ __all__ = [
     "RadialGrid", "RadialProfile", "ExpDecay", "ZeroTail", "OperatorMatrix",
     "NonIntegrableOriginError", "build_grid", "assemble", "apply",
     "origin_slope_disagrees",
-    "pointwise_power", "pointwise_product", "pointwise_add", "pointwise_scale",
+    "pointwise_power", "pointwise_product",
 ]
 
 
@@ -629,16 +629,6 @@ def _combine_tails_product(a: TailModel, b: TailModel) -> TailModel:
     return ExpDecay(a.rate + b.rate, a.power + b.power)
 
 
-def _slower_tail(a: TailModel, b: TailModel) -> TailModel:
-    if isinstance(a, ZeroTail):
-        return b
-    if isinstance(b, ZeroTail):
-        return a
-    if (a.rate, a.power) <= (b.rate, b.power):
-        return a
-    return b
-
-
 def _check_same_grid(a: RadialProfile, b: RadialProfile):
     if a.grid is not b.grid and not np.array_equal(a.grid.nodes, b.grid.nodes):
         raise ValueError("profiles live on different grids")
@@ -652,24 +642,3 @@ def pointwise_product(a: RadialProfile, b: RadialProfile) -> RadialProfile:
                          tail=_combine_tails_product(a.tail, b.tail),
                          annotation_warning=a.annotation_warning
                          or b.annotation_warning)
-
-
-def pointwise_add(a: RadialProfile, b: RadialProfile) -> RadialProfile:
-    """Nodewise sum; the worse singularity and the slower tail win."""
-    _check_same_grid(a, b)
-    return RadialProfile(a.grid, a.values + b.values,
-                         origin_exponent=max(a.origin_exponent,
-                                             b.origin_exponent),
-                         tail=_slower_tail(a.tail, b.tail),
-                         annotation_warning=a.annotation_warning
-                         or b.annotation_warning)
-
-
-def pointwise_scale(profile: RadialProfile, c: float) -> RadialProfile:
-    """Nonnegative scalar multiple; c = 0 collapses to the zero profile."""
-    if c < 0:
-        raise ValueError(f"scale must be >= 0, got {c}")
-    if c == 0.0:
-        return RadialProfile(profile.grid, np.zeros(profile.grid.size),
-                             origin_exponent=0.0, tail=ZERO_TAIL)
-    return replace(profile, values=profile.values * c)

@@ -19,7 +19,7 @@ is the derivative of T.  For p, q >= 1, T is order-convex, so Newton's
 method started from the subsolution k Gamma_0 also increases monotonically
 and stays below the minimal solution while rho(J) < 1 (Ortega &
 Rheinboldt 1970, 13.3).  solve_minimal switches to guarded Newton steps,
-solved by a restarted GMRES on Jacobian products, once the measured
+solved by GMRES on Jacobian products, once the measured
 contraction passes 0.7, and falls back to Picard whenever a Newton step
 fails its guard.  A failed guard is also where rho(J) >= 1 shows: a
 Collatz-Wielandt lower bound above 1 certifies that no fixed point lies
@@ -28,7 +28,9 @@ above the iterate.
 The barrier w_t = t k^{p+q} G[I_alpha[Phi_0^p] Phi_0^q] + k Phi_0 built
 from the slower Yukawa kernel Phi_0 dominates the whole sequence whenever
 the tangency inequality (c t k^{p+q-1} + 1)^{p+q} <= t admits a solution,
-which pins down the guaranteed-convergence threshold k_q.
+which pins down the guaranteed-convergence threshold k_q.  The step and the
+barrier apply the same map x -> G[I_alpha[x^p] x^q] to plain arrays, each
+with the columns its unit profile's annotations select.
 """
 
 from __future__ import annotations
@@ -55,10 +57,8 @@ from .operators import (
     apply,
     assemble,
     origin_slope_disagrees,
-    pointwise_add,
     pointwise_power,
     pointwise_product,
-    pointwise_scale,
 )
 
 __all__ = [
@@ -105,12 +105,11 @@ _GUARD_EPS = 1e-12
 # turned increments negative.  The target never falls below a floor whose
 # error in y, about 30 times the floor for 1 - rho(J) >= 1/30, stays
 # under _GUARD_EPS.  A converging solve needs about 3-12 products a step;
-# beyond the fold I - J turns indefinite and GMRES can stagnate, so 40
-# products end it
+# beyond the fold I - J turns indefinite and GMRES can stagnate, so one
+# Arnoldi cycle of at most 40 products ends it
 _GMRES_RTOL = 1e-12
 _FORCING_MAX = 1e-2
 _GMRES_FLOOR = 1e-14
-_GMRES_RESTART = 20
 _GMRES_MAX_PRODUCTS = 40
 
 # most power steps behind the Collatz-Wielandt bounds, and the margin above
@@ -239,7 +238,7 @@ class Discretization:
 
     The iteration map depends on k only through its source k Gamma_0, so
     both operators (with the origin and tail columns they cache), the unit
-    Gamma_0 and Phi_0 profiles, the step columns, and the barrier core and
+    Gamma_0 and Phi_0 profiles, the step plan, and the barrier core and
     c_hat are built once; the last three on first use, so a step never
     pays for the barrier and a zero profile never pays for the columns.
     """
@@ -255,35 +254,44 @@ class Discretization:
 
     def source(self, k: float) -> RadialProfile:
         """k Gamma_0 with its exact annotations."""
-        return pointwise_scale(self.gamma0, k)
+        return replace(self.gamma0, values=self.gamma0.values * k)
 
-    def nonlinear_image(self, v: RadialProfile) -> RadialProfile:
-        """G[ I_alpha[v^p] v^q ] with annotations carried through."""
-        ex = self.exponents
-        potential = apply(self.riesz, pointwise_power(v, float(ex.p)))
-        return apply(self.green, pointwise_product(
-            potential, pointwise_power(v, float(ex.q))))
+    def plan(self, unit: RadialProfile) -> tuple:
+        """The annotations and columns the map meets on multiples of unit.
 
-    @cached_property
-    def step_plan(self) -> tuple:
-        """The annotations and columns of one step from the source.
-
-        Every iterate carries the source's annotations, so every step
-        meets the same origin exponents and tails.  They are found once by
-        carrying Gamma_0 through the annotated map, and the result is
-        ((sigma, origin column, tail column) for Riesz on v^p,
-        (sigma, origin column, tail column) for Green on I_alpha[v^p] v^q).
-        Raises NonIntegrableOriginError when v^p or the product is not
+        They are found by carrying unit through the annotated operators
+        apply / pointwise_*, and the result is
+        ((sigma, origin column, tail column) for Riesz on x^p,
+        (sigma, origin column, tail column) for Green on I_alpha[x^p] x^q).
+        Raises NonIntegrableOriginError when x^p or the product is not
         integrable at the origin.
         """
         ex = self.exponents
-        powered = pointwise_power(self.gamma0, float(ex.p))
+        powered = pointwise_power(unit, float(ex.p))
         product = pointwise_product(apply(self.riesz, powered),
-                                    pointwise_power(self.gamma0, float(ex.q)))
+                                    pointwise_power(unit, float(ex.q)))
         return tuple(
             (prof.origin_exponent, op.origin_column(prof.origin_exponent),
              op.tail_column(prof.tail))
             for op, prof in ((self.riesz, powered), (self.green, product)))
+
+    @cached_property
+    def step_plan(self) -> tuple:
+        """plan(Gamma_0): every iterate carries the source's annotations."""
+        return self.plan(self.gamma0)
+
+    def image(self, x: np.ndarray, plan: tuple) -> tuple:
+        """(G[I_alpha[x^p] x^q], slope flag) on plain arrays with the
+        plan's columns; the flag is set where x^p or the product disagrees
+        with the origin exponent the plan declares for it."""
+        (sigma_r, origin_r, tail_r), (sigma_g, origin_g, tail_g) = plan
+        ex, h = self.exponents, self.grid.log_step
+        powered = x ** float(ex.p)
+        product = self.riesz.matvec(powered, origin_r, tail_r) \
+            * x ** float(ex.q)
+        warn = (origin_slope_disagrees(powered, sigma_r, h)
+                or origin_slope_disagrees(product, sigma_g, h))
+        return self.green.matvec(product, origin_g, tail_g), warn
 
     def jacobian(self, x: np.ndarray):
         """d -> J d, the derivative of the step map at the iterate values x:
@@ -308,9 +316,9 @@ class Discretization:
         return product
 
     @cached_property
-    def barrier_core(self) -> RadialProfile:
-        """G[I_alpha[Phi_0^p] Phi_0^q]."""
-        return self.nonlinear_image(self.phi0)
+    def barrier_core(self) -> tuple:
+        """image(Phi_0): G[I_alpha[Phi_0^p] Phi_0^q] and its slope flag."""
+        return self.image(self.phi0.values, self.plan(self.phi0))
 
     @cached_property
     def c_hat(self) -> float:
@@ -319,7 +327,7 @@ class Discretization:
         In the subcritical class the ratio vanishes at both ends, so a max
         on the first or last node means the grid missed the interior peak.
         """
-        ratio = self.barrier_core.values / self.phi0.values
+        ratio = self.barrier_core[0] / self.phi0.values
         peak = int(np.argmax(ratio))
         if peak in (0, self.grid.size - 1):
             raise BarrierEstimateError(
@@ -357,10 +365,8 @@ def iterate_once(v: RadialProfile, inst: ProblemInstance,
     freezing it makes every iterate share the same origin and tail columns
     (comparisons between iterates then survive rounding exactly).
 
-    The step runs on plain arrays with the columns of disc.step_plan and
-    builds one profile at the end; values and annotation_warning are
-    bit-identical to the annotated composition apply / pointwise_* of
-    disc.nonlinear_image plus the source.
+    The step is disc.image under disc.step_plan plus the source, and
+    builds one profile at the end.
     """
     disc = _discretization(inst, disc)
     unit = disc.gamma0
@@ -371,20 +377,10 @@ def iterate_once(v: RadialProfile, inst: ProblemInstance,
             f"iterate_once needs the source's annotations (origin exponent "
             f"{unit.origin_exponent:g}, tail {unit.tail}), got "
             f"{v.origin_exponent:g} and {v.tail}")
-    (sigma_r, origin_r, tail_r), (sigma_g, origin_g, tail_g) = disc.step_plan
-    ex, h = disc.exponents, disc.grid.log_step
-    x = v.values
-    powered = x ** float(ex.p)
-    product = disc.riesz.matvec(powered, origin_r, tail_r) \
-        * x ** float(ex.q)
-    warn = (v.annotation_warning
-            or origin_slope_disagrees(powered, sigma_r, h)
-            or origin_slope_disagrees(product, sigma_g, h))
-    values = disc.green.matvec(product, origin_g, tail_g) \
-        + unit.values * inst.k
-    return RadialProfile(disc.grid, values,
+    image, warn = disc.image(v.values, disc.step_plan)
+    return RadialProfile(disc.grid, image + unit.values * inst.k,
                          origin_exponent=unit.origin_exponent, tail=unit.tail,
-                         annotation_warning=warn)
+                         annotation_warning=v.annotation_warning or warn)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +396,16 @@ def estimate_barrier_constant(exponents: ProblemExponents,
 
 def barrier(inst: ProblemInstance, t: float,
             disc: Optional[Discretization] = None) -> RadialProfile:
-    """w_t = t k^{p+q} G[I_alpha[Phi_0^p] Phi_0^q] + k Phi_0."""
+    """w_t = t k^{p+q} G[I_alpha[Phi_0^p] Phi_0^q] + k Phi_0, with Phi_0's
+    annotations (the core is milder at both ends) and the core's flag."""
     if not t > 0:
         raise ValueError(f"barrier parameter t must be positive, got {t}")
     disc = _discretization(inst, disc)
+    core, warn = disc.barrier_core
     s = float(inst.exponents.p + inst.exponents.q)
-    return pointwise_add(pointwise_scale(disc.barrier_core, t * inst.k ** s),
-                         pointwise_scale(disc.phi0, inst.k))
+    return replace(disc.phi0,
+                   values=core * (t * inst.k ** s) + disc.phi0.values * inst.k,
+                   annotation_warning=warn)
 
 
 # ---------------------------------------------------------------------------
@@ -481,76 +480,66 @@ def _nodewise(change: np.ndarray, scale: np.ndarray) -> float:
 
 
 def _gmres(operator, b: np.ndarray, rtol: float,
-           floor: float = _GMRES_FLOOR, restart: int = _GMRES_RESTART,
+           floor: float = _GMRES_FLOOR,
            max_products: int = _GMRES_MAX_PRODUCTS) -> tuple:
-    """Restarted GMRES for operator(y) = b from y = 0.
+    """GMRES for operator(y) = b from y = 0, in one Arnoldi cycle.
 
     Arnoldi by modified Gram-Schmidt, the least-squares problem by Givens
     rotations (Saad & Schultz 1986; Kelley 1995, ch. 6).  Returns (y,
     converged, products): converged once the residual 2-norm, as the
-    rotations carry it, is at most max(rtol ||b||, floor).
+    rotations carry it, is at most max(rtol ||b||, floor) within
+    max_products products.
     """
-    y = np.zeros_like(b)
-    target = max(rtol * float(np.linalg.norm(b)), floor)
-    r = b
-    products = 0
-    while True:
-        beta = float(np.linalg.norm(r))
-        if beta <= target:
-            return y, True, products
-        m = min(restart, max_products - products)
-        if m < 1:
-            return y, False, products
-        basis = np.empty((m + 1, b.size))
-        basis[0] = r / beta
-        # the rotated Hessenberg columns (upper triangular), the rotations
-        # and the rotated right-hand side, all as Python floats
-        cols: list = []
-        cs: list = []
-        sn: list = []
-        g = [beta]
-        for j in range(m):
-            w = operator(basis[j])
-            products += 1
-            col = []
-            for i in range(j + 1):
-                h = float(w @ basis[i])
-                w -= h * basis[i]
-                col.append(h)
-            h_next = float(np.linalg.norm(w))
-            for i in range(j):
-                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
-                                      cs[i] * col[i + 1] - sn[i] * col[i])
-            rho = math.hypot(col[j], h_next)
-            if rho == 0.0:
-                return y, False, products
-            cs.append(col[j] / rho)
-            sn.append(h_next / rho)
-            col[j] = rho
-            cols.append(col)
-            g.append(-sn[j] * g[j])
-            g[j] *= cs[j]
-            if abs(g[j + 1]) <= target or h_next == 0.0:
-                break
-            basis[j + 1] = w / h_next
-        # back substitution in Python: a LAPACK call here would be the
-        # solve's only one and grows the peak RSS by its work buffers
-        n = j + 1
-        z = [0.0] * n
-        for i in reversed(range(n)):
-            z[i] = (g[i] - sum(cols[l][i] * z[l]
-                               for l in range(i + 1, n))) / cols[i][i]
-        y = y + np.array(z) @ basis[:n]
-        if abs(g[n]) <= target:
-            return y, True, products
-        r = b - operator(y)
-        products += 1
+    beta = float(np.linalg.norm(b))
+    target = max(rtol * beta, floor)
+    if beta <= target:
+        return np.zeros_like(b), True, 0
+    basis = np.empty((max_products + 1, b.size))
+    basis[0] = b / beta
+    # the rotated Hessenberg columns (upper triangular), the rotations and
+    # the rotated right-hand side, all as Python floats
+    cols: list = []
+    cs: list = []
+    sn: list = []
+    g = [beta]
+    for j in range(max_products):
+        w = operator(basis[j])
+        col = []
+        for i in range(j + 1):
+            h = float(w @ basis[i])
+            w -= h * basis[i]
+            col.append(h)
+        h_next = float(np.linalg.norm(w))
+        for i in range(j):
+            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                  cs[i] * col[i + 1] - sn[i] * col[i])
+        rho = math.hypot(col[j], h_next)
+        if rho == 0.0:
+            return np.zeros_like(b), False, j + 1
+        cs.append(col[j] / rho)
+        sn.append(h_next / rho)
+        col[j] = rho
+        cols.append(col)
+        g.append(-sn[j] * g[j])
+        g[j] *= cs[j]
+        if abs(g[j + 1]) <= target or h_next == 0.0:
+            break
+        basis[j + 1] = w / h_next
+    # back substitution in Python: a LAPACK call here would be the solve's
+    # only one and grows the peak RSS by its work buffers
+    n = j + 1
+    z = [0.0] * n
+    for i in reversed(range(n)):
+        z[i] = (g[i] - sum(cols[l][i] * z[l]
+                           for l in range(i + 1, n))) / cols[i][i]
+    return np.array(z) @ basis[:n], abs(g[n]) <= target, n
 
 
-def _newton_step(v: RadialProfile, tv: RadialProfile, inst: ProblemInstance,
-                 disc: Discretization) -> tuple:
-    """((w, T(w)), products) for the guarded Newton step from v, or (None,
-    products) when the step fails its guard.
+def _newton_step(v: RadialProfile, tv: RadialProfile, jac,
+                 inst: ProblemInstance, disc: Discretization) -> tuple:
+    """((w, T(w)), products) for the guarded Newton step from v, with jac
+    = disc.jacobian(v.values), or (None, products) when the step fails its
+    guard.
 
     The correction d solves (I - J(v)) d = T(v) - v in the nodewise-scaled
     variable y = d / v, so the Krylov residual is relative at every node,
@@ -560,7 +549,6 @@ def _newton_step(v: RadialProfile, tv: RadialProfile, inst: ProblemInstance,
     subsolution, T(w) - w >= -eps w.
     """
     x = v.values
-    jac = disc.jacobian(x)
     b = (tv.values - x) / x
     forcing = min(_FORCING_MAX, float(np.abs(b).max()) ** 2)
     y, converged, products = _gmres(lambda z: z - jac(x * z) / x, b,
@@ -664,10 +652,11 @@ def solve_minimal(inst: ProblemInstance,
         if newton_ok and n >= retry_at and (
                 (methods and methods[-1] == "newton")
                 or (ratio is not None and _NEWTON_RATIO < ratio < 1.0)):
-            step, spent = _newton_step(v, tv, inst, disc)
+            # one Jacobian serves the step and, if it fails, the certificate
+            jac = disc.jacobian(v.values)
+            step, spent = _newton_step(v, tv, jac, inst, disc)
             if step is None:
-                certified, used = _spectral_certificate(
-                    disc.jacobian(v.values), v.values)
+                certified, used = _spectral_certificate(jac, v.values)
                 spent += used
                 if certified:
                     if products:

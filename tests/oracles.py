@@ -7,12 +7,19 @@ ODE.  Nothing here shares code with the closed-form kernels or the
 product-integration weights it checks, beyond gamma0 itself where the
 kernel definition requires it (gamma0 has its own closed-form and ODE
 oracles).
+
+Two closed forms only the tests use live here too: green_angular, the
+Bessel-product Green kernel (itself checked against green_angular_quad)
+that the operator's separable factors are checked against, and
+tangency_admissible, the barrier inequality that k_threshold's tangency
+point is checked against.
 """
 
 import math
+from typing import Optional
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from choqlab.kernels import gamma0, unit_sphere_area
 
@@ -120,3 +127,53 @@ def flux_normalization(N: int, func, eps: float = 1e-5, h: float = 1e-3) -> floa
     vals = func(stencil)
     d1 = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12.0 * he)
     return -unit_sphere_area(N) * eps ** (N - 1) * float(d1)
+
+
+def green_angular(N: int, r, s):
+    """Spherical average of Gamma_0(|x - y|): the radial kernel of G.
+
+    Equals the Sturm-Liouville Green function of the radial operator
+    -u'' - ((N-1)/r) u' + u with weight s^{N-1}:
+
+        (r s)^{1 - N/2} I_{N/2-1}(min(r,s)) K_{N/2-1}(max(r,s)).
+
+    Finite on the diagonal for N >= 3 (the |x-y|^{2-N} singularity is
+    angularly integrable); evaluated through scaled Bessel functions so only
+    the decaying factor e^{-(max-min)} appears explicitly.
+    """
+    if N < 3:
+        raise ValueError(f"N must be >= 3, got {N}")
+    r = np.asarray(r, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if np.any(r <= 0.0) or np.any(s <= 0.0):
+        raise ValueError("green_angular requires r, s > 0")
+    nu = N / 2.0 - 1.0
+    lo = np.minimum(r, s)
+    hi = np.maximum(r, s)
+    # ive(nu, x) = I(x) e^{-x}, kve(nu, x) = K(x) e^{x}
+    out = (r * s) ** (1.0 - N / 2.0) * special.ive(nu, lo) \
+        * special.kve(nu, hi) * np.exp(lo - hi)
+    return float(out) if out.ndim == 0 else out
+
+
+def tangency_admissible(c: float, k: float, p: float, q: float,
+                        rel_tol: float = 1e-12) -> tuple[bool, Optional[float]]:
+    """Whether the barrier inequality admits some t > 1 at source strength k.
+
+    Admissible iff c k^{s-1} <= (1/s)((s-1)/s)^{s-1} with s = p + q, up to
+    rel_tol so the tangency point itself counts.  On success returns the
+    canonical witness t_q; on failure (False, None).
+    """
+    if not c > 0:
+        raise ValueError(f"domination constant c must be positive, got {c}")
+    if not k >= 0:
+        raise ValueError(f"source strength k must be nonnegative, got {k}")
+    s = float(p) + float(q)
+    if not s > 1:
+        raise ValueError(f"p + q must exceed 1, got {s}")
+    bound = (1.0 / s) * ((s - 1.0) / s) ** (s - 1.0)
+    lhs = c * k ** (s - 1.0)
+    if lhs <= bound * (1.0 + rel_tol):
+        t_q = (s / (s - 1.0)) ** s
+        return True, t_q
+    return False, None

@@ -423,6 +423,21 @@ def test_sweep_other_solve_errors_exit_2_without_hint(capsys, monkeypatch):
     assert err == f"error: {exc}\n"
 
 
+def test_sweep_refuses_a_blowup_cap(capsys, tmp_path):
+    # every solve of a sweep gets its own k's default cap, so a cap given
+    # by flag or config would be silently dropped
+    out_path = tmp_path / "bracket.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"solver": {"blowup_cap": 1e-3}}))
+    for extra in (["--blowup-cap", "1e-3"], ["--config", str(config)]):
+        code, out, err = run_cli(capsys, "sweep-k", *FLAGS, *FAST_GRID,
+                                 "--steps", "2", "--output", str(out_path),
+                                 *extra)
+        assert code == 2 and out == ""
+        assert "blowup_cap" in err and "for solve" in err
+        assert not out_path.exists()
+
+
 def test_sweep_assembles_each_operator_once(capsys, assemble_counts):
     code, out, _ = run_cli(capsys, "sweep-k", *FLAGS, *FAST_GRID,
                            "--steps", "3")

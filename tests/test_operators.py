@@ -33,10 +33,8 @@ from choqlab.operators import (
     apply,
     assemble,
     build_grid,
-    pointwise_add,
     pointwise_power,
     pointwise_product,
-    pointwise_scale,
 )
 from choqlab.reference import discrete_radial_lhs
 
@@ -719,33 +717,9 @@ def test_pointwise_power_and_product_annotations():
     assert np.all(zero_power.values == 1.0)
 
 
-def test_pointwise_add_takes_worst_annotations():
-    g = build_grid(1e-2, 1.0, 10)
-    a = RadialProfile(g, np.ones(g.size), origin_exponent=2.0,
-                      tail=ExpDecay(1.0, 1.0))
-    b = RadialProfile(g, np.ones(g.size), origin_exponent=0.5,
-                      tail=ExpDecay(0.3, 4.0))
-    s = pointwise_add(a, b)
-    assert np.all(s.values == 2.0)
-    assert s.origin_exponent == 2.0
-    assert s.tail == ExpDecay(0.3, 4.0)          # slower decay wins
-    t = pointwise_add(a, RadialProfile(g, np.ones(g.size), tail=ZERO_TAIL))
-    assert t.tail == a.tail
-
-
-def test_pointwise_scale():
+def test_pointwise_power_rejects_negative_exponents():
     g = build_grid(1e-2, 1.0, 10)
     f = RadialProfile(g, g.nodes, origin_exponent=1.0, tail=ExpDecay(1.0, 0.0))
-    doubled = pointwise_scale(f, 2.0)
-    np.testing.assert_allclose(doubled.values, 2.0 * g.nodes, rtol=1e-15)
-    assert doubled.origin_exponent == 1.0
-    assert doubled.tail == f.tail
-    collapsed = pointwise_scale(f, 0.0)
-    assert collapsed.is_zero()
-    assert collapsed.origin_exponent == 0.0
-    assert collapsed.tail == ZERO_TAIL
-    with pytest.raises(ValueError):
-        pointwise_scale(f, -1.0)
     with pytest.raises(ValueError):
         pointwise_power(f, -0.5)
 
@@ -755,7 +729,5 @@ def test_pointwise_ops_reject_mismatched_grids():
     g2 = build_grid(1e-2, 2.0, 10)
     a = RadialProfile(g1, np.ones(g1.size))
     b = RadialProfile(g2, np.ones(g2.size))
-    with pytest.raises(ValueError):
-        pointwise_add(a, b)
     with pytest.raises(ValueError):
         pointwise_product(a, b)

@@ -7,6 +7,7 @@ residual) comes from the structure of the scheme, not from tuning.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,10 @@ from choqlab.operators import (
     ExpDecay,
     NonIntegrableOriginError,
     RadialProfile,
+    apply,
     build_grid,
-    pointwise_add,
+    pointwise_power,
+    pointwise_product,
 )
 import choqlab.solver
 from choqlab.solver import (
@@ -121,33 +124,78 @@ def test_iterate_raises_on_inner_riesz_divergence():
         iterate_once(src, inst)
 
 
+def annotated_image(disc, v):
+    """G[I_alpha[v^p] v^q] through the annotated operators apply /
+    pointwise_*: the reference the array map Discretization.image must
+    reproduce."""
+    ex = disc.exponents
+    potential = apply(disc.riesz, pointwise_power(v, float(ex.p)))
+    return apply(disc.green, pointwise_product(
+        potential, pointwise_power(v, float(ex.q))))
+
+
+def flattened(profile):
+    """The same values with a flat first cell, so the slope check fires."""
+    flat = profile.values.copy()
+    flat[0] = flat[1]
+    return replace(profile, values=flat)
+
+
 @pytest.mark.parametrize("ex, k", [
     (FLAGSHIP, 0.9),
     (ProblemExponents(4, Fraction(1), Fraction(6, 5), Fraction(1)), 1.0),
     (ProblemExponents(3, Fraction(4, 5), Fraction(1, 2), Fraction(1)), 1.0),
 ])
 def test_iterate_once_is_the_annotated_composition(ex, k):
-    # the step on plain arrays must reproduce apply / pointwise_* to the
-    # last bit, annotation_warning included
+    # the step and the barrier core on plain arrays must reproduce
+    # apply / pointwise_* to the last bit, annotation_warning included
     grid = build_grid(1e-4, 30.0, 20)
     inst = ProblemInstance(ex, k=k, grid=grid)
     disc = Discretization(ex, grid)
     source = disc.source(k)
-    # the same values with a flat first cell, so the slope check fires
-    flat = source.values.copy()
-    flat[0] = flat[1]
-    for start in (source, RadialProfile(grid, flat, source.origin_exponent,
-                                        source.tail)):
+    for start in (source, flattened(source)):
         v = start
         for _ in range(4):
             step = iterate_once(v, inst, disc)
-            composed = pointwise_add(disc.nonlinear_image(v), source)
-            assert np.array_equal(step.values, composed.values)
+            composed = annotated_image(disc, v)
+            assert np.array_equal(step.values,
+                                  composed.values + source.values)
             assert step.annotation_warning == composed.annotation_warning
             assert (step.origin_exponent, step.tail) == \
                 (source.origin_exponent, source.tail)
             v = step
         assert v.annotation_warning is (start is not source)
+
+    composed = annotated_image(disc, disc.phi0)
+    core, warn = disc.barrier_core
+    assert np.array_equal(core, composed.values)
+    assert warn is composed.annotation_warning is False
+    flat = flattened(disc.phi0)
+    core, warn = disc.image(flat.values, disc.plan(disc.phi0))
+    composed = annotated_image(disc, flat)
+    assert np.array_equal(core, composed.values)
+    assert warn is composed.annotation_warning is True
+
+
+@pytest.mark.parametrize("N, alpha, p, q", [
+    (3, 2, 2, 1), (3, "4/5", "1/2", 1), (4, 1, "6/5", 1), (4, 2, 1, 1),
+    (5, "5/2", 1, 1), (3, "1/2", 1, "3/2"), (6, 2, "1/2", 1), (3, 1, 1, 2),
+])
+def test_barrier_carries_phi0_annotations(N, alpha, p, q):
+    # the core is milder at the origin and decays faster than Phi_0, so
+    # Phi_0's annotations are the sum's: the slower tail and the worse
+    # singularity of the two
+    ex = ProblemExponents(N, Fraction(alpha), Fraction(p), Fraction(q))
+    grid = build_grid(1e-4, 30.0, 10)
+    disc = Discretization(ex, grid)
+    phi0 = disc.phi0
+    core = annotated_image(disc, phi0)
+    assert core.origin_exponent <= phi0.origin_exponent
+    assert (core.tail.rate, core.tail.power) >= (phi0.tail.rate,
+                                                 phi0.tail.power)
+    w = barrier(ProblemInstance(ex, k=1.0, grid=grid), 2.0, disc)
+    assert (w.origin_exponent, w.tail) == (phi0.origin_exponent, phi0.tail)
+    assert w.annotation_warning is disc.barrier_core[1]
 
 
 def test_iterate_refuses_foreign_annotations():
@@ -436,8 +484,8 @@ def test_newton_increments_are_nonnegative(ex, k, monkeypatch):
     increments = []
     step = choqlab.solver._newton_step
 
-    def recorded(v, tv, inst, disc):
-        out = step(v, tv, inst, disc)
+    def recorded(v, tv, jac, inst, disc):
+        out = step(v, tv, jac, inst, disc)
         if out[0] is not None:
             w = out[0][0]
             increments.append(np.min((w.values - v.values) / v.values))
@@ -494,7 +542,7 @@ def test_a_guard_that_keeps_failing_falls_back_to_picard(monkeypatch):
     # out geometrically instead of costing a GMRES solve every step
     attempts = []
 
-    def rejected(v, tv, inst, disc):
+    def rejected(v, tv, jac, inst, disc):
         attempts.append(len(attempts))
         return None, 1
 
@@ -527,18 +575,16 @@ def test_budget_stop_is_undetermined():
     assert out.profile is None and out.fixed_point_residual is None
 
 
-def test_gmres_solves_a_nonsymmetric_system_across_restarts():
+def test_gmres_solves_a_nonsymmetric_system_in_one_cycle():
     rng = np.random.default_rng(7)
     a = np.eye(60) + 0.4 * rng.standard_normal((60, 60)) / np.sqrt(60)
     b = rng.standard_normal(60)
-    for restart in (5, 60):
-        y, converged, products = choqlab.solver._gmres(
-            lambda z: a @ z, b, rtol=1e-12, floor=0.0, restart=restart)
-        assert converged
-        assert np.linalg.norm(a @ y - b) <= 1e-11 * np.linalg.norm(b)
-        assert products <= choqlab.solver._GMRES_MAX_PRODUCTS
+    y, converged, products = choqlab.solver._gmres(
+        lambda z: a @ z, b, rtol=1e-12, floor=0.0)
+    assert converged
+    assert np.linalg.norm(a @ y - b) <= 1e-11 * np.linalg.norm(b)
+    assert products <= choqlab.solver._GMRES_MAX_PRODUCTS
     # a budget too small to converge is reported as such
     _, converged, products = choqlab.solver._gmres(
-        lambda z: a @ z, b, rtol=1e-12, floor=0.0, restart=5,
-        max_products=6)
-    assert not converged and products <= 6
+        lambda z: a @ z, b, rtol=1e-12, floor=0.0, max_products=6)
+    assert not converged and products == 6
