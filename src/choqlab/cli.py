@@ -39,10 +39,10 @@ from .serialize import dumps_canonical, read_profile, write_json, \
 from .solver import (
     BarrierEstimateError,
     BracketEndpointError,
-    Discretization,
     ProblemInstance,
     SolveVerdict,
     SupercriticalError,
+    estimate_barrier_constant,
     estimate_kstar,
     require_subcritical,
     solve_minimal,
@@ -356,12 +356,10 @@ def cmd_sweep_k(args) -> int:
         raise CommandError(EXIT_INVALID,
                            f"steps must be at least 1, got {args.steps}")
     _require_writable([args.output])
-    require_subcritical(e)
 
-    # one discretization serves c_hat and every solve of the bisection
-    disc = Discretization(e, inst.grid)
+    # refuses supercritical e; c_hat and every solve share one discretization
     try:
-        c_hat = disc.c_hat
+        c_hat = estimate_barrier_constant(e, inst.grid)
     except BarrierEstimateError as exc:
         raise CommandError(EXIT_INVALID, str(exc))
     khat_q, t_q = k_threshold(c_hat, float(e.p), float(e.q))
@@ -372,7 +370,7 @@ def cmd_sweep_k(args) -> int:
                            f"need 0 < k_lo < k_hi, got ({k_lo:g}, {k_hi:g})")
 
     try:
-        bracket = estimate_kstar(inst, k_lo, k_hi, args.steps, disc)
+        bracket = estimate_kstar(inst, k_lo, k_hi, args.steps)
     except BracketEndpointError as exc:
         raise CommandError(
             EXIT_INVALID,

@@ -150,6 +150,8 @@ def read_profile(csv_path: str) -> RadialProfile:
         if header != "r,value":
             raise ValueError(f"expected header 'r,value', got {header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    if len(rows) < 2:
+        raise ValueError(f"a profile needs at least two rows, got {len(rows)}")
     nodes = np.array([float(r) for r, _ in rows])
     values = np.array([float(v) for _, v in rows])
     decades = math.log10(nodes[-1] / nodes[0])

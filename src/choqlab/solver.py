@@ -280,34 +280,39 @@ class Discretization:
         """plan(Gamma_0): every iterate carries the source's annotations."""
         return self.plan(self.gamma0)
 
-    def image(self, x: np.ndarray, plan: tuple) -> tuple:
+    def image(self, x: np.ndarray, plan: tuple,
+              potential: Optional[np.ndarray] = None) -> tuple:
         """(G[I_alpha[x^p] x^q], slope flag) on plain arrays with the
         plan's columns; the flag is set where x^p or the product disagrees
-        with the origin exponent the plan declares for it."""
+        with the origin exponent the plan declares for it.  potential, an
+        array of x's size, receives I_alpha[x^p] when given."""
         (sigma_r, origin_r, tail_r), (sigma_g, origin_g, tail_g) = plan
         ex, h = self.exponents, self.grid.log_step
         powered = x ** float(ex.p)
-        product = self.riesz.matvec(powered, origin_r, tail_r) \
-            * x ** float(ex.q)
+        field = self.riesz.matvec(powered, origin_r, tail_r)
+        if potential is not None:
+            potential[...] = field
+        product = field * x ** float(ex.q)
         warn = (origin_slope_disagrees(powered, sigma_r, h)
                 or origin_slope_disagrees(product, sigma_g, h))
         return self.green.matvec(product, origin_g, tail_g), warn
 
-    def jacobian(self, x: np.ndarray):
+    def jacobian(self, x: np.ndarray, potential: np.ndarray):
         """d -> J d, the derivative of the step map at the iterate values x:
 
             J d = G[ I_alpha[p x^{p-1} d] x^q + q x^{q-1} I_alpha[x^p] d ],
 
         applied with the step plan's columns, which are the exact
         derivative of the discrete map because matvec is linear in its
-        values for fixed columns.  Two matvecs per product.
+        values for fixed columns.  potential is I_alpha[x^p] as the step
+        from x computed it.  Two matvecs per product.
         """
         (_, origin_r, tail_r), (_, origin_g, tail_g) = self.step_plan
         p, q = float(self.exponents.p), float(self.exponents.q)
         riesz, green = self.riesz.matvec, self.green.matvec
         d_power = p * x ** (p - 1.0)
         x_q = x ** q
-        d_factor = q * x ** (q - 1.0) * riesz(x ** p, origin_r, tail_r)
+        d_factor = q * x ** (q - 1.0) * potential
 
         def product(d: np.ndarray) -> np.ndarray:
             return green(riesz(d_power * d, origin_r, tail_r) * x_q
@@ -336,16 +341,21 @@ class Discretization:
         return float(ratio[peak])
 
 
-def _discretization(inst: ProblemInstance,
-                    disc: Optional[Discretization]) -> Discretization:
-    """disc checked against inst, or a new one when none is given."""
-    if disc is None:
-        return Discretization(inst.exponents, inst.grid)
-    if disc.exponents != inst.exponents or (
-            disc.grid is not inst.grid
-            and not np.array_equal(disc.grid.nodes, inst.grid.nodes)):
-        raise ValueError("discretization was built for other exponents "
-                         "or another grid than the instance")
+# the process's one discretization, for the most recent (exponents, grid)
+_shared: Optional[Discretization] = None
+
+
+def _discretization(exponents: ProblemExponents,
+                    grid: RadialGrid) -> Discretization:
+    """The shared Discretization, rebuilt when the exponents or the bytes of
+    the grid's nodes differ from the last ones asked for."""
+    global _shared
+    # the local copy stays the right answer if another thread swaps _shared
+    disc = _shared
+    if disc is None or not (disc.exponents == exponents and (
+            disc.grid is grid
+            or disc.grid.nodes.tobytes() == grid.nodes.tobytes())):
+        disc = _shared = Discretization(exponents, grid)
     return disc
 
 
@@ -354,7 +364,7 @@ def _discretization(inst: ProblemInstance,
 
 
 def iterate_once(v: RadialProfile, inst: ProblemInstance,
-                 disc: Optional[Discretization] = None) -> RadialProfile:
+                 potential: Optional[np.ndarray] = None) -> RadialProfile:
     """One step v -> G[I_alpha[v^p] v^q] + k Gamma_0.
 
     v must be zero or carry the source's own annotations (origin exponent
@@ -366,9 +376,10 @@ def iterate_once(v: RadialProfile, inst: ProblemInstance,
     (comparisons between iterates then survive rounding exactly).
 
     The step is disc.image under disc.step_plan plus the source, and
-    builds one profile at the end.
+    builds one profile at the end.  potential, an array on the grid,
+    receives I_alpha[v^p] for the Jacobian at a nonzero v when given.
     """
-    disc = _discretization(inst, disc)
+    disc = _discretization(inst.exponents, inst.grid)
     unit = disc.gamma0
     if v.is_zero():
         return disc.source(inst.k)
@@ -377,7 +388,7 @@ def iterate_once(v: RadialProfile, inst: ProblemInstance,
             f"iterate_once needs the source's annotations (origin exponent "
             f"{unit.origin_exponent:g}, tail {unit.tail}), got "
             f"{v.origin_exponent:g} and {v.tail}")
-    image, warn = disc.image(v.values, disc.step_plan)
+    image, warn = disc.image(v.values, disc.step_plan, potential)
     return RadialProfile(disc.grid, image + unit.values * inst.k,
                          origin_exponent=unit.origin_exponent, tail=unit.tail,
                          annotation_warning=v.annotation_warning or warn)
@@ -389,18 +400,17 @@ def iterate_once(v: RadialProfile, inst: ProblemInstance,
 
 def estimate_barrier_constant(exponents: ProblemExponents,
                               grid: RadialGrid) -> float:
-    """Discretization(exponents, grid).c_hat, refused when supercritical."""
+    """c_hat of the shared discretization, refused when supercritical."""
     require_subcritical(exponents)
-    return Discretization(exponents, grid).c_hat
+    return _discretization(exponents, grid).c_hat
 
 
-def barrier(inst: ProblemInstance, t: float,
-            disc: Optional[Discretization] = None) -> RadialProfile:
+def barrier(inst: ProblemInstance, t: float) -> RadialProfile:
     """w_t = t k^{p+q} G[I_alpha[Phi_0^p] Phi_0^q] + k Phi_0, with Phi_0's
     annotations (the core is milder at both ends) and the core's flag."""
     if not t > 0:
         raise ValueError(f"barrier parameter t must be positive, got {t}")
-    disc = _discretization(inst, disc)
+    disc = _discretization(inst.exponents, inst.grid)
     core, warn = disc.barrier_core
     s = float(inst.exponents.p + inst.exponents.q)
     return replace(disc.phi0,
@@ -537,9 +547,9 @@ def _gmres(operator, b: np.ndarray, rtol: float,
 
 def _newton_step(v: RadialProfile, tv: RadialProfile, jac,
                  inst: ProblemInstance, disc: Discretization) -> tuple:
-    """((w, T(w)), products) for the guarded Newton step from v, with jac
-    = disc.jacobian(v.values), or (None, products) when the step fails its
-    guard.
+    """((w, T(w), I_alpha[w^p]), products) for the guarded Newton step
+    from v, with jac the Jacobian at v, or (None, products) when the step
+    fails its guard.
 
     The correction d solves (I - J(v)) d = T(v) - v in the nodewise-scaled
     variable y = d / v, so the Krylov residual is relative at every node,
@@ -560,10 +570,11 @@ def _newton_step(v: RadialProfile, tv: RadialProfile, jac,
     if not w_values.max() <= inst.blowup_cap:
         return None, products
     w = replace(v, values=w_values)
-    tw = iterate_once(w, inst, disc)
+    potential = np.empty_like(x)
+    tw = iterate_once(w, inst, potential)
     if np.any(tw.values - w.values < -_GUARD_EPS * w.values):
         return None, products
-    return (w, tw), products
+    return (w, tw, potential), products
 
 
 def _spectral_certificate(jac, x: np.ndarray) -> tuple:
@@ -589,8 +600,7 @@ def _spectral_certificate(jac, x: np.ndarray) -> tuple:
     return False, _POWER_STEPS
 
 
-def solve_minimal(inst: ProblemInstance,
-                  disc: Optional[Discretization] = None) -> SolveOutcome:
+def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
     """Run the guarded monotone scheme from v_0 = k Gamma_0 to a verdict.
 
     The solve stops on the nodewise a posteriori bound
@@ -609,22 +619,22 @@ def solve_minimal(inst: ProblemInstance,
     blowup_cap and keeps growing for 10 consecutive steps ("cap").
     Otherwise the budget ran out and the verdict stays undetermined
     ("budget").  The residual T(v) - v of the returned profile is always
-    computed, since every step needs it for the next one.  A disc built
-    for the same exponents and grid is reused rather than rebuilt.
+    computed, since every step needs it for the next one.  Every solve on
+    the same exponents and grid shares one discretization.
     """
     require_subcritical(inst.exponents)
-    disc = _discretization(inst, disc)
+    disc = _discretization(inst.exponents, inst.grid)
     ex = inst.exponents
 
     c_hat = disc.c_hat
     k_q, t_q = k_threshold(c_hat, float(ex.p), float(ex.q))
     active = inst.k <= k_q
-    w = barrier(inst, t_q, disc) if active else None
+    w = barrier(inst, t_q) if active else None
     newton_ok = ex.p >= 1 and ex.q >= 1
 
-    # v is the iterate and tv = T(v) once computed; a Picard step computes
-    # it at the start of the next step, after the divergence checks
-    v, tv = disc.source(inst.k), None
+    # v is the iterate, tv = T(v) and potential = I_alpha[v^p] once computed;
+    # a Picard step computes them at the next step, after the divergence checks
+    v, tv, potential = disc.source(inst.k), None, None
     sups = [v.sup]
     methods: list = []
     deltas: list = []
@@ -647,13 +657,14 @@ def solve_minimal(inst: ProblemInstance,
     rejections, retry_at = 0, 0
     for n in range(1, inst.max_iter + 1):
         if tv is None:
-            tv = iterate_once(v, inst, disc)
+            potential = np.empty_like(v.values)
+            tv = iterate_once(v, inst, potential)
         step, spent = None, 0
         if newton_ok and n >= retry_at and (
                 (methods and methods[-1] == "newton")
                 or (ratio is not None and _NEWTON_RATIO < ratio < 1.0)):
             # one Jacobian serves the step and, if it fails, the certificate
-            jac = disc.jacobian(v.values)
+            jac = disc.jacobian(v.values, potential)
             step, spent = _newton_step(v, tv, jac, inst, disc)
             if step is None:
                 certified, used = _spectral_certificate(jac, v.values)
@@ -667,7 +678,7 @@ def solve_minimal(inst: ProblemInstance,
                 retry_at = n + 2 ** rejections
                 rejections += 1
         method = "picard" if step is None else "newton"
-        v_next, tv_next = (tv, None) if step is None else step
+        v_next, tv_next, potential_next = step or (tv, None, None)
 
         delta = _nodewise(v_next.values - v.values, v_next.values)
         same = bool(methods) and methods[-1] == method and deltas[-1] > 0.0
@@ -691,7 +702,7 @@ def solve_minimal(inst: ProblemInstance,
             margins.append(float((w.values - v_next.values).min()))
 
         growth_run = growth_run + 1 if sup_next > sup_prev else 0
-        v, tv = v_next, tv_next
+        v, tv, potential = v_next, tv_next, potential_next
         if bound is not None and bound < inst.conv_tol:
             verdict, iterations = SolveVerdict.CONVERGED, n
             reason = "bound" if method == "picard" else "newton"
@@ -706,7 +717,7 @@ def solve_minimal(inst: ProblemInstance,
     if verdict is SolveVerdict.CONVERGED:
         profile = v
         if tv is None:
-            tv = iterate_once(v, inst, disc)
+            tv = iterate_once(v, inst)
         residual = _nodewise(tv.values - v.values, v.values)
 
     trace = IterationTrace(sup_norms=tuple(sups),
@@ -753,24 +764,21 @@ class KstarBracket:
 
 
 def estimate_kstar(template: ProblemInstance, k_lo: float, k_hi: float,
-                   steps: int,
-                   disc: Optional[Discretization] = None) -> KstarBracket:
+                   steps: int) -> KstarBracket:
     """Bisect [k_lo, k_hi] on the solve verdict.
 
     Endpoints must come in with the right verdicts (k_lo converges, k_hi
     diverges), else BracketEndpointError; the bracket then halves per
     step.  A mid verdict of undetermined stops the sweep early rather than
-    guessing a side.  Every solve shares one discretization: disc, or one
-    built here for the template's exponents and grid.
+    guessing a side.  Every solve shares the template's discretization.
     """
     if not (0 < k_lo < k_hi):
         raise ValueError(f"need 0 < k_lo < k_hi, got ({k_lo}, {k_hi})")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    disc = _discretization(template, disc)
 
     def run(k):
-        return solve_minimal(replace(template, k=k, blowup_cap=None), disc)
+        return solve_minimal(replace(template, k=k, blowup_cap=None))
 
     evaluations = []
     lo_out = run(k_lo)

@@ -13,8 +13,16 @@ import choqlab.solver
 
 
 @pytest.fixture
-def assemble_counts(monkeypatch):
-    """Calls of choqlab.solver.assemble by operator kind, counted live."""
+def cold_discretization(monkeypatch):
+    """No shared discretization at the start of the test: the first solve
+    builds one, whatever earlier tests left behind."""
+    monkeypatch.setattr(choqlab.solver, "_shared", None)
+
+
+@pytest.fixture
+def assemble_counts(monkeypatch, cold_discretization):
+    """Calls of choqlab.solver.assemble by operator kind, counted live,
+    from a cold start."""
     counts = {}
     original = choqlab.solver.assemble
 

@@ -347,6 +347,20 @@ def test_report_missing_profile(capsys, tmp_path):
     assert "cannot load profile" in err
 
 
+@pytest.mark.parametrize("rows", [0, 1])
+def test_report_profile_with_too_few_rows(capsys, tmp_path, rows):
+    # the header, then at most one row: no grid to rebuild
+    csv = tmp_path / "u.csv"
+    csv.write_text("r,value\n" + "0.0001,1.0\n" * rows)
+    code, out, err = run_cli(capsys, "report", *FLAGS, "--k", "0.4",
+                             "--profile-csv", str(csv),
+                             "--report-json", str(tmp_path / "r.json"))
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot load profile: a profile needs at least "
+                   f"two rows, got {rows}\n")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_report_supercritical_gate(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "report", "--N", "3", "--alpha", "2",
                          "--p", "3", "--q", "1", "--k", "0.4",

@@ -156,10 +156,14 @@ def test_iterate_once_is_the_annotated_composition(ex, k):
     for start in (source, flattened(source)):
         v = start
         for _ in range(4):
-            step = iterate_once(v, inst, disc)
+            potential = np.empty(grid.size)
+            step = iterate_once(v, inst, potential)
             composed = annotated_image(disc, v)
             assert np.array_equal(step.values,
                                   composed.values + source.values)
+            powered = pointwise_power(v, float(ex.p))
+            assert np.array_equal(potential,
+                                  apply(disc.riesz, powered).values)
             assert step.annotation_warning == composed.annotation_warning
             assert (step.origin_exponent, step.tail) == \
                 (source.origin_exponent, source.tail)
@@ -193,7 +197,7 @@ def test_barrier_carries_phi0_annotations(N, alpha, p, q):
     assert core.origin_exponent <= phi0.origin_exponent
     assert (core.tail.rate, core.tail.power) >= (phi0.tail.rate,
                                                  phi0.tail.power)
-    w = barrier(ProblemInstance(ex, k=1.0, grid=grid), 2.0, disc)
+    w = barrier(ProblemInstance(ex, k=1.0, grid=grid), 2.0)
     assert (w.origin_exponent, w.tail) == (phi0.origin_exponent, phi0.tail)
     assert w.annotation_warning is disc.barrier_core[1]
 
@@ -363,13 +367,26 @@ def test_kstar_assembles_each_operator_once(assemble_counts):
     assert assemble_counts == {"riesz": 1, "green": 1}
 
 
-def test_kstar_accepts_a_callers_discretization(assemble_counts):
-    disc = Discretization(FLAGSHIP, GRID)
-    tmpl = ProblemInstance(FLAGSHIP, k=1.0, grid=GRID)
-    shared = estimate_kstar(tmpl, 0.5 * K_Q, 50.0 * K_Q, steps=3, disc=disc)
+def test_equal_grids_built_apart_share_one_discretization(assemble_counts):
+    for k in (0.5 * K_Q, 2.0):
+        grid = build_grid(1e-4, 30.0, 40)
+        assert grid is not GRID
+        out = solve_minimal(ProblemInstance(FLAGSHIP, k=k, grid=grid))
+        assert out.verdict is SolveVerdict.CONVERGED
     assert assemble_counts == {"riesz": 1, "green": 1}
-    fresh = estimate_kstar(tmpl, 0.5 * K_Q, 50.0 * K_Q, steps=3)
-    assert shared == fresh
+
+
+def test_other_exponents_or_another_grid_assemble_again(assemble_counts):
+    other = ProblemExponents(N=3, alpha=Fraction(2), p=Fraction(3, 2),
+                             q=Fraction(1))
+    coarse = build_grid(1e-4, 30.0, 20)
+    # only the most recent pair is kept, so returning to the first
+    # assembles too
+    for n, (ex, grid) in enumerate([(FLAGSHIP, GRID), (other, GRID),
+                                    (other, coarse), (FLAGSHIP, coarse),
+                                    (FLAGSHIP, GRID)], start=1):
+        solve_minimal(ProblemInstance(ex, k=0.5, grid=grid))
+        assert assemble_counts == {"riesz": n, "green": n}
 
 
 @pytest.mark.parametrize("k, verdict, active", [
@@ -377,49 +394,42 @@ def test_kstar_accepts_a_callers_discretization(assemble_counts):
     (2.0, SolveVerdict.CONVERGED, False),
     (20.0, SolveVerdict.DIVERGED, False),
 ])
-def test_shared_discretization_is_bit_identical(k, verdict, active):
-    # the shared object has already served other k, so its column caches
-    # and barrier core are warm when this solve starts
-    disc = Discretization(FLAGSHIP, GRID)
-    for other in (0.3 * K_Q, 50.0):
-        solve_minimal(ProblemInstance(FLAGSHIP, k=other, grid=GRID), disc)
+def test_shared_discretization_is_bit_identical(k, verdict, active,
+                                                assemble_counts):
+    # the warm solve finds the column caches and the barrier core filled
+    # by solves at other k on an equal grid built apart
     inst = ProblemInstance(FLAGSHIP, k=k, grid=GRID)
-    shared = solve_minimal(inst, disc)
-    fresh = solve_minimal(inst)
-    assert shared.verdict is fresh.verdict is verdict
-    assert shared.barrier_active is fresh.barrier_active is active
-    assert shared.iterations == fresh.iterations
-    assert shared.barrier_constant == fresh.barrier_constant == C_HAT
-    assert shared.k_threshold_estimate == fresh.k_threshold_estimate
-    assert shared.fixed_point_residual == fresh.fixed_point_residual
-    assert shared.trace == fresh.trace
+    cold = solve_minimal(inst)
+    for other in (0.3 * K_Q, 50.0):
+        solve_minimal(ProblemInstance(FLAGSHIP, k=other,
+                                      grid=build_grid(1e-4, 30.0, 40)))
+    warm = solve_minimal(inst)
+    assert assemble_counts == {"riesz": 1, "green": 1}
+    assert warm.verdict is cold.verdict is verdict
+    assert warm.barrier_active is cold.barrier_active is active
+    assert warm.iterations == cold.iterations
+    assert warm.stop_reason == cold.stop_reason
+    assert warm.barrier_constant == cold.barrier_constant == C_HAT
+    assert warm.k_threshold_estimate == cold.k_threshold_estimate
+    assert warm.fixed_point_residual == cold.fixed_point_residual
+    assert warm.trace == cold.trace
     if verdict is SolveVerdict.CONVERGED:
-        assert np.array_equal(shared.profile.values, fresh.profile.values)
+        assert warm.profile.values.tobytes() == cold.profile.values.tobytes()
         for name in ("origin_exponent", "tail", "annotation_warning"):
-            assert getattr(shared.profile, name) == getattr(fresh.profile,
-                                                            name)
+            assert getattr(warm.profile, name) == getattr(cold.profile, name)
     else:
-        assert shared.profile is fresh.profile is None
+        assert warm.profile is cold.profile is None
 
 
 def test_discretization_source_and_barrier_match_profiles():
     disc = Discretization(FLAGSHIP, GRID)
     assert np.array_equal(disc.source(INST.k).values,
                           gamma0_profile(3, GRID, scale=INST.k).values)
-    assert np.array_equal(barrier(INST, T_Q, disc).values,
-                          barrier(INST, T_Q).values)
+    core, _ = disc.barrier_core
+    assert np.array_equal(barrier(INST, T_Q).values,
+                          core * (T_Q * INST.k ** 3)
+                          + disc.phi0.values * INST.k)
     assert disc.c_hat == C_HAT
-
-
-def test_discretization_must_match_the_instance():
-    disc = Discretization(FLAGSHIP, build_grid(1e-4, 30.0, 20))
-    with pytest.raises(ValueError, match="discretization"):
-        solve_minimal(INST, disc)
-    other = ProblemExponents(N=3, alpha=Fraction(2), p=Fraction(3, 2),
-                             q=Fraction(1))
-    with pytest.raises(ValueError, match="discretization"):
-        iterate_once(gamma0_profile(3, GRID), INST,
-                     Discretization(other, GRID))
 
 
 # ---------------------------------------------------------------------------
