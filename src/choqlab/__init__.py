@@ -15,7 +15,6 @@ Dirac source at the origin forces the r^{2-N} singularity.  Modules:
     asymptotics  origin/decay fits, rate-transfer checks, divergence probes
     serialize    deterministic CSV/JSON formats for profiles and reports
     verify       TAP-style self-audit suites
-    reference    slow direct quadrature used only as an independent oracle
     cli          command line front end (classify / solve / sweep-k / verify
                  / report)
 """

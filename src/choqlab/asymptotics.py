@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -55,6 +55,10 @@ __all__ = [
 # log-log slope below which a near-origin profile is not treated as a
 # clean power and the log-vs-constant residual comparison decides
 _POWER_SLOPE_MIN = 0.15
+
+# largest gap between a measured and a predicted power exponent that
+# still counts as a match
+_RATE_MATCH_TOL = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +209,12 @@ class MeasuredRate:
     kind: str
     exponent: Optional[float] = None
 
-    def matches(self, predicted: SingularityRate,
-                tol: float = 0.05) -> bool:
+    def matches(self, predicted: SingularityRate) -> bool:
         if self.kind != predicted.kind:
             return False
         if self.kind == "power":
-            return abs(self.exponent - float(predicted.exponent)) <= tol
+            return (abs(self.exponent - float(predicted.exponent))
+                    <= _RATE_MATCH_TOL)
         return True
 
 
@@ -220,12 +224,10 @@ class RateTransferResult:
     riesz_measured: MeasuredRate
     green_predicted: SingularityRate
     riesz_predicted: SingularityRate
-    green_slope: float
-    riesz_slope: float
 
 
-def _classify_origin_behavior(grid: RadialGrid, values: np.ndarray,
-                              ) -> tuple[MeasuredRate, float]:
+def _classify_origin_behavior(grid: RadialGrid,
+                              values: np.ndarray) -> MeasuredRate:
     """Measured singularity class of a positive profile near the origin.
 
     Slope of log y against log r over the first decade; a clear slope is a
@@ -238,14 +240,14 @@ def _classify_origin_behavior(grid: RadialGrid, values: np.ndarray,
     slope = float(np.polyfit(np.log(r), np.log(y), 1)[0])
     decline = -slope
     if decline >= _POWER_SLOPE_MIN:
-        return MeasuredRate("power", decline), decline
+        return MeasuredRate("power", decline)
     logs = np.log(1.0 / r)
     b = float(np.dot(y, logs) / np.dot(logs, logs))
     res_log = float(np.sqrt(np.mean((y - b * logs) ** 2)))
     res_const = float(np.sqrt(np.mean((y - y.mean()) ** 2)))
     if res_log < res_const:
-        return MeasuredRate("log"), decline
-    return MeasuredRate("bounded"), decline
+        return MeasuredRate("log")
+    return MeasuredRate("bounded")
 
 
 def verify_rate_transfer(N: int, alpha: float, tau: float,
@@ -263,18 +265,14 @@ def verify_rate_transfer(N: int, alpha: float, tau: float,
                          tail=ExpDecay(1.0, 0.0))
     g_out = apply(assemble("green", N, grid), prof)
     r_out = apply(assemble("riesz", N, grid, alpha=alpha), prof)
-    g_meas, g_slope = _classify_origin_behavior(grid, g_out.values)
-    r_meas, r_slope = _classify_origin_behavior(grid, r_out.values)
     # floats convert to Fractions exactly, so the branch edges (tau = 2,
     # tau = alpha) are hit exactly when the caller passes exact floats
     rate_in = SingularityRate.power(Fraction(tau))
     return RateTransferResult(
-        green_measured=g_meas,
-        riesz_measured=r_meas,
+        green_measured=_classify_origin_behavior(grid, g_out.values),
+        riesz_measured=_classify_origin_behavior(grid, r_out.values),
         green_predicted=green_rate(rate_in, N),
         riesz_predicted=riesz_rate(rate_in, N, Fraction(alpha)),
-        green_slope=g_slope,
-        riesz_slope=r_slope,
     )
 
 
@@ -303,40 +301,30 @@ class ProbeReport:
     power_rate: Optional[float] = None
 
 
-_DEFAULT_EPSILONS = tuple(0.3 * 2.0 ** -j for j in range(10))
+_PROBE_EPSILONS = tuple(0.3 * 2.0 ** -j for j in range(10))
 
 # mean increment ratios inside this band read as a constant-per-halving
 # (logarithmic) growth; beyond it as a power; below it as convergence
 _PROBE_LOG_BAND = (0.8, 1.3)
 
 
-def integrability_probe(exponents: ProblemExponents,
-                        epsilons: Optional[Sequence[float]] = None,
-                        ) -> ProbeReport:
+def integrability_probe(exponents: ProblemExponents) -> ProbeReport:
     """Classify the origin behavior of the defining nonlinear integral.
 
     The inner Riesz potential is restricted to the unit ball and applied
     to Gamma_0^p; the result is weighted by Gamma_0^q r^{N-1} and
-    integrated over [eps, 1] for a dyadic ladder of eps.  Increment ratios
-    between consecutive halvings separate convergent, logarithmically
-    divergent, and power divergent behavior.  When p (N-2) >= N the inner
+    integrated over [eps, 1] for the dyadic ladder eps = 0.3 * 2^-j,
+    j = 0..9.  Increment ratios between consecutive halvings separate
+    convergent, logarithmically divergent, and power divergent behavior.  When p (N-2) >= N the inner
     potential is itself infinite on the ball and no outer integration is
     attempted.
     """
     e = exponents
-    if epsilons is None:
-        epsilons = _DEFAULT_EPSILONS
-    eps = np.asarray(tuple(epsilons), dtype=float)
-    if eps.ndim != 1 or eps.size < 3:
-        raise ValueError("need at least three epsilons")
-    if np.any(eps <= 0.0) or np.any(eps >= 1.0) or np.any(np.diff(eps) >= 0):
-        raise ValueError("epsilons must decrease within (0, 1)")
-
     if e.p * (e.N - 2) >= e.N:
-        return ProbeReport(epsilons=tuple(eps), partial_integrals=(),
+        return ProbeReport(epsilons=_PROBE_EPSILONS, partial_integrals=(),
                            growth_class=GrowthClass.INNER_DIVERGENT)
 
-    grid = build_grid(float(eps[-1]) / 8.0, 1.0, 40)
+    grid = build_grid(_PROBE_EPSILONS[-1] / 8.0, 1.0, 40)
     gam = gamma0(e.N, grid.nodes)
     powered = RadialProfile(grid, gam ** float(e.p),
                             origin_exponent=float(e.p * (e.N - 2)),
@@ -348,7 +336,7 @@ def integrability_probe(exponents: ProblemExponents,
     cum = np.concatenate([[0.0], np.cumsum(
         0.5 * (m_log[1:] + m_log[:-1]) * np.diff(x))])
     total = cum[-1]
-    partials = total - np.interp(np.log(eps), x, cum)
+    partials = total - np.interp(np.log(_PROBE_EPSILONS), x, cum)
 
     increments = np.diff(partials)
     if np.any(increments <= 0.0):
@@ -358,10 +346,11 @@ def integrability_probe(exponents: ProblemExponents,
     # asymptotic ratio lives at the small-eps end of the ladder
     mean_ratio = float(np.mean(ratios[-4:]))
     if mean_ratio >= _PROBE_LOG_BAND[1]:
-        return ProbeReport(tuple(eps), tuple(partials),
+        return ProbeReport(_PROBE_EPSILONS, tuple(partials),
                            GrowthClass.POWER_DIVERGENT,
                            power_rate=math.log2(mean_ratio))
     if mean_ratio > _PROBE_LOG_BAND[0]:
-        return ProbeReport(tuple(eps), tuple(partials),
+        return ProbeReport(_PROBE_EPSILONS, tuple(partials),
                            GrowthClass.LOG_DIVERGENT)
-    return ProbeReport(tuple(eps), tuple(partials), GrowthClass.CONVERGENT)
+    return ProbeReport(_PROBE_EPSILONS, tuple(partials),
+                       GrowthClass.CONVERGENT)

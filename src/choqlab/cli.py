@@ -58,7 +58,7 @@ EXIT_DIVERGED = 4
 EXIT_UNDETERMINED = 5
 
 # the keys of verify.SUITES, named here so that only `verify` itself loads
-# that module (and scipy.integrate through its reference oracles)
+# that module
 VERIFY_SUITES = ("bootstrap", "kernels", "operators", "rates")
 
 _VERDICT_EXIT = {

@@ -255,9 +255,13 @@ def bootstrap_t1(e: ProblemExponents) -> tuple[Optional[Fraction], BootstrapCase
     return t1, case
 
 
+# steps after which s_sequence gives up; the growth factor exceeds 1, so a
+# terminating run needs far fewer
+_S_SEQUENCE_MAX_STEPS = 10000
+
+
 def s_sequence(e: ProblemExponents,
-               s1: Optional[Rational] = None,
-               max_steps: int = 10000) -> list[Fraction]:
+               s1: Optional[Rational] = None) -> list[Fraction]:
     """Integrability bootstrap s_n, run in exact arithmetic.
 
     s_{n+1} = N s_n / ((p+q)(N - 2 s_n) - alpha s_n), starting from an s1 in
@@ -294,7 +298,7 @@ def s_sequence(e: ProblemExponents,
 
     half_n = Fraction(e.N, 2)
     seq = [s1]
-    for step in range(max_steps):
+    for step in range(_S_SEQUENCE_MAX_STEPS):
         s = seq[-1]
         if s > half_n:
             break
@@ -350,17 +354,17 @@ class BootstrapLedger:
     n1: Optional[int]
 
 
-def bootstrap_ledger(e: ProblemExponents,
-                     s1: Optional[Rational] = None) -> BootstrapLedger:
+def bootstrap_ledger(e: ProblemExponents) -> BootstrapLedger:
     """Assemble the full ledger; sequences are empty outside the p-above case.
 
-    n0 indexes the first positive T, n1 the first s beyond N/2 (None when the
-    s-run ends on the bounded branch instead).
+    The s-run starts from the midpoint of the admissible window.  n0 indexes
+    the first positive T, n1 the first s beyond N/2 (None when the s-run
+    ends on the bounded branch instead).
     """
     t1, case = bootstrap_t1(e)
     if t1 is None:
         return BootstrapLedger(e, case, None, (), (), None, None)
-    s_seq = s_sequence(e, s1)
+    s_seq = s_sequence(e)
     T_seq, n0 = T_sequence(e)
     n1 = len(s_seq) - 1 if s_seq[-1] > Fraction(e.N, 2) else None
     return BootstrapLedger(e, case, t1, tuple(s_seq), tuple(T_seq), n0, n1)

@@ -59,7 +59,6 @@ class RadialGrid:
     """Geometric grid r_1 < ... < r_M with constant ratio."""
 
     nodes: np.ndarray
-    points_per_decade: int
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)
@@ -103,7 +102,7 @@ def build_grid(r_min: float, r_max: float,
     if m < 2:
         raise ValueError("grid span too short for this resolution")
     nodes = np.geomspace(r_min, r_max, m)
-    return RadialGrid(nodes, points_per_decade)
+    return RadialGrid(nodes)
 
 
 @dataclass(frozen=True)
@@ -217,10 +216,14 @@ def _jacobi01(n: int, beta: float):
     return _read_only((x + 1.0) / 2.0, w * 0.5 ** (beta + 1.0))
 
 
-def _graded_panels(a: float, b: float, toward_b: bool, n_panels: int = 12,
-                   ratio: float = 0.5):
+# graded rules: panel count, and width ratio of each panel to the one before
+_GRADED_PANELS = 12
+_GRADING_RATIO = 0.5
+
+
+def _graded_panels(a: float, b: float, toward_b: bool):
     """Panel edges grading geometrically toward one endpoint."""
-    widths = ratio ** np.arange(n_panels)
+    widths = _GRADING_RATIO ** np.arange(_GRADED_PANELS)
     widths = widths / widths.sum() * (b - a)
     if toward_b:
         edges = a + np.concatenate(([0.0], np.cumsum(widths)))

@@ -154,9 +154,7 @@ def read_profile(csv_path: str) -> RadialProfile:
         raise ValueError(f"a profile needs at least two rows, got {len(rows)}")
     nodes = np.array([float(r) for r, _ in rows])
     values = np.array([float(v) for _, v in rows])
-    decades = math.log10(nodes[-1] / nodes[0])
-    ppd = max(1, round((nodes.size - 1) / decades))
-    grid = RadialGrid(nodes, ppd)
+    grid = RadialGrid(nodes)
     with open(_sidecar_path(csv_path)) as fh:
         meta = json.load(fh)
     # sidecars written before the flag was recorded carry no warning

@@ -172,9 +172,9 @@ def gamma0_profile(N: int, grid: RadialGrid, scale: float = 1.0) -> RadialProfil
                          tail=ExpDecay(1.0, (N - 1) / 2.0))
 
 
-def phi0_profile(N: int, grid: RadialGrid, scale: float = 1.0) -> RadialProfile:
-    """scale * Phi_0 sampled on the grid; decays at half the Yukawa rate."""
-    return RadialProfile(grid, scale * phi0(N, grid.nodes),
+def phi0_profile(N: int, grid: RadialGrid) -> RadialProfile:
+    """Phi_0 sampled on the grid; decays at half the Yukawa rate."""
+    return RadialProfile(grid, phi0(N, grid.nodes),
                          origin_exponent=float(N - 2),
                          tail=ExpDecay(0.5, (N - 1) / 2.0))
 
@@ -240,7 +240,7 @@ class Discretization:
     both operators (with the origin and tail columns they cache), the unit
     Gamma_0 and Phi_0 profiles, the step plan, and the barrier core and
     c_hat are built once; the last three on first use, so a step never
-    pays for the barrier and a zero profile never pays for the columns.
+    pays for the barrier.
     """
 
     def __init__(self, exponents: ProblemExponents, grid: RadialGrid):
@@ -367,22 +367,20 @@ def iterate_once(v: RadialProfile, inst: ProblemInstance,
                  potential: Optional[np.ndarray] = None) -> RadialProfile:
     """One step v -> G[I_alpha[v^p] v^q] + k Gamma_0.
 
-    v must be zero or carry the source's own annotations (origin exponent
-    N-2 and the Gamma_0 tail), as every iterate from k Gamma_0 does; any
-    other nonzero v is a ValueError.  The output is re-annotated the same
-    way: the nonlinear correction is strictly milder at the origin in the
-    subcritical class, so k Gamma_0 keeps the leading annotation, and
-    freezing it makes every iterate share the same origin and tail columns
-    (comparisons between iterates then survive rounding exactly).
+    v must carry the source's own annotations (origin exponent N-2 and the
+    Gamma_0 tail), as every iterate from k Gamma_0 does; any other v is a
+    ValueError.  The output is re-annotated the same way: the nonlinear
+    correction is strictly milder at the origin in the subcritical class,
+    so k Gamma_0 keeps the leading annotation, and freezing it makes every
+    iterate share the same origin and tail columns (comparisons between
+    iterates then survive rounding exactly).
 
     The step is disc.image under disc.step_plan plus the source, and
     builds one profile at the end.  potential, an array on the grid,
-    receives I_alpha[v^p] for the Jacobian at a nonzero v when given.
+    receives I_alpha[v^p] for the Jacobian at v when given.
     """
     disc = _discretization(inst.exponents, inst.grid)
     unit = disc.gamma0
-    if v.is_zero():
-        return disc.source(inst.k)
     if v.origin_exponent != unit.origin_exponent or v.tail != unit.tail:
         raise ValueError(
             f"iterate_once needs the source's annotations (origin exponent "
@@ -474,7 +472,6 @@ class SolveOutcome:
 
     verdict: SolveVerdict
     profile: Optional[RadialProfile]
-    iterations: int
     trace: IterationTrace
     fixed_point_residual: Optional[float]
     barrier_constant: float
@@ -483,28 +480,30 @@ class SolveOutcome:
     stop_reason: str
     annotation_warning: bool
 
+    @property
+    def iterations(self) -> int:
+        return self.trace.iterations
+
 
 def _nodewise(change: np.ndarray, scale: np.ndarray) -> float:
     """max_i |change_i| / scale_i for a positive scale."""
     return float(np.max(np.abs(change) / scale))
 
 
-def _gmres(operator, b: np.ndarray, rtol: float,
-           floor: float = _GMRES_FLOOR,
-           max_products: int = _GMRES_MAX_PRODUCTS) -> tuple:
+def _gmres(operator, b: np.ndarray, rtol: float) -> tuple:
     """GMRES for operator(y) = b from y = 0, in one Arnoldi cycle.
 
     Arnoldi by modified Gram-Schmidt, the least-squares problem by Givens
     rotations (Saad & Schultz 1986; Kelley 1995, ch. 6).  Returns (y,
     converged, products): converged once the residual 2-norm, as the
-    rotations carry it, is at most max(rtol ||b||, floor) within
-    max_products products.
+    rotations carry it, is at most max(rtol ||b||, _GMRES_FLOOR) within
+    _GMRES_MAX_PRODUCTS products.
     """
     beta = float(np.linalg.norm(b))
-    target = max(rtol * beta, floor)
+    target = max(rtol * beta, _GMRES_FLOOR)
     if beta <= target:
         return np.zeros_like(b), True, 0
-    basis = np.empty((max_products + 1, b.size))
+    basis = np.empty((_GMRES_MAX_PRODUCTS + 1, b.size))
     basis[0] = b / beta
     # the rotated Hessenberg columns (upper triangular), the rotations and
     # the rotated right-hand side, all as Python floats
@@ -512,7 +511,7 @@ def _gmres(operator, b: np.ndarray, rtol: float,
     cs: list = []
     sn: list = []
     g = [beta]
-    for j in range(max_products):
+    for j in range(_GMRES_MAX_PRODUCTS):
         w = operator(basis[j])
         col = []
         for i in range(j + 1):
@@ -546,7 +545,7 @@ def _gmres(operator, b: np.ndarray, rtol: float,
 
 
 def _newton_step(v: RadialProfile, tv: RadialProfile, jac,
-                 inst: ProblemInstance, disc: Discretization) -> tuple:
+                 inst: ProblemInstance) -> tuple:
     """((w, T(w), I_alpha[w^p]), products) for the guarded Newton step
     from v, with jac the Jacobian at v, or (None, products) when the step
     fails its guard.
@@ -650,7 +649,6 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
     growth_run = 0
     verdict = SolveVerdict.MAX_ITERATIONS
     reason = "budget"
-    iterations = inst.max_iter
     ratio = None
     # after the m-th uncertified rejection Newton waits 2^m steps, which
     # bounds the work a guard that keeps failing can waste
@@ -665,15 +663,14 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
                 or (ratio is not None and _NEWTON_RATIO < ratio < 1.0)):
             # one Jacobian serves the step and, if it fails, the certificate
             jac = disc.jacobian(v.values, potential)
-            step, spent = _newton_step(v, tv, jac, inst, disc)
+            step, spent = _newton_step(v, tv, jac, inst)
             if step is None:
                 certified, used = _spectral_certificate(jac, v.values)
                 spent += used
                 if certified:
                     if products:
                         products[-1] += spent
-                    verdict, reason, iterations = \
-                        SolveVerdict.DIVERGED, "spectral", n - 1
+                    verdict, reason = SolveVerdict.DIVERGED, "spectral"
                     break
                 retry_at = n + 2 ** rejections
                 rejections += 1
@@ -704,12 +701,12 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
         growth_run = growth_run + 1 if sup_next > sup_prev else 0
         v, tv, potential = v_next, tv_next, potential_next
         if bound is not None and bound < inst.conv_tol:
-            verdict, iterations = SolveVerdict.CONVERGED, n
+            verdict = SolveVerdict.CONVERGED
             reason = "bound" if method == "picard" else "newton"
             break
         if sup_next > inst.blowup_cap and (growth_run >= _DIVERGENCE_RUN
                                            or sup_next > guard):
-            verdict, reason, iterations = SolveVerdict.DIVERGED, "cap", n
+            verdict, reason = SolveVerdict.DIVERGED, "cap"
             break
 
     residual = None
@@ -730,7 +727,6 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
                            barrier_margins=tuple(margins) if active else None)
     return SolveOutcome(verdict=verdict,
                         profile=profile,
-                        iterations=iterations,
                         trace=trace,
                         fixed_point_residual=residual,
                         barrier_constant=c_hat,

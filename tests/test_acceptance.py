@@ -160,10 +160,10 @@ def test_criterion_5_rate_transfer_branch_table():
     with _budget(60.0):
         for N, alpha, tau in cases:
             res = verify_rate_transfer(N, alpha, tau, grid)
-            assert res.green_measured.matches(res.green_predicted,
-                                              tol=0.05), (N, alpha, tau)
-            assert res.riesz_measured.matches(res.riesz_predicted,
-                                              tol=0.05), (N, alpha, tau)
+            assert res.green_measured.matches(res.green_predicted), \
+                (N, alpha, tau)
+            assert res.riesz_measured.matches(res.riesz_predicted), \
+                (N, alpha, tau)
 
 
 def test_criterion_6_flagship_end_to_end():

@@ -128,7 +128,7 @@ def test_fit_decay_yukawa_unit_mass():
 
 
 def test_fit_decay_yukawa_quarter_mass():
-    fit = fit_decay(phi0_profile(3, GRID, scale=1.0))
+    fit = fit_decay(phi0_profile(3, GRID))
     assert abs(fit.rate - 0.5) <= 1e-3
     assert abs(fit.algebraic_power - 1.0) <= 1e-3
 
@@ -187,7 +187,6 @@ def test_measured_rate_matching_rules():
     power_one = SingularityRate.power(Fraction(1))
     assert MeasuredRate("power", 1.02).matches(power_one)
     assert not MeasuredRate("power", 1.10).matches(power_one)
-    assert MeasuredRate("power", 1.10).matches(power_one, tol=0.2)
     assert not MeasuredRate("log").matches(power_one)
     assert MeasuredRate("log").matches(SingularityRate.log())
     assert MeasuredRate("bounded").matches(SingularityRate.bounded())
@@ -218,8 +217,8 @@ def test_rate_transfer_matches_prediction(N, alpha, tau):
 
 def test_rate_transfer_slopes_are_sharp():
     res = verify_rate_transfer(5, 2.0, 3.0, GRID)
-    assert abs(res.green_slope - 1.0) <= 3e-3
-    assert abs(res.riesz_slope - 1.0) <= 3e-3
+    assert abs(res.green_measured.exponent - 1.0) <= 3e-3
+    assert abs(res.riesz_measured.exponent - 1.0) <= 3e-3
 
 
 @pytest.mark.parametrize("tau", [0.0, -1.0, 5.0, 7.5])
@@ -262,15 +261,6 @@ def test_probe_power_rates_match_scaling():
     two = integrability_probe(
         ProblemExponents(5, Fraction(2), Fraction(3, 2), Fraction(3, 2)))
     assert abs(two.power_rate - 2.0) <= 0.05
-
-
-def test_probe_rejects_bad_epsilon_ladders():
-    exps = ProblemExponents(3, Fraction(2), Fraction(2), Fraction(3))
-    with pytest.raises(ValueError, match="three"):
-        integrability_probe(exps, epsilons=[0.5, 0.25])
-    for bad in ([0.3, 0.4, 0.2], [1.0, 0.5, 0.25], [0.5, 0.25, -0.1]):
-        with pytest.raises(ValueError, match="decrease"):
-            integrability_probe(exps, epsilons=bad)
 
 
 @settings(max_examples=15, deadline=None)

@@ -361,6 +361,23 @@ def test_report_profile_with_too_few_rows(capsys, tmp_path, rows):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_report_profile_with_repeated_radius(capsys, tmp_path):
+    # two rows at one radius span no grid; the sidecar itself is valid
+    csv = tmp_path / "u.csv"
+    csv.write_text("r,value\n0.001,1.0\n0.001,2.0\n")
+    (tmp_path / "u.csv.meta.json").write_text(json.dumps(
+        {"origin_exponent": 1.0, "tail_model": {"kind": "zero"},
+         "annotation_warning": False}))
+    code, out, err = run_cli(capsys, "report", *FLAGS, "--k", "0.4",
+                             "--profile-csv", str(csv),
+                             "--report-json", str(tmp_path / "r.json"),
+                             "--plot-csv", str(tmp_path / "plot.csv"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot load profile: ")
+    assert not (tmp_path / "r.json").exists()
+    assert not (tmp_path / "plot.csv").exists()
+
+
 def test_report_supercritical_gate(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "report", "--N", "3", "--alpha", "2",
                          "--p", "3", "--q", "1", "--k", "0.4",
@@ -514,8 +531,8 @@ def test_verify_suite_names_match_the_suites():
 def test_cli_import_leaves_verify_unloaded():
     src = str(Path(choqlab.cli.__file__).parents[1])
     code = ("import sys, choqlab.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'choqlab.verify', "
-            "'choqlab.reference') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.integrate', 'choqlab.verify') "
+            "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -36,7 +36,7 @@ from choqlab.operators import (
     pointwise_power,
     pointwise_product,
 )
-from choqlab.reference import discrete_radial_lhs
+from choqlab.verify import _discrete_radial_lhs
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def inverse_property_error(ppd):
     g = build_grid(1e-4, 30.0, ppd)
     f = bump_values(g.nodes)
     u = apply(assemble("green", 3, g), RadialProfile(g, f))
-    lhs = discrete_radial_lhs(3, g.nodes, u.values)
+    lhs = _discrete_radial_lhs(3, g.nodes, u.values)
     err = np.abs(lhs - f[2:-2]) / f.max()
     return err[3:-3].max()
 

@@ -1,11 +1,21 @@
 """Source hygiene checks over the library modules."""
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "choqlab"
 PERFBENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
+
+
+def library_modules() -> list[Path]:
+    """The modules of src/choqlab; the count guards that the scans found
+    the library at all."""
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 9
+    return paths
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -31,8 +41,7 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_library_modules_use_every_import():
-    paths = sorted(SRC.glob("*.py"))
-    assert len(paths) >= 10
+    paths = library_modules() + sorted(TESTS.glob("*.py"))
     unused = [entry for path in paths for entry in unused_imports(path)]
     assert unused == []
 
@@ -70,10 +79,8 @@ def unreferenced_definitions(modules: list[Path],
 
 
 def test_library_defines_nothing_only_tests_use():
-    modules = sorted(SRC.glob("*.py"))
-    assert len(modules) >= 10
     assert unreferenced_definitions(
-        modules, sorted(PERFBENCH.glob("*.py"))) == []
+        library_modules(), sorted(PERFBENCH.glob("*.py"))) == []
 
 
 def test_unreferenced_definition_scan_fires(tmp_path):
@@ -90,3 +97,140 @@ def test_unreferenced_definition_scan_fires(tmp_path):
         "lib.py orphan", "lib.py Lonely"]
     assert unreferenced_definitions([lib]) == [
         "lib.py used", "lib.py orphan", "lib.py Lonely"]
+
+
+def _functions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, call name, def node, leading parameters a call does
+    not pass) for every def in the tree.
+
+    A call reaches a method through an instance or a class, and __init__
+    through the class name, so self or cls is never passed by position.
+    """
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    call = node.name if item.name == "__init__" else item.name
+                    yield (f"{node.name}.{item.name}", call, item,
+                           0 if static else 1)
+                    yield from _functions(item, f"{node.name}.{item.name}.")
+                else:
+                    yield from _functions(item, f"{node.name}.")
+        elif isinstance(node, ast.FunctionDef):
+            yield prefix + node.name, node.name, node, 0
+            yield from _functions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _functions(node, prefix)
+
+
+def unread_parameters(modules: list[Path]) -> list[str]:
+    """Parameters (self and cls aside) that their function never reads."""
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        for name, _, fn, skip in _functions(tree):
+            a = fn.args
+            params = [*a.posonlyargs, *a.args][skip:] + [
+                *filter(None, [a.vararg]), *a.kwonlyargs,
+                *filter(None, [a.kwarg])]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{path.name} {name}({p.arg})" for p in params
+                      if p.arg not in read]
+    return found
+
+
+def unpassed_defaults(modules: list[Path], users=()) -> list[str]:
+    """Defaulted parameters of `modules` that no call in `modules` or
+    `users` passes, by keyword or by position.
+
+    Calls are matched by the called name alone (a plain name or the last
+    attribute), and __init__ by its class name; a starred argument passes
+    every position and a double-starred one every keyword.
+    """
+    positions: dict[str, float] = {}
+    keywords: dict[str, set] = {}
+    for path in [*modules, *users]:
+        for call in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            count = (math.inf if any(isinstance(arg, ast.Starred)
+                                     for arg in call.args)
+                     else len(call.args))
+            positions[name] = max(positions.get(name, 0), count)
+            keywords.setdefault(name, set()).update(
+                kw.arg or "**" for kw in call.keywords)
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        for name, call, fn, skip in _functions(tree):
+            a = fn.args
+            positional = [*a.posonlyargs, *a.args]
+            first_default = len(positional) - len(a.defaults)
+            defaulted = [(p, i - skip) for i, p in enumerate(positional)
+                         if i >= first_default] + [
+                (p, math.inf) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None]
+            passed = keywords.get(call, set())
+            found += [f"{path.name} {name}({p.arg})" for p, i in defaulted
+                      if not (positions.get(call, 0) > i
+                              or p.arg in passed or "**" in passed)]
+    return found
+
+
+def test_library_reads_every_parameter():
+    assert unread_parameters(library_modules()) == []
+
+
+def test_unread_parameter_scan_fires(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def f(a, b, *rest, c, **extra):\n"
+        "    return a + extra['x']\n"
+        "class K:\n"
+        "    def m(self, x, y):\n"
+        "        def inner(z): return y + z\n"
+        "        x = 1\n"
+        "        return inner\n"
+        "    @staticmethod\n"
+        "    def s(w): pass\n")
+    assert unread_parameters([lib]) == [
+        "lib.py f(b)", "lib.py f(rest)", "lib.py f(c)", "lib.py K.m(x)",
+        "lib.py K.s(w)"]
+
+
+def test_library_defaults_have_callers():
+    assert unpassed_defaults(library_modules(),
+                             sorted(PERFBENCH.glob("*.py"))) == []
+
+
+def test_unpassed_default_scan_fires(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a + b + c + d + e\n"
+        "def g(a=0, b=0): return a + b\n"
+        "def h(a=0): return a\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0): self.v = x + y\n"
+        "    def m(self, z=1): return z\n")
+    user.write_text(
+        "import lib\n"
+        "lib.f(0, 1, e=5)\n"
+        "lib.g(*[1, 2])\n"
+        "lib.h(**{'a': 1})\n"
+        "lib.K(1, 2).m()\n")
+    assert unpassed_defaults([lib], [user]) == [
+        "lib.py f(c)", "lib.py f(d)", "lib.py K.m(z)"]
+    assert unpassed_defaults([lib]) == [
+        "lib.py f(b)", "lib.py f(c)", "lib.py f(d)", "lib.py f(e)",
+        "lib.py g(a)", "lib.py g(b)", "lib.py h(a)", "lib.py K.__init__(y)",
+        "lib.py K.m(z)"]
