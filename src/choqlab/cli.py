@@ -34,8 +34,8 @@ from .exponents import (
 )
 from .kernels import c_N, gamma0
 from .operators import build_grid
-from .serialize import dumps_canonical, read_profile, write_json, \
-    write_profile, format_float
+from .serialize import dumps_canonical, read_profile, write_csv, \
+    write_json, write_profile
 from .solver import (
     BarrierEstimateError,
     BracketEndpointError,
@@ -117,7 +117,10 @@ def _int_from_config(value, name: str) -> int:
 
 
 _GRID_DEFAULTS = {"r_min": 1e-4, "r_max": 30.0, "points_per_decade": 40}
-_SOLVER_DEFAULTS = {"max_iter": 2000, "conv_tol": 1e-8, "blowup_cap": None}
+# the stopping policy a solve accepts; its defaults are the solver's own
+_SOLVER_DEFAULTS = {f.name: f.default
+                    for f in dataclasses.fields(ProblemInstance)
+                    if f.name in ("max_iter", "conv_tol")}
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -135,8 +138,15 @@ def _load_config_file(path: Optional[str]) -> dict:
     return config
 
 
+def _config_section(config: dict, section: str) -> dict:
+    value = config.get(section, {})
+    if not isinstance(value, dict):
+        raise CommandError(EXIT_INVALID, f"config {section} must be an object")
+    return value
+
+
 def _resolve_exponents(args, config: dict) -> ProblemExponents:
-    section = config.get("exponents", {})
+    section = _config_section(config, "exponents")
     fields = {}
     for name in ("N", "alpha", "p", "q"):
         flag = getattr(args, name)
@@ -157,9 +167,14 @@ def _resolve_exponents(args, config: dict) -> ProblemExponents:
 
 def _merged_section(args, config: dict, section: str, defaults: dict) -> dict:
     merged = dict(defaults)
-    file_section = config.get(section, {})
-    if not isinstance(file_section, dict):
-        raise CommandError(EXIT_INVALID, f"config {section} must be an object")
+    file_section = _config_section(config, section)
+    # a key nothing reads is refused, so that a typo or a setting that was
+    # removed cannot pass for one that took effect
+    unknown = sorted(set(file_section) - set(defaults))
+    if unknown:
+        raise CommandError(EXIT_INVALID,
+                           f"unknown config {section} keys {unknown}; "
+                           f"known: {list(defaults)}")
     for key in merged:
         if key in file_section:
             merged[key] = file_section[key]
@@ -180,11 +195,9 @@ def _build_instance(args, config: dict, exponents: ProblemExponents,
     try:
         grid = build_grid(float(grid_cfg["r_min"]), float(grid_cfg["r_max"]),
                           int(grid_cfg["points_per_decade"]))
-        cap = solver_cfg["blowup_cap"]
         return ProblemInstance(exponents, k=float(k), grid=grid,
                                max_iter=int(solver_cfg["max_iter"]),
-                               conv_tol=float(solver_cfg["conv_tol"]),
-                               blowup_cap=None if cap is None else float(cap))
+                               conv_tol=float(solver_cfg["conv_tol"]))
     except (TypeError, ValueError) as exc:
         raise CommandError(EXIT_INVALID, str(exc)) from exc
 
@@ -193,7 +206,7 @@ def _resolve_output(args, config: dict, name: str) -> Optional[str]:
     flag = getattr(args, name)
     if flag is not None:
         return flag
-    value = config.get("outputs", {}).get(name)
+    value = _config_section(config, "outputs").get(name)
     return None if value is None else str(value)
 
 
@@ -343,18 +356,8 @@ def cmd_solve(args) -> int:
 def cmd_sweep_k(args) -> int:
     config = _load_config_file(args.config)
     e = _resolve_exponents(args, config)
-    # every solve of the bisection runs with its own k's default cap
-    if _merged_section(args, config, "solver",
-                       _SOLVER_DEFAULTS)["blowup_cap"] is not None:
-        raise CommandError(
-            EXIT_INVALID, "sweep-k sets the blow-up cap of every solve "
-                          "itself; --blowup-cap and solver.blowup_cap are "
-                          "for solve")
     # k on the template is a placeholder; every run replaces it
     inst = _build_instance(args, config, e, default_k=1.0)
-    if args.steps < 1:
-        raise CommandError(EXIT_INVALID,
-                           f"steps must be at least 1, got {args.steps}")
     _require_writable([args.output])
 
     # refuses supercritical e; c_hat and every solve share one discretization
@@ -365,9 +368,6 @@ def cmd_sweep_k(args) -> int:
     khat_q, t_q = k_threshold(c_hat, float(e.p), float(e.q))
     k_lo = args.k_lo if args.k_lo is not None else 0.5 * khat_q
     k_hi = args.k_hi if args.k_hi is not None else 50.0 * khat_q
-    if not 0.0 < k_lo < k_hi:
-        raise CommandError(EXIT_INVALID,
-                           f"need 0 < k_lo < k_hi, got ({k_lo:g}, {k_hi:g})")
 
     try:
         bracket = estimate_kstar(inst, k_lo, k_hi, args.steps)
@@ -388,11 +388,9 @@ def cmd_sweep_k(args) -> int:
         "evaluations": [{"k": k, "verdict": vd.value}
                         for k, vd in bracket.evaluations],
     }
-    text = dumps_canonical(out)
-    sys.stdout.write(text)
+    sys.stdout.write(dumps_canonical(out))
     if args.output is not None:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
+        write_json(args.output, out)
     return EXIT_UNDETERMINED if bracket.halted_undetermined else EXIT_OK
 
 
@@ -418,10 +416,8 @@ def cmd_report(args) -> int:
         nodes = profile.grid.nodes
         scaled = profile.values * nodes ** (e.N - 2)
         floor = args.k * gamma0(e.N, nodes)
-        with open(args.plot_csv, "w", newline="\n") as fh:
-            fh.write("r,u,u_r_scaled,k_gamma0\n")
-            for row in zip(nodes, profile.values, scaled, floor):
-                fh.write(",".join(format_float(x) for x in row) + "\n")
+        write_csv(args.plot_csv, {"r": nodes, "u": profile.values,
+                                  "u_r_scaled": scaled, "k_gamma0": floor})
     sys.stdout.write(dumps_canonical({"report_json": args.report_json,
                                       "plot_csv": args.plot_csv}))
     return EXIT_OK
@@ -458,7 +454,6 @@ def _add_instance_flags(sub) -> None:
                      type=int)
     sub.add_argument("--max-iter", dest="max_iter", type=int)
     sub.add_argument("--conv-tol", dest="conv_tol", type=float)
-    sub.add_argument("--blowup-cap", dest="blowup_cap", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:

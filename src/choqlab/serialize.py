@@ -28,10 +28,8 @@ __all__ = [
     "format_float",
     "dumps_canonical",
     "write_json",
-    "tail_to_dict",
+    "write_csv",
     "tail_from_dict",
-    "profile_csv_lines",
-    "sidecar_dict",
     "write_profile",
     "read_profile",
 ]
@@ -96,51 +94,53 @@ def write_json(path: str, obj) -> None:
         fh.write(dumps_canonical(obj))
 
 
+def write_csv(path: str, columns: dict) -> None:
+    """The column names as a header line, then one line per row of the
+    equal-length columns, every value through format_float."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(format_float, row)) + "\n"
+                      for row in zip(*columns.values()))
+
+
 # ---------------------------------------------------------------------------
 # profiles: CSV values plus a JSON sidecar for the annotations
 
 
-def tail_to_dict(tail: TailModel) -> dict:
-    if isinstance(tail, ZeroTail):
-        return {"kind": "zero"}
-    return {"kind": "exp", "rate": tail.rate, "power": tail.power}
+def _number(data: dict, key: str) -> float:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def tail_from_dict(data: dict) -> TailModel:
+    if not isinstance(data, dict):
+        raise ValueError(f"tail_model must be an object, got {data!r}")
     kind = data.get("kind")
     if kind == "zero":
         return ZERO_TAIL
     if kind == "exp":
-        return ExpDecay(rate=float(data["rate"]), power=float(data["power"]))
+        return ExpDecay(rate=_number(data, "rate"),
+                        power=_number(data, "power"))
     raise ValueError(f"unknown tail model kind {kind!r}")
-
-
-def profile_csv_lines(profile: RadialProfile) -> list:
-    lines = ["r,value\n"]
-    for r, v in zip(profile.grid.nodes, profile.values):
-        lines.append(f"{format_float(r)},{format_float(v)}\n")
-    return lines
-
-
-def sidecar_dict(profile: RadialProfile) -> dict:
-    return {
-        "origin_exponent": float(profile.origin_exponent),
-        "tail_model": tail_to_dict(profile.tail),
-        "annotation_warning": profile.annotation_warning,
-    }
 
 
 def _sidecar_path(csv_path: str) -> str:
     return csv_path + ".meta.json"
 
 
-def write_profile(csv_path: str, profile: RadialProfile) -> str:
-    """Write values CSV plus `<csv_path>.meta.json`; returns the sidecar path."""
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.writelines(profile_csv_lines(profile))
-    sidecar = _sidecar_path(csv_path)
-    write_json(sidecar, sidecar_dict(profile))
-    return sidecar
+def write_profile(csv_path: str, profile: RadialProfile) -> None:
+    """Write the values CSV plus the sidecar `<csv_path>.meta.json`."""
+    write_csv(csv_path, {"r": profile.grid.nodes, "value": profile.values})
+    tail = profile.tail
+    tail_model = ({"kind": "zero"} if isinstance(tail, ZeroTail) else
+                  {"kind": "exp", "rate": tail.rate, "power": tail.power})
+    write_json(_sidecar_path(csv_path), {
+        "origin_exponent": float(profile.origin_exponent),
+        "tail_model": tail_model,
+        "annotation_warning": profile.annotation_warning,
+    })
 
 
 def read_profile(csv_path: str) -> RadialProfile:
@@ -157,12 +157,14 @@ def read_profile(csv_path: str) -> RadialProfile:
     grid = RadialGrid(nodes)
     with open(_sidecar_path(csv_path)) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"the sidecar must be a JSON object, got {meta!r}")
     # sidecars written before the flag was recorded carry no warning
     warning = meta.get("annotation_warning", False)
     if not isinstance(warning, bool):
         raise ValueError(f"annotation_warning must be true or false, got "
                          f"{warning!r}")
     return RadialProfile(grid, values,
-                         origin_exponent=float(meta["origin_exponent"]),
+                         origin_exponent=_number(meta, "origin_exponent"),
                          tail=tail_from_dict(meta["tail_model"]),
                          annotation_warning=warning)

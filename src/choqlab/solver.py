@@ -187,10 +187,10 @@ def phi0_profile(N: int, grid: RadialGrid) -> RadialProfile:
 class ProblemInstance:
     """One solve: exponents, source strength, grid, and stopping policy.
 
-    blowup_cap defaults to 1e12 * k * Gamma_0(r_min): far above any
-    converged profile (which stays within a bounded multiple of k Gamma_0)
-    yet reached in a handful of doublings once the iteration actually
-    blows up.
+    blowup_cap is derived, not set: 1e12 * k * Gamma_0(r_min), clipped to
+    a tenth of the float-safe ceiling.  That is far above any converged
+    profile (which stays within a bounded multiple of k Gamma_0) yet
+    reached in a handful of doublings once the iteration blows up.
     """
 
     exponents: ProblemExponents
@@ -198,7 +198,6 @@ class ProblemInstance:
     grid: RadialGrid
     max_iter: int = 2000
     conv_tol: float = 1e-8
-    blowup_cap: Optional[float] = None
 
     def __post_init__(self):
         if not (np.isfinite(self.k) and self.k > 0):
@@ -216,17 +215,14 @@ class ProblemInstance:
             raise ValueError(
                 f"solver grids need 20 <= r_max <= {R_MAX_CEILING:g}, got "
                 f"{self.grid.r_max:g}")
+
+    @cached_property
+    def blowup_cap(self) -> float:
+        # cached: every step reads it, and gamma0 costs a Bessel call
+        cap = _CAP_FACTOR * self.k * float(gamma0(self.exponents.N,
+                                                  self.grid.r_min))
         guard = _overflow_guard(float(self.exponents.p + self.exponents.q))
-        if self.blowup_cap is None:
-            cap = _CAP_FACTOR * self.k * float(gamma0(self.exponents.N,
-                                                      self.grid.r_min))
-            object.__setattr__(self, "blowup_cap", min(cap, 0.1 * guard))
-        elif not self.blowup_cap > 0:
-            raise ValueError("blowup_cap must be positive")
-        elif self.blowup_cap >= guard:
-            raise ValueError(
-                f"blowup_cap {self.blowup_cap:g} exceeds the float-safe "
-                f"ceiling {guard:g} for p + q = {self.exponents.p + self.exponents.q}")
+        return min(cap, 0.1 * guard)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +770,7 @@ def estimate_kstar(template: ProblemInstance, k_lo: float, k_hi: float,
         raise ValueError("steps must be at least 1")
 
     def run(k):
-        return solve_minimal(replace(template, k=k, blowup_cap=None))
+        return solve_minimal(replace(template, k=k))
 
     evaluations = []
     lo_out = run(k_lo)

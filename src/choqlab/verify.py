@@ -25,7 +25,7 @@ from .asymptotics import verify_rate_transfer
 from .exponents import ProblemExponents, T_sequence, bootstrap_t1, s_sequence
 from .kernels import c_N, gamma0, phi0
 from .operators import RadialProfile, ZERO_TAIL, apply, assemble, build_grid
-from .serialize import format_float
+from .serialize import write_csv
 
 __all__ = ["CheckResult", "SUITES", "run_suite",
            "suite_kernels", "suite_operators", "suite_rates",
@@ -85,10 +85,8 @@ def suite_kernels(csv_path: Optional[str] = None) -> list:
             ok, f"ratio ends ({ratio[0]:.6f}, {ratio[-1]:.3e})"))
 
     if csv_path is not None:
-        with open(csv_path, "w", newline="\n") as fh:
-            fh.write("r,gamma0,phi0,closed_form,residual\n")
-            for row in zip(r, gam, phi, closed, residual):
-                fh.write(",".join(format_float(x) for x in row) + "\n")
+        write_csv(csv_path, {"r": r, "gamma0": gam, "phi0": phi,
+                             "closed_form": closed, "residual": residual})
         checks.append(_check(f"audit CSV written to {csv_path}", True))
     return checks
 

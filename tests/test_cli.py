@@ -275,6 +275,34 @@ def test_solve_reads_config_file(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("section, key", [
+    ("solver", "conv_tl"), ("grid", "ppd")])
+def test_unknown_config_keys_are_refused(capsys, tmp_path, section, key):
+    # a misspelt key would otherwise leave its setting at the default
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": 0.4, section: {key: 1e-14}}))
+    code, out, err = run_cli(capsys, "solve", *FLAGS, *FAST_GRID,
+                             "--config", str(config),
+                             "--report-json", str(tmp_path / "r.json"))
+    assert code == 2 and out == ""
+    assert f"unknown config {section} keys ['{key}']" in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("section", ["exponents", "grid", "solver",
+                                     "outputs"])
+@pytest.mark.parametrize("value", [[], "Nalphapq"])
+def test_config_sections_must_be_objects(capsys, tmp_path, section, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "exponents": {"N": 3, "alpha": "2", "p": "2", "q": "1"},
+        "k": 0.4, section: value}))
+    code, out, err = run_cli(capsys, "solve", "--config", str(config))
+    assert code == 2 and out == ""
+    assert err == f"error: config {section} must be an object\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
 CONFIG_EXPONENT_CASES = [
     ({"N": 3, "alpha": 2.0, "p": "2", "q": "1"}, "exactly"),
     # an integer string is a valid N, so the float alpha is what fails
@@ -378,6 +406,34 @@ def test_report_profile_with_repeated_radius(capsys, tmp_path):
     assert not (tmp_path / "plot.csv").exists()
 
 
+VALID_SIDECAR = {"origin_exponent": 1.0, "tail_model": {"kind": "zero"},
+                 "annotation_warning": False}
+
+
+@pytest.mark.parametrize("sidecar, message", [
+    ([], "the sidecar must be a JSON object"),
+    ({**VALID_SIDECAR, "tail_model": "zero"}, "tail_model must be an object"),
+    ({**VALID_SIDECAR, "origin_exponent": {}},
+     "origin_exponent must be a number"),
+    ({**VALID_SIDECAR, "tail_model": {"kind": "exp", "rate": {},
+                                      "power": 1.0}},
+     "rate must be a number"),
+])
+def test_report_malformed_sidecar(capsys, tmp_path, sidecar, message):
+    csv = tmp_path / "u.csv"
+    csv.write_text("r,value\n0.001,2.0\n0.01,1.0\n")
+    (tmp_path / "u.csv.meta.json").write_text(json.dumps(sidecar))
+    code, out, err = run_cli(capsys, "report", *FLAGS, "--k", "0.4",
+                             "--profile-csv", str(csv),
+                             "--report-json", str(tmp_path / "r.json"),
+                             "--plot-csv", str(tmp_path / "plot.csv"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot load profile: ")
+    assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "u.csv", "u.csv.meta.json"]
+
+
 def test_report_supercritical_gate(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "report", "--N", "3", "--alpha", "2",
                          "--p", "3", "--q", "1", "--k", "0.4",
@@ -454,19 +510,23 @@ def test_sweep_other_solve_errors_exit_2_without_hint(capsys, monkeypatch):
     assert err == f"error: {exc}\n"
 
 
-def test_sweep_refuses_a_blowup_cap(capsys, tmp_path):
-    # every solve of a sweep gets its own k's default cap, so a cap given
-    # by flag or config would be silently dropped
-    out_path = tmp_path / "bracket.json"
+def test_a_blowup_cap_is_refused(capsys, tmp_path):
+    # the cap is derived from k, the grid and the exponents; an old flag or
+    # config key that tried to set it is refused rather than dropped
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"solver": {"blowup_cap": 1e-3}}))
-    for extra in (["--blowup-cap", "1e-3"], ["--config", str(config)]):
-        code, out, err = run_cli(capsys, "sweep-k", *FLAGS, *FAST_GRID,
-                                 "--steps", "2", "--output", str(out_path),
-                                 *extra)
+    config.write_text(json.dumps({"k": 0.4, "solver": {"blowup_cap": 1e-3}}))
+    for command, extra in (("solve", ["--report-json"]),
+                           ("sweep-k", ["--steps", "2", "--output"])):
+        args = [command, *FLAGS, *FAST_GRID, *extra,
+                str(tmp_path / "out.json")]
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--k", "0.4", "--blowup-cap", "1e-3"])
+        assert exc.value.code == 2
+        assert "--blowup-cap" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, *args, "--config", str(config))
         assert code == 2 and out == ""
-        assert "blowup_cap" in err and "for solve" in err
-        assert not out_path.exists()
+        assert "unknown config solver keys ['blowup_cap']" in err
+        assert list(tmp_path.iterdir()) == [config]
 
 
 def test_sweep_assembles_each_operator_once(capsys, assemble_counts):

@@ -237,18 +237,34 @@ def test_instance_validation():
         ProblemInstance(FLAGSHIP, k=1.0, grid=GRID, max_iter=0)
     with pytest.raises(ValueError):
         ProblemInstance(FLAGSHIP, k=1.0, grid=GRID, conv_tol=0.0)
-    with pytest.raises(ValueError):
-        ProblemInstance(FLAGSHIP, k=1.0, grid=GRID, blowup_cap=-1.0)
-    with pytest.raises(ValueError):
-        # beyond the float-safe ceiling for p + q = 3
-        ProblemInstance(FLAGSHIP, k=1.0, grid=GRID, blowup_cap=1e300)
 
 
 def test_default_blowup_cap():
+    # bit for bit 1e12 k Gamma_0(r_min), clipped to a tenth of the
+    # float-safe ceiling 10^(250 / (p + q)), which k = 1e70 reaches for
+    # p + q = 3
     from choqlab.kernels import gamma0
-    cap = ProblemInstance(FLAGSHIP, k=2.0, grid=GRID).blowup_cap
-    assert math.isclose(cap, 1e12 * 2.0 * float(gamma0(3, GRID.r_min)),
-                        rel_tol=1e-12)
+    clipped = 0.1 * 10.0 ** (250.0 / 3.0)
+    for k in (2.0, 1e70):
+        inst = ProblemInstance(FLAGSHIP, k=k, grid=GRID)
+        expected = min(1e12 * k * float(gamma0(3, GRID.r_min)), clipped)
+        assert inst.blowup_cap == expected
+        assert (expected == clipped) is (k == 1e70)
+        # computed once per instance: every step reads it
+        assert vars(inst)["blowup_cap"] == expected
+
+
+def test_blowup_cap_is_derived_not_set():
+    with pytest.raises(TypeError):
+        ProblemInstance(FLAGSHIP, k=1.0, grid=GRID, blowup_cap=1.0)
+    inst = ProblemInstance(FLAGSHIP, k=1.0, grid=GRID)
+    assert inst.blowup_cap > 0
+    # a copy at another k derives its own cap, never the template's
+    moved = replace(inst, k=3.0)
+    assert moved.blowup_cap == ProblemInstance(FLAGSHIP, k=3.0,
+                                               grid=GRID).blowup_cap
+    assert math.isclose(moved.blowup_cap, 3.0 * inst.blowup_cap,
+                        rel_tol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +559,41 @@ def test_certificate_fires_beyond_the_fold():
     assert out.stop_reason == "spectral"
     # the certificate ends the solve long before the sup norm nears the cap
     assert out.trace.sup_norms[-1] < 1e-6 * inst.blowup_cap
+
+
+def test_barrier_margins_fire_when_c_hat_is_understated(monkeypatch):
+    # an understated c_hat raises k_q past the fold, so the barrier is
+    # claimed where its tangency proof fails; t_q = (s / (s-1))^s does not
+    # depend on c_hat, so w_t still dominates every converging solve, and
+    # the margins turn negative once a solve past the fold outgrows it
+    c_hat = estimate_barrier_constant(EXP_41, GRID)
+    beyond = ProblemInstance(EXP_41, k=1.52, grid=GRID)
+    assert not solve_minimal(beyond).barrier_active
+    monkeypatch.setattr(Discretization, "c_hat",
+                        property(lambda self: 1e-6 * c_hat))
+    out = solve_minimal(ProblemInstance(EXP_41, k=1.45, grid=GRID))
+    assert out.verdict is SolveVerdict.CONVERGED and out.barrier_active
+    assert min(out.trace.barrier_margins) > 0.0
+    out = solve_minimal(beyond)
+    assert out.verdict is SolveVerdict.DIVERGED and out.barrier_active
+    w = barrier(beyond, k_threshold(1e-6 * c_hat, 1.2, 1.0)[1])
+    assert min(out.trace.barrier_margins) < -1e-8 * w.sup
+
+
+def test_mono_violations_fire_when_newton_may_step_down(monkeypatch):
+    # a loose GMRES tolerance leaves Newton corrections that dip below
+    # zero; the guard rejects them, so no step goes down, and with the
+    # guard loosened as well the trace records the steps that do.  With
+    # the shipped forcing term the corrections stay nonnegative, so a
+    # loosened guard alone changes nothing
+    inst = ProblemInstance(EXP_41, k=1.46, grid=GRID)
+    monkeypatch.setattr(choqlab.solver, "_GUARD_EPS", 1.0)
+    assert max(solve_minimal(inst).trace.mono_violations) == 0.0
+    for name in ("_GMRES_RTOL", "_FORCING_MAX", "_GMRES_FLOOR"):
+        monkeypatch.setattr(choqlab.solver, name, 0.1)
+    assert max(solve_minimal(inst).trace.mono_violations) > 1e-8
+    monkeypatch.setattr(choqlab.solver, "_GUARD_EPS", 1e-12)
+    assert max(solve_minimal(inst).trace.mono_violations) == 0.0
 
 
 def test_a_guard_that_keeps_failing_falls_back_to_picard(monkeypatch):

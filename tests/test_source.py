@@ -126,6 +126,34 @@ def _functions(tree: ast.AST, prefix: str = ""):
             yield from _functions(node, prefix)
 
 
+def _called_name(node: ast.AST):
+    """The name a call or a decorator refers to: a plain name or the last
+    attribute, else None."""
+    return (node.id if isinstance(node, ast.Name) else
+            node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _dataclass_inits(tree: ast.AST):
+    """(qualified name, call name, parameters) of the __init__ that
+    @dataclass generates for every dataclass in the tree, which has no def.
+
+    Its parameters are the class's annotated names in order, each with the
+    value assigned to it as its default; ClassVar and field() are not
+    modelled.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                _called_name(d.func if isinstance(d, ast.Call) else d)
+                == "dataclass" for d in node.decorator_list):
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)]
+            yield f"{node.name}.__init__", node.name, ast.arguments(
+                posonlyargs=[], args=[ast.arg(f.target.id) for f in fields],
+                vararg=None, kwonlyargs=[], kw_defaults=[], kwarg=None,
+                defaults=[f.value for f in fields if f.value is not None])
+
+
 def unread_parameters(modules: list[Path]) -> list[str]:
     """Parameters (self and cls aside) that their function never reads."""
     found = []
@@ -149,17 +177,21 @@ def unpassed_defaults(modules: list[Path], users=()) -> list[str]:
 
     Calls are matched by the called name alone (a plain name or the last
     attribute), and __init__ by its class name; a starred argument passes
-    every position and a double-starred one every keyword.
+    every position and a double-starred one every keyword; cls(...) in a
+    class body calls that class.  A dataclass's defaulted fields count as
+    the parameters of its generated __init__.
     """
     positions: dict[str, float] = {}
     keywords: dict[str, set] = {}
     for path in [*modules, *users]:
-        for call in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            name = (func.id if isinstance(func, ast.Name) else
-                    func.attr if isinstance(func, ast.Attribute) else None)
+        tree = ast.parse(path.read_text(), str(path))
+        calls = [(call, _called_name(call.func)) for call in ast.walk(tree)
+                 if isinstance(call, ast.Call)]
+        calls += [(call, node.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef)
+                  for call in ast.walk(node) if isinstance(call, ast.Call)
+                  and _called_name(call.func) == "cls"]
+        for call, name in calls:
             if name is None:
                 continue
             count = (math.inf if any(isinstance(arg, ast.Starred)
@@ -171,8 +203,11 @@ def unpassed_defaults(modules: list[Path], users=()) -> list[str]:
     found = []
     for path in modules:
         tree = ast.parse(path.read_text(), str(path))
-        for name, call, fn, skip in _functions(tree):
-            a = fn.args
+        signatures = [(name, call, fn.args, skip)
+                      for name, call, fn, skip in _functions(tree)]
+        signatures += [(name, call, args, 0)
+                       for name, call, args in _dataclass_inits(tree)]
+        for name, call, a, skip in signatures:
             positional = [*a.posonlyargs, *a.args]
             first_default = len(positional) - len(a.defaults)
             defaulted = [(p, i - skip) for i, p in enumerate(positional)
@@ -234,3 +269,26 @@ def test_unpassed_default_scan_fires(tmp_path):
         "lib.py f(b)", "lib.py f(c)", "lib.py f(d)", "lib.py f(e)",
         "lib.py g(a)", "lib.py g(b)", "lib.py h(a)", "lib.py K.__init__(y)",
         "lib.py K.m(z)"]
+
+
+def test_unpassed_default_scan_covers_dataclass_fields(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class P:\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: int = 2\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls(0, 1)\n"
+        "@dataclasses.dataclass\n"
+        "class Q:\n"
+        "    x: int = 0\n"
+        "class Plain:\n"
+        "    y: int = 0\n")
+    user.write_text("import lib\nlib.P(0, c=3)\nlib.Q\nlib.Plain()\n")
+    assert unpassed_defaults([lib], [user]) == ["lib.py Q.__init__(x)"]
+    assert unpassed_defaults([lib]) == [
+        "lib.py P.__init__(c)", "lib.py Q.__init__(x)"]
