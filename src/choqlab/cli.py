@@ -185,10 +185,9 @@ def _merged_section(args, config: dict, section: str, defaults: dict) -> dict:
 
 
 def _build_instance(args, config: dict, exponents: ProblemExponents,
-                    default_k: Optional[float] = None) -> ProblemInstance:
+                    k) -> ProblemInstance:
     grid_cfg = _merged_section(args, config, "grid", _GRID_DEFAULTS)
     solver_cfg = _merged_section(args, config, "solver", _SOLVER_DEFAULTS)
-    k = args.k if args.k is not None else config.get("k", default_k)
     if k is None:
         raise CommandError(EXIT_INVALID, "missing source strength k "
                                          "(flag --k or config k)")
@@ -299,7 +298,8 @@ def cmd_classify(args) -> int:
 def cmd_solve(args) -> int:
     config = _load_config_file(args.config)
     e = _resolve_exponents(args, config)
-    inst = _build_instance(args, config, e)
+    inst = _build_instance(args, config, e,
+                           args.k if args.k is not None else config.get("k"))
     profile_csv = _resolve_output(args, config, "profile_csv")
     trace_json = _resolve_output(args, config, "trace_json")
     report_json = _resolve_output(args, config, "report_json")
@@ -357,7 +357,9 @@ def cmd_sweep_k(args) -> int:
     config = _load_config_file(args.config)
     e = _resolve_exponents(args, config)
     # k on the template is a placeholder; every run replaces it
-    inst = _build_instance(args, config, e, default_k=1.0)
+    inst = _build_instance(args, config, e, 1.0)
+    if "k" in config:
+        raise CommandError(EXIT_INVALID, "sweep-k reads no config k")
     _require_writable([args.output])
 
     # refuses supercritical e; c_hat and every solve share one discretization
@@ -447,7 +449,6 @@ def _add_exponent_flags(sub) -> None:
 
 
 def _add_instance_flags(sub) -> None:
-    sub.add_argument("--k", type=float, help="point-source strength")
     sub.add_argument("--r-min", dest="r_min", type=float)
     sub.add_argument("--r-max", dest="r_max", type=float)
     sub.add_argument("--points-per-decade", dest="points_per_decade",
@@ -471,6 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = subs.add_parser(
         "solve", help="run the monotone iteration and write its artifacts")
     _add_exponent_flags(p_solve)
+    p_solve.add_argument("--k", type=float, help="point-source strength")
     _add_instance_flags(p_solve)
     p_solve.add_argument("--profile-csv", dest="profile_csv")
     p_solve.add_argument("--trace-json", dest="trace_json")

@@ -34,18 +34,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
 from scipy import special
 
+from .exponents import SingularityRate, green_rate, riesz_rate
 from .kernels import green_halfline_factors, riesz_angular
 
 __all__ = [
     "RadialGrid", "RadialProfile", "ExpDecay", "ZeroTail", "OperatorMatrix",
     "NonIntegrableOriginError", "build_grid", "assemble", "apply",
-    "origin_slope_disagrees",
+    "transfer_origin_exponent", "origin_slope_disagrees",
     "pointwise_power", "pointwise_product",
 ]
 
@@ -118,10 +120,12 @@ class ExpDecay:
     power: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.rate) and self.rate >= 0.0):
+        if not math.isfinite(self.rate):
+            raise ValueError(f"decay rate must be finite, got {self.rate}")
+        if self.rate < 0.0:
             raise ValueError(f"decay rate must be >= 0, got {self.rate}")
-        if not np.isfinite(self.power):
-            raise ValueError("tail power must be finite")
+        if not math.isfinite(self.power):
+            raise ValueError(f"tail power must be finite, got {self.power}")
 
 
 @dataclass(frozen=True)
@@ -161,17 +165,15 @@ class RadialProfile:
             raise ValueError("values must be finite")
         if lo < 0.0:
             raise ValueError("values must be nonnegative")
-        if not (np.isfinite(self.origin_exponent)
-                and self.origin_exponent >= 0.0):
-            raise ValueError(
-                f"origin exponent must be >= 0, got {self.origin_exponent}")
+        sigma = self.origin_exponent
+        if not math.isfinite(sigma):
+            raise ValueError(f"origin exponent must be finite, got {sigma}")
+        if sigma < 0.0:
+            raise ValueError(f"origin exponent must be >= 0, got {sigma}")
 
     @property
     def sup(self) -> float:
         return float(self.values.max(initial=0.0))
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0.0))
 
 
 class NonIntegrableOriginError(ValueError):
@@ -288,7 +290,7 @@ class OperatorMatrix:
         self.N = N
         self.alpha = alpha
         self.grid = grid
-        # (end, rounded model parameters) -> column
+        # ("origin", sigma) or ("tail", tail model) -> column, keyed exactly
         self._columns: dict[tuple, np.ndarray] = {}
         factors = (self._riesz_factors() if kind == "riesz"
                    else self._green_factors())
@@ -432,7 +434,7 @@ class OperatorMatrix:
             raise ValueError("origin exponent must be >= 0")
         if sigma >= self.N:
             raise NonIntegrableOriginError(self.kind, sigma, self.N)
-        return self._cached_column(("origin", round(sigma, 12)),
+        return self._cached_column(("origin", sigma),
                                    lambda: self._origin_rule(sigma))
 
     def tail_column(self, tail: TailModel) -> np.ndarray:
@@ -440,9 +442,8 @@ class OperatorMatrix:
         against the kernel, normalized to unit value at r_max."""
         if isinstance(tail, ZeroTail):
             return np.zeros(self.grid.size)
-        return self._cached_column(
-            ("tail", round(tail.rate, 12), round(tail.power, 12)),
-            lambda: self._tail_rule(tail))
+        return self._cached_column(("tail", tail),
+                                   lambda: self._tail_rule(tail))
 
     def _cached_column(self, key: tuple, rule) -> np.ndarray:
         if key not in self._columns:
@@ -535,29 +536,34 @@ def assemble(kind: str, N: int, grid: RadialGrid,
 # annotation transfer
 
 
-_EQ_TOL = 1e-9
+def transfer_origin_exponent(sigma: Fraction, N: int,
+                             alpha: Optional[Fraction]) -> Fraction:
+    """Origin exponent of the order-alpha Riesz potential (alpha None: of
+    the Green operator) of an input modelled as r^{-sigma}, sigma in [0, N),
+    by the exact rules exponents.riesz_rate and green_rate.
+
+    The model has no log rate, so the log a tie (sigma == alpha, or 2)
+    leaves is modelled as sigma = 0: a cell flat at values[0] ~ log(1/r_1),
+    short of the cell's mass by the fraction 1/(1 + N log(1/r_1)).
+    """
+    rate = SingularityRate.power(sigma)
+    out = green_rate(rate, N) if alpha is None else riesz_rate(rate, N, alpha)
+    return out.exponent if out.kind == "power" else Fraction(0)
 
 
-def _riesz_sigma_out(sigma: float, alpha: float) -> float:
-    if sigma > alpha + _EQ_TOL * max(1.0, alpha):
-        return sigma - alpha
-    return 0.0
-
-
-def _green_sigma_out(sigma: float) -> float:
-    if sigma > 2.0 + _EQ_TOL:
-        return sigma - 2.0
-    return 0.0
+def _check_same_grid(a, b) -> None:
+    """ValueError unless a and b (profiles or operators) share one grid."""
+    if a.grid is not b.grid and not np.array_equal(a.grid.nodes,
+                                                   b.grid.nodes):
+        raise ValueError("the grids differ")
 
 
 def _green_tail_out(N: int, tail: TailModel) -> TailModel:
-    if isinstance(tail, ZeroTail):
+    if isinstance(tail, ZeroTail) or tail.rate > 1.0:
         return ExpDecay(1.0, (N - 1) / 2.0)
-    if tail.rate > 1.0 + _EQ_TOL:
-        return ExpDecay(1.0, (N - 1) / 2.0)
-    if tail.rate > 1.0 - _EQ_TOL:
+    if tail.rate == 1.0:
         return ExpDecay(1.0, tail.power - 1.0)
-    return ExpDecay(tail.rate, tail.power)
+    return tail
 
 
 def origin_slope_disagrees(values: np.ndarray, origin_exponent: float,
@@ -574,37 +580,29 @@ def origin_slope_disagrees(values: np.ndarray, origin_exponent: float,
 def apply(matrix: OperatorMatrix, profile: RadialProfile) -> RadialProfile:
     """Apply the operator, producing a profile with transferred annotations.
 
-    Output = matrix.matvec(values, origin column, tail column), the columns
-    selected by the profile's annotations.  The origin exponent moves
-    through the rate-transfer rules (minus alpha for Riesz, minus 2 for
-    Green, clamped at bounded); the tail becomes the kernel's own decay for
-    Green and the algebraic r^{alpha-N} falloff for Riesz.  If the declared
-    origin exponent disagrees with the slope of the first two nodes by more
-    than 0.5, the output profile is flagged (annotation_warning) but still
-    produced.  An incoming flag is carried through, a zero input's too.
+    The origin and tail columns are the ones the profile's annotations
+    select.  The origin exponent moves through transfer_origin_exponent;
+    the tail becomes the kernel's own decay for Green and the algebraic
+    r^{alpha-N} falloff for Riesz.  A declared origin exponent more than
+    0.5 off the slope of the first two nodes flags the output
+    (annotation_warning), and so does a flagged input.
     """
-    if profile.grid is not matrix.grid and not np.array_equal(
-            profile.grid.nodes, matrix.grid.nodes):
-        raise ValueError("profile grid does not match operator grid")
-    if profile.is_zero():
-        return RadialProfile(profile.grid, np.zeros(profile.grid.size),
-                             origin_exponent=0.0, tail=ZERO_TAIL,
-                             annotation_warning=profile.annotation_warning)
-
+    _check_same_grid(profile, matrix)
     v = profile.values
     warn = profile.annotation_warning or origin_slope_disagrees(
         v, profile.origin_exponent, matrix.grid.log_step)
+    # the origin column refuses a non-integrable sigma before the transfer
     out = matrix.matvec(v, matrix.origin_column(profile.origin_exponent),
                         matrix.tail_column(profile.tail))
 
-    if matrix.kind == "riesz":
-        sigma = _riesz_sigma_out(profile.origin_exponent, matrix.alpha)
-        tail: TailModel = ExpDecay(0.0, matrix.N - matrix.alpha)
-    else:
-        sigma = _green_sigma_out(profile.origin_exponent)
-        tail = _green_tail_out(matrix.N, profile.tail)
-    return RadialProfile(matrix.grid, out, origin_exponent=sigma, tail=tail,
-                         annotation_warning=warn)
+    riesz = matrix.kind == "riesz"
+    sigma = transfer_origin_exponent(Fraction(profile.origin_exponent),
+                                     matrix.N, Fraction(matrix.alpha) if riesz
+                                     else None)
+    tail = (ExpDecay(0.0, matrix.N - matrix.alpha) if riesz
+            else _green_tail_out(matrix.N, profile.tail))
+    return RadialProfile(matrix.grid, out, origin_exponent=float(sigma),
+                         tail=tail, annotation_warning=warn)
 
 
 # ---------------------------------------------------------------------------
@@ -626,22 +624,15 @@ def pointwise_power(profile: RadialProfile, e: float) -> RadialProfile:
                          annotation_warning=profile.annotation_warning)
 
 
-def _combine_tails_product(a: TailModel, b: TailModel) -> TailModel:
-    if isinstance(a, ZeroTail) or isinstance(b, ZeroTail):
-        return ZERO_TAIL
-    return ExpDecay(a.rate + b.rate, a.power + b.power)
-
-
-def _check_same_grid(a: RadialProfile, b: RadialProfile):
-    if a.grid is not b.grid and not np.array_equal(a.grid.nodes, b.grid.nodes):
-        raise ValueError("profiles live on different grids")
-
-
 def pointwise_product(a: RadialProfile, b: RadialProfile) -> RadialProfile:
     """Nodewise product; origin exponents add, tail rates and powers add."""
     _check_same_grid(a, b)
+    tail: TailModel = ZERO_TAIL
+    if isinstance(a.tail, ExpDecay) and isinstance(b.tail, ExpDecay):
+        tail = ExpDecay(a.tail.rate + b.tail.rate,
+                        a.tail.power + b.tail.power)
     return RadialProfile(a.grid, a.values * b.values,
                          origin_exponent=a.origin_exponent + b.origin_exponent,
-                         tail=_combine_tails_product(a.tail, b.tail),
+                         tail=tail,
                          annotation_warning=a.annotation_warning
                          or b.annotation_warning)

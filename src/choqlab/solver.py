@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
@@ -54,11 +55,9 @@ from .operators import (
     ExpDecay,
     RadialGrid,
     RadialProfile,
-    apply,
     assemble,
     origin_slope_disagrees,
-    pointwise_power,
-    pointwise_product,
+    transfer_origin_exponent,
 )
 
 __all__ = [
@@ -255,21 +254,28 @@ class Discretization:
     def plan(self, unit: RadialProfile) -> tuple:
         """The annotations and columns the map meets on multiples of unit.
 
-        They are found by carrying unit through the annotated operators
-        apply / pointwise_*, and the result is
-        ((sigma, origin column, tail column) for Riesz on x^p,
-        (sigma, origin column, tail column) for Green on I_alpha[x^p] x^q).
-        Raises NonIntegrableOriginError when x^p or the product is not
-        integrable at the origin.
+        For unit's origin exponent sigma and tail (rate, power), all dyadic
+        and so exact as Fractions, x^p carries p sigma and tail (p rate,
+        p power), and I_alpha[x^p] x^q the transfer of p sigma plus q sigma
+        and tail (q rate, N - alpha + q power), each rounded once.  The
+        result is ((sigma, origin column, tail column) for Riesz on x^p,
+        the same for Green on I_alpha[x^p] x^q).  Raises
+        NonIntegrableOriginError when x^p or the product is not integrable
+        at the origin.
         """
-        ex = self.exponents
-        powered = pointwise_power(unit, float(ex.p))
-        product = pointwise_product(apply(self.riesz, powered),
-                                    pointwise_power(unit, float(ex.q)))
-        return tuple(
-            (prof.origin_exponent, op.origin_column(prof.origin_exponent),
-             op.tail_column(prof.tail))
-            for op, prof in ((self.riesz, powered), (self.green, product)))
+        ex, sigma = self.exponents, Fraction(unit.origin_exponent)
+        rate, power = Fraction(unit.tail.rate), Fraction(unit.tail.power)
+        sigma_r = ex.p * sigma
+        # built first: it refuses p sigma >= N, which the transfer cannot take
+        origin_r = self.riesz.origin_column(float(sigma_r))
+        sigma_g = float(transfer_origin_exponent(sigma_r, ex.N, ex.alpha)
+                        + ex.q * sigma)
+        tail_r = ExpDecay(float(ex.p * rate), float(ex.p * power))
+        tail_g = ExpDecay(float(ex.q * rate),
+                          float(ex.N - ex.alpha + ex.q * power))
+        return ((float(sigma_r), origin_r, self.riesz.tail_column(tail_r)),
+                (sigma_g, self.green.origin_column(sigma_g),
+                 self.green.tail_column(tail_g)))
 
     @cached_property
     def step_plan(self) -> tuple:

@@ -6,6 +6,7 @@ verify suite, 2 invalid input, 3 supercritical, 4 diverged, 5 undetermined.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -418,6 +419,15 @@ VALID_SIDECAR = {"origin_exponent": 1.0, "tail_model": {"kind": "zero"},
     ({**VALID_SIDECAR, "tail_model": {"kind": "exp", "rate": {},
                                       "power": 1.0}},
      "rate must be a number"),
+    # JSON's Infinity is a number, so the profile's own checks meet it
+    ({**VALID_SIDECAR, "origin_exponent": math.inf},
+     "origin exponent must be finite, got inf"),
+    ({**VALID_SIDECAR, "tail_model": {"kind": "exp", "rate": math.inf,
+                                      "power": 1.0}},
+     "decay rate must be finite, got inf"),
+    ({**VALID_SIDECAR, "tail_model": {"kind": "exp", "rate": 1.0,
+                                      "power": math.inf}},
+     "tail power must be finite, got inf"),
 ])
 def test_report_malformed_sidecar(capsys, tmp_path, sidecar, message):
     csv = tmp_path / "u.csv"
@@ -515,18 +525,40 @@ def test_a_blowup_cap_is_refused(capsys, tmp_path):
     # config key that tried to set it is refused rather than dropped
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": 0.4, "solver": {"blowup_cap": 1e-3}}))
-    for command, extra in (("solve", ["--report-json"]),
+    for command, extra in (("solve", ["--k", "0.4", "--report-json"]),
                            ("sweep-k", ["--steps", "2", "--output"])):
         args = [command, *FLAGS, *FAST_GRID, *extra,
                 str(tmp_path / "out.json")]
         with pytest.raises(SystemExit) as exc:
-            main([*args, "--k", "0.4", "--blowup-cap", "1e-3"])
+            main([*args, "--blowup-cap", "1e-3"])
         assert exc.value.code == 2
         assert "--blowup-cap" in capsys.readouterr().err
         code, out, err = run_cli(capsys, *args, "--config", str(config))
         assert code == 2 and out == ""
         assert "unknown config solver keys ['blowup_cap']" in err
         assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_sweep_takes_no_k(capsys, tmp_path, given):
+    # every solve of the bisection sets its own k, so a k given to sweep-k
+    # would be ignored; it is refused instead
+    output = tmp_path / "bracket.json"
+    args = ["sweep-k", *FLAGS, *FAST_GRID, "--steps", "2",
+            "--output", str(output)]
+    if given == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--k", "123"])
+        assert exc.value.code == 2
+        # argparse reads --k as an abbreviation of --k-lo or --k-hi
+        assert "--k could match --k-lo, --k-hi" in capsys.readouterr().err
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": 77}))
+        code, out, err = run_cli(capsys, *args, "--config", str(config))
+        assert code == 2 and out == ""
+        assert "sweep-k reads no config k" in err
+    assert not output.exists()
 
 
 def test_sweep_assembles_each_operator_once(capsys, assemble_counts):

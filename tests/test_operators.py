@@ -581,17 +581,6 @@ def test_green_factors_refuse_overflow():
     assemble("green", 3, build_grid(1.0, 700.0, 5))
 
 
-def test_zero_profile_short_circuits():
-    g = build_grid(1e-2, 1.0, 10)
-    op = assemble("green", 3, g)
-    z = RadialProfile(g, np.zeros(g.size), origin_exponent=2.0,
-                      tail=ExpDecay(1.0, 0.0))
-    out = apply(op, z)
-    assert out.is_zero()
-    assert out.origin_exponent == 0.0
-    assert out.tail == ZERO_TAIL
-
-
 def test_apply_rejects_foreign_grid():
     g1 = build_grid(1e-2, 1.0, 10)
     g2 = build_grid(1e-2, 2.0, 10)
@@ -659,7 +648,7 @@ def test_annotation_warning_survives_a_zero_input(kind):
         zero = RadialProfile(g, np.zeros(g.size),
                              annotation_warning=flagged)
         out = apply(op, zero)
-        assert out.is_zero()
+        assert not out.values.any()
         assert out.annotation_warning is flagged
 
 

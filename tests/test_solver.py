@@ -208,6 +208,56 @@ def test_iterate_refuses_foreign_annotations():
             iterate_once(RadialProfile(GRID, src.values, origin, tail), INST)
 
 
+# float arithmetic on the annotations lands an ulp off the exact plan for
+# (4,1,6/5,1), (3,3/2,7/5,4/3) and (7,1/3,1/7,6/5), and on it for the rest
+PLAN_TUPLES = [(3, 2, 2, 1), (4, 1, "6/5", 1), (3, "3/2", "7/5", "4/3"),
+               (7, "1/3", "1/7", "6/5"), (3, "4/5", "1/2", 1),
+               (5, 4, "3/2", 1), (6, "5/3", "7/10", "11/10")]
+
+
+def exact_plan(ex, rate):
+    """((sigma, tail rate, tail power) of x^p, the same of I_alpha[x^p]
+    x^q) in Fractions, for x with origin exponent N-2 and tail (rate,
+    (N-1)/2); the log a tie p (N-2) == alpha leaves counts as sigma = 0."""
+    N, alpha, p, q = ex.N, ex.alpha, ex.p, ex.q
+    sigma, power = Fraction(N - 2), Fraction(N - 1, 2)
+    riesz_out = max(p * sigma - alpha, Fraction(0))
+    return ((p * sigma, p * rate, p * power),
+            (riesz_out + q * sigma, q * rate, N - alpha + q * power))
+
+
+@pytest.mark.parametrize("N, alpha, p, q", PLAN_TUPLES)
+def test_plans_hold_the_exact_annotations(N, alpha, p, q):
+    # each sigma is float() of the exact value, and each column is the one
+    # cached under the exact float annotations, not a neighbour's
+    ex = ProblemExponents(N, Fraction(alpha), Fraction(p), Fraction(q))
+    disc = Discretization(ex, build_grid(1e-4, 30.0, 10))
+    for plan, rate in ((disc.step_plan, Fraction(1)),
+                       (disc.plan(disc.phi0), Fraction(1, 2))):
+        for op, (sigma, origin, tail), (s, r, power) in zip(
+                (disc.riesz, disc.green), plan, exact_plan(ex, rate)):
+            assert sigma == float(s)
+            assert origin is op.origin_column(float(s))
+            assert tail is op.tail_column(ExpDecay(float(r), float(power)))
+
+
+def test_plans_round_once():
+    # values that float arithmetic on the annotations misses by an ulp
+    grid = build_grid(1e-4, 30.0, 10)
+    disc = Discretization(ProblemExponents(7, Fraction(1, 3), Fraction(1, 7),
+                                           Fraction(6, 5)), grid)
+    assert [sigma for sigma, _, _ in disc.step_plan] == [
+        0.7142857142857143, 6.380952380952381]
+    disc = Discretization(ProblemExponents(4, Fraction(1), Fraction(6, 5),
+                                           Fraction(1)), grid)
+    assert disc.plan(disc.phi0)[0][2] is disc.riesz.tail_column(
+        ExpDecay(0.6, 1.8))
+    disc = Discretization(ProblemExponents(3, Fraction(3, 2), Fraction(7, 5),
+                                           Fraction(4, 3)), grid)
+    assert disc.step_plan[1][2] is disc.green.tail_column(
+        ExpDecay(4 / 3, 2.8333333333333335))
+
+
 # ---------------------------------------------------------------------------
 # gates and validation
 
@@ -434,6 +484,25 @@ def test_shared_discretization_is_bit_identical(k, verdict, active,
             assert getattr(warm.profile, name) == getattr(cold.profile, name)
     else:
         assert warm.profile is cold.profile is None
+
+
+@pytest.mark.parametrize("side", [-math.inf, math.inf])
+def test_solve_ignores_columns_at_neighbouring_floats(side,
+                                                      cold_discretization):
+    # columns at the float next to a plan's sigma, built by an earlier
+    # caller, must not stand in for the plan's own; this diverging trace
+    # moved in its last digits when they did
+    ex = ProblemExponents(7, Fraction(1, 3), Fraction(1, 7), Fraction(6, 5))
+    inst = ProblemInstance(ex, k=0.5, grid=GRID)
+    cold = solve_minimal(inst)
+    plan = choqlab.solver._shared.step_plan
+    choqlab.solver._shared = None
+    disc = choqlab.solver._discretization(ex, GRID)
+    for op, (sigma, _, _) in zip((disc.riesz, disc.green), plan):
+        op.origin_column(math.nextafter(sigma, side))
+    warm = solve_minimal(inst)
+    assert warm.verdict is cold.verdict is SolveVerdict.DIVERGED
+    assert warm.trace == cold.trace
 
 
 def test_discretization_source_and_barrier_match_profiles():
