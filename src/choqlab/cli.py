@@ -458,19 +458,23 @@ def _add_instance_flags(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no flag abbreviations: a prefix of a live flag, a retired one or a
+    # misspelt one, must not pass for it
     parser = argparse.ArgumentParser(
-        prog="choqlab",
+        prog="choqlab", allow_abbrev=False,
         description="Radial laboratory for singular profiles of a "
                     "nonlocal elliptic equation with a point source")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_classify = subs.add_parser(
-        "classify", help="criticality class and exact bootstrap ledgers")
+        "classify", allow_abbrev=False,
+        help="criticality class and exact bootstrap ledgers")
     _add_exponent_flags(p_classify)
     p_classify.set_defaults(func=cmd_classify)
 
     p_solve = subs.add_parser(
-        "solve", help="run the monotone iteration and write its artifacts")
+        "solve", allow_abbrev=False,
+        help="run the monotone iteration and write its artifacts")
     _add_exponent_flags(p_solve)
     p_solve.add_argument("--k", type=float, help="point-source strength")
     _add_instance_flags(p_solve)
@@ -480,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = subs.add_parser(
-        "sweep-k", help="bisect the existence threshold in k")
+        "sweep-k", allow_abbrev=False,
+        help="bisect the existence threshold in k")
     _add_exponent_flags(p_sweep)
     _add_instance_flags(p_sweep)
     p_sweep.add_argument("--k-lo", dest="k_lo", type=float,
@@ -492,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep_k)
 
     p_report = subs.add_parser(
-        "report", help="asymptotic analyses of a stored profile")
+        "report", allow_abbrev=False,
+        help="asymptotic analyses of a stored profile")
     _add_exponent_flags(p_report)
     p_report.add_argument("--k", type=float, required=True)
     p_report.add_argument("--profile-csv", dest="profile_csv", required=True)
@@ -501,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=cmd_report)
 
     p_verify = subs.add_parser(
-        "verify", help="self-audit suites with TAP output")
+        "verify", allow_abbrev=False,
+        help="self-audit suites with TAP output")
     p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--csv", help="kernels suite: audit CSV path")
     p_verify.set_defaults(func=cmd_verify)

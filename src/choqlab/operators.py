@@ -39,7 +39,6 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from scipy import special
 
 from .exponents import SingularityRate, green_rate, riesz_rate
 from .kernels import green_halfline_factors, riesz_angular
@@ -213,9 +212,41 @@ def _leggauss01(n: int):
 
 @lru_cache(maxsize=32)
 def _jacobi01(n: int, beta: float):
-    """Nodes/weights for int_0^1 x^beta f(x) dx, beta > -1 (read-only)."""
-    x, w = special.roots_jacobi(n, 0.0, beta)
-    return _read_only((x + 1.0) / 2.0, w * 0.5 ** (beta + 1.0))
+    """Nodes/weights for int_0^1 x^beta f(x) dx, beta > -1 (read-only).
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the Jacobi matrix of the weight x^beta on [0, 1], polished by Newton's
+    method on the three-term recurrence of its orthonormal polynomials
+    p_k; the weights are the Christoffel numbers 1 / sum_{k<n} p_k(x)^2,
+    positive by construction.
+    """
+    # the Jacobi (0, beta) recurrence on [-1, 1] mapped by x -> (1 + x)/2:
+    # off[j-1] p_j = (x - diag[j-1]) p_{j-1} - off[j-2] p_{j-2}
+    j = np.arange(1.0, n + 1.0)
+    s = 2.0 * j + beta
+    diag = 0.5 + 0.5 * np.append(beta / (beta + 2.0),
+                                 beta * beta / (s[:-1] * (s[:-1] + 2.0)))
+    off = np.sqrt(j * j * (j + beta) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], -1))
+
+    def recurrence(x):
+        """(p_n, p_n', sum_{k<n} p_k^2) at x."""
+        p_prev, p = np.zeros_like(x), np.full_like(x, math.sqrt(beta + 1.0))
+        dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+        squares = p * p
+        for i in range(n):
+            back = off[i - 1] if i else 0.0
+            p_prev, p = p, ((x - diag[i]) * p - back * p_prev) / off[i]
+            dp_prev, dp = dp, (p_prev + (x - diag[i]) * dp
+                               - back * dp_prev) / off[i]
+            if i < n - 1:
+                squares += p * p
+        return p, dp, squares
+
+    for _ in range(2):
+        p, dp, _ = recurrence(x)
+        x = x - p / dp
+    return _read_only(x, 1.0 / recurrence(x)[2])
 
 
 # graded rules: panel count, and width ratio of each panel to the one before

@@ -23,7 +23,7 @@ import numpy as np
 
 from .asymptotics import verify_rate_transfer
 from .exponents import ProblemExponents, T_sequence, bootstrap_t1, s_sequence
-from .kernels import c_N, gamma0, phi0
+from .kernels import c_N, gamma0, green_halfline_factors, phi0
 from .operators import RadialProfile, ZERO_TAIL, apply, assemble, build_grid
 from .serialize import write_csv
 
@@ -83,6 +83,18 @@ def suite_kernels(csv_path: Optional[str] = None) -> list:
         checks.append(_check(
             f"gamma0 <= phi0 with ratio 1 at 0 and 0 at infinity, N={N}",
             ok, f"ratio ends ({ratio[0]:.6f}, {ratio[-1]:.3e})"))
+
+    # DLMF 10.28.2, I_nu K_{nu+1} + I_{nu+1} K_nu = 1/r, in the factors of
+    # orders nu = N/2 - 1 and nu + 1: the one value check on even N
+    worst = 0.0
+    for N in range(3, 8):
+        y0, yinf = green_halfline_factors(N, r)
+        y0_up, yinf_up = green_halfline_factors(N + 2, r)
+        wronskian = r ** N * (y0 * yinf_up + y0_up * yinf)
+        worst = max(worst, float(np.max(np.abs(wronskian - 1.0))))
+    checks.append(_check(
+        "r^N (y0_N yinf_{N+2} + y0_{N+2} yinf_N) = 1 to 1e-13 on "
+        "[1e-3, 20], N=3..7", worst <= 1e-13, f"max dev {worst:.3e}"))
 
     if csv_path is not None:
         write_csv(csv_path, {"r": r, "gamma0": gam, "phi0": phi,

@@ -17,7 +17,9 @@ import pytest
 
 import choqlab.cli
 import choqlab.solver
+import choqlab.verify
 from choqlab.cli import main, parse_rational
+from choqlab.kernels import green_halfline_factors
 from choqlab.operators import NonIntegrableOriginError
 from choqlab.serialize import read_profile
 from choqlab.solver import BarrierEstimateError
@@ -539,6 +541,25 @@ def test_a_blowup_cap_is_refused(capsys, tmp_path):
         assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--k", "0.9", "--max", "1"]),
+    ("sweep-k", ["--k-l", "1.0", "--k-h", "16", "--step", "2"]),
+    ("solve", ["--k", "0.4", "--points-per", "20"]),
+])
+def test_flag_abbreviations_are_refused(capsys, tmp_path, command, flags):
+    # a prefix of a flag is not that flag: each call is an argparse error
+    # that writes nothing
+    out = {"solve": ["--profile-csv", str(tmp_path / "u.csv"),
+                     "--trace-json", str(tmp_path / "trace.json"),
+                     "--report-json", str(tmp_path / "report.json")],
+           "sweep-k": ["--output", str(tmp_path / "bracket.json")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *FLAGS, *flags, *out])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("given", ["flag", "config"])
 def test_sweep_takes_no_k(capsys, tmp_path, given):
     # every solve of the bisection sets its own k, so a k given to sweep-k
@@ -550,8 +571,8 @@ def test_sweep_takes_no_k(capsys, tmp_path, given):
         with pytest.raises(SystemExit) as exc:
             main([*args, "--k", "123"])
         assert exc.value.code == 2
-        # argparse reads --k as an abbreviation of --k-lo or --k-hi
-        assert "--k could match --k-lo, --k-hi" in capsys.readouterr().err
+        # with abbreviations off, --k is no prefix of --k-lo or --k-hi
+        assert "unrecognized arguments: --k 123" in capsys.readouterr().err
     else:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"k": 77}))
@@ -576,7 +597,9 @@ def test_sweep_assembles_each_operator_once(capsys, assemble_counts):
 def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
     # sharing one discretization across every k must not move a single
     # bit; re-recorded when apply moved to the structured sums, which
-    # changed the last digit of c_hat and of the derived k
+    # changed the last digit of c_hat and of the derived k, and when the
+    # special functions moved from scipy to numpy, which moved c_hat and
+    # the k values by at most 1.5e-15 relative
     code, out, _ = run_cli(capsys, "sweep-k", *exponents,
                            "--points-per-decade", "40", "--steps", "6")
     assert code == 0
@@ -595,7 +618,7 @@ def test_sweep_supercritical_gate(capsys):
 
 
 @pytest.mark.parametrize("suite,plan", [
-    ("kernels", "1..7"), ("operators", "1..4"),
+    ("kernels", "1..8"), ("operators", "1..4"),
     ("rates", "1..9"), ("bootstrap", "1..4"),
 ])
 def test_verify_suites_pass(capsys, suite, plan):
@@ -604,6 +627,20 @@ def test_verify_suites_pass(capsys, suite, plan):
     lines = out.strip().splitlines()
     assert lines[0] == plan
     assert all(line.startswith("ok ") for line in lines[1:])
+
+
+def test_verify_kernels_wronskian_check_fires(capsys, monkeypatch):
+    # one Green factor off by 1e-10 breaks I_nu K_{nu+1} + I_{nu+1} K_nu
+    # = 1/r far beyond the check's 1e-13
+    def skewed(N, r):
+        y0, yinf = green_halfline_factors(N, r)
+        return y0 * (1.0 + 1e-10), yinf
+
+    monkeypatch.setattr(choqlab.verify, "green_halfline_factors", skewed)
+    code, out, _ = run_cli(capsys, "verify", "kernels")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("not ok")]
+    assert len(failed) == 1 and "y0_N yinf_{N+2}" in failed[0]
 
 
 def test_verify_kernels_csv_dump(capsys, tmp_path):
@@ -633,21 +670,49 @@ def test_cli_import_leaves_verify_unloaded():
 
 
 def test_cli_solve_leaves_scipy_sparse_unloaded(tmp_path):
-    # the Newton steps run a hand-written GMRES, so a solve that takes
-    # them still pays no scipy.sparse import
+    # the Newton steps run a hand-written GMRES and the kernels and Gauss
+    # rules are numpy's, so a solve that takes them loads no scipy at all
     src = str(Path(choqlab.cli.__file__).parents[1])
     trace = tmp_path / "trace.json"
     argv = ["solve", *FLAGS, *FAST_GRID, "--k", "3.2",
             "--trace-json", str(trace)]
     code = ("import sys, choqlab.cli; "
             f"assert choqlab.cli.main({argv!r}) == 0; "
-            "print('scipy.sparse' in sys.modules)")
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert "newton" in json.loads(trace.read_text())["methods"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", *FLAGS, "--k", "0.4"],
+    ["solve", *FLAGS_41, "--k", "1"],
+    ["sweep-k", *FLAGS, "--points-per-decade", "40", "--steps", "6"],
+])
+def test_cli_runs_with_scipy_blocked(tmp_path, argv):
+    # sys.modules["scipy"] = None makes any scipy import fail: the run
+    # must end as it does unblocked, with the same bytes out
+    src = str(Path(choqlab.cli.__file__).parents[1])
+    files = [] if argv[0] == "sweep-k" else [
+        "--profile-csv", str(tmp_path / "u.csv"),
+        "--trace-json", str(tmp_path / "trace.json"),
+        "--report-json", str(tmp_path / "report.json")]
+    runs = []
+    for block in ("", "sys.modules['scipy'] = None\n"):
+        code = (f"import sys\n{block}import choqlab.cli\n"
+                f"sys.exit(choqlab.cli.main({argv + files!r}))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, timeout=120)
+        written = {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())}
+        for f in tmp_path.iterdir():
+            f.unlink()
+        runs.append((proc.returncode, proc.stdout, written))
+    assert runs[0][0] == 0 and runs[1] == runs[0], runs[1][0]
 
 
 def test_verify_csv_flag_restricted_to_kernels(capsys, tmp_path):

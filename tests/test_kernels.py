@@ -147,8 +147,9 @@ def test_riesz_angular_diagonal():
 
 @pytest.mark.parametrize("alpha", [0.8, 1.0])
 def test_riesz_angular_backs_off_next_to_the_diagonal(alpha):
-    # SciPy's 2F1 overflows to inf for 0 < 1 - z below ~6e-14 when
-    # alpha <= 1; within 1e-12 of the diagonal the kernel backs off and warns
+    # z = rho^2 carries a rounding error near 1e-16, which sets the
+    # divergent factor once 1 - z is tiny; within 1e-12 of the diagonal the
+    # kernel backs off and warns when alpha <= 1
     for s in (1000.0000000000011, 1000.0 * (1.0 + 4e-13),
               1000.0 / (1.0 + 1e-15)):
         with pytest.warns(ReducedAccuracyWarning):
@@ -158,7 +159,7 @@ def test_riesz_angular_backs_off_next_to_the_diagonal(alpha):
         arr = riesz_angular(3, alpha, 1.0, np.array([0.5, 1.0 + 1e-14, 2.0]))
     assert np.all(np.isfinite(arr))
     assert arr[0] == riesz_angular(3, alpha, 1.0, 0.5)
-    # outside the zone the value is SciPy's, finite and without a warning
+    # outside the zone the value is the 2F1's, finite and without a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error", ReducedAccuracyWarning)
         assert np.isfinite(riesz_angular(3, alpha, 1.0, 1.0 + 1e-11))

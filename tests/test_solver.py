@@ -455,7 +455,9 @@ def test_other_exponents_or_another_grid_assemble_again(assemble_counts):
 
 
 @pytest.mark.parametrize("k, verdict, active", [
-    (0.5 * K_Q, SolveVerdict.CONVERGED, True),
+    # K_Q is computed, so its own id: its last digits are no name
+    pytest.param(0.5 * K_Q, SolveVerdict.CONVERGED, True,
+                 id="half_kq-SolveVerdict.CONVERGED-True"),
     (2.0, SolveVerdict.CONVERGED, False),
     (20.0, SolveVerdict.DIVERGED, False),
 ])
@@ -686,7 +688,7 @@ def test_a_guard_that_keeps_failing_falls_back_to_picard(monkeypatch):
     assert 1 <= len(attempts) <= math.log2(out.iterations) + 2
 
 
-@pytest.mark.parametrize("k", [0.5 * K_Q, 3.27])
+@pytest.mark.parametrize("k", [pytest.param(0.5 * K_Q, id="half_kq"), 3.27])
 def test_annotation_warning_reaches_the_outcome(k, monkeypatch):
     # a slope check that always fires, on a Picard stop and a Newton stop
     monkeypatch.setattr(choqlab.solver, "origin_slope_disagrees",

@@ -54,6 +54,37 @@ def test_unused_import_scan_fires(tmp_path):
     assert unused_imports(module) == ["m.py:1 math", "m.py:3 IO"]
 
 
+def scipy_imports(paths: list[Path]) -> list[str]:
+    """Every import of scipy or of a scipy module, at any depth."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] == "scipy"]
+    return found
+
+
+def test_library_imports_no_scipy():
+    # the runtime needs numpy alone; scipy serves the tests as an oracle
+    assert scipy_imports(library_modules()) == []
+
+
+def test_scipy_import_scan_fires(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import numpy\nimport scipy.special as sp\nfrom scipy import linalg\n"
+        "from scipyx import y\nfrom . import scipy\n"
+        "def f():\n    from scipy.special import kve\n")
+    assert scipy_imports([module]) == [
+        "m.py:2 scipy.special", "m.py:3 scipy", "m.py:7 scipy.special"]
+
+
 def unreferenced_definitions(modules: list[Path],
                              users=()) -> list[str]:
     """Public module-level functions and classes of `modules` that no code
