@@ -15,8 +15,9 @@ green_halfline_factors returns.
 
 riesz_angular is the only evaluation of the Riesz 2F1 in the package: the
 operator assembly calls it at unit radius for every weight, origin column
-and tail column, and the test suite checks it directly against the angular
-quadrature oracle.  The test suite checks the Green factors through their
+and tail column of an alpha != 2 operator (at alpha = 2 the 2F1 is 1 and
+the operator uses the factors directly), and the test suite checks it
+directly against the angular quadrature oracle.  The test suite checks the Green factors through their
 product, against a closed-form Bessel kernel that it checks against the
 same kind of oracle.
 
@@ -153,11 +154,17 @@ def green_halfline_factors(N: int, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("green factors require r > 0")
-    nu = N / 2.0 - 1.0
-    pref = r ** (1.0 - N / 2.0)
-    y0 = pref * _ive(nu, r) * np.exp(r)
-    yinf = pref * _kve(nu, r) * np.exp(-r)
-    return y0, yinf
+    y0 = r ** (1.0 - N / 2.0) * _ive(N / 2.0 - 1.0, r) * np.exp(r)
+    return y0, green_yinf(N, r)
+
+
+def green_yinf(N: int, r) -> np.ndarray:
+    """The decaying factor yinf of green_halfline_factors alone: it stays
+    finite at every r > 0, while y0 leaves the float range past r = 709.78."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError("green factors require r > 0")
+    return r ** (1.0 - N / 2.0) * _kve(N / 2.0 - 1.0, r) * np.exp(-r)
 
 
 # ---------------------------------------------------------------------------

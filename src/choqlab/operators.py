@@ -8,26 +8,31 @@ of the reduced radial kernel against piecewise-linear hat functions in
 log r, so every weight is nonnegative and nodewise comparisons survive the
 operators exactly.  That preservation is what the monotone solver leans on.
 
-Neither operator is stored as a matrix.  The Riesz kernel is homogeneous,
-r^{alpha-N} shape(s/r) with shape(rho) = kernels.riesz_angular(N, alpha,
-1, rho), so the hat integrals depend only on the log-distance l - i between
-output node and input node: the weights are r_i^alpha times one Toeplitz
-family over the interior nodes, plus one column each for the end nodes, and
-applying them is one correlation.  The Green kernel factors as y0(min)
-yinf(max) across the diagonal, so the weights are semiseparable and
-applying them is one suffix and one prefix sum of per-node moments.  Either
-way each output is a fixed-order sum of nonnegative products, which keeps
-rounding monotone in the input.
+Neither operator is stored as a matrix; each is held in one of two
+factored forms.  The Green kernel factors as y0(min) yinf(max) across the
+diagonal, with (y0, yinf) = kernels.green_halfline_factors, and so does the
+order-2 Riesz kernel, the Newtonian potential: its spherical average is
+|S^{N-1}| max(r, s)^{2-N} (Newton's shell theorem), so (y0, yinf) =
+(|S^{N-1}|, r^{2-N}).  Both are semiseparable, and applying them is one
+suffix and one prefix sum of per-node moments.  Every other Riesz kernel
+is homogeneous, r^{alpha-N} shape(s/r) with shape(rho) =
+kernels.riesz_angular(N, alpha, 1, rho), so the hat integrals depend only
+on the log-distance l - i between output node and input node: the weights
+are r_i^alpha times one Toeplitz family over the interior nodes, plus one
+column each for the end nodes, and applying them is one correlation.
+Either way each output is a fixed-order sum of nonnegative products, which
+keeps rounding monotone in the input.
 
 Each annotation is one integral of the kernel against a 1-D density, so
 each grid end has one quadrature rule (s, w) with the density folded into
 w, and one evaluator turns any rule into a column: r_i^{alpha-N}
-shape(s/r_i) @ w for Riesz, one Green factor at the nodes times the moment
-of the other.  Row 0 meets the kernel's diagonal singularity at s = r_1
-and row M-1 at s = r_max, so both rules grade their panels into that end,
-as do the two Riesz cells that touch the diagonal.  Columns are cached per
-(end, model parameters); factors and columns are checked finite and
-nonnegative when built.  The Gauss rules are cached and read-only.
+shape(s/r_i) @ w in the Toeplitz form, one factor at the nodes times the
+moment of the other in the semiseparable form.  Row 0 meets the kernel's
+diagonal singularity at s = r_1 and row M-1 at s = r_max, so both rules
+grade their panels into that end, as do the two Toeplitz cells that touch
+the diagonal.  Columns are cached per (end, model parameters); factors and
+columns are checked finite and nonnegative when built.  The Gauss rules
+are cached and read-only.
 """
 
 from __future__ import annotations
@@ -41,7 +46,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .exponents import SingularityRate, green_rate, riesz_rate
-from .kernels import green_halfline_factors, riesz_angular
+from .kernels import (
+    green_halfline_factors,
+    green_yinf,
+    riesz_angular,
+    unit_sphere_area,
+)
 
 __all__ = [
     "RadialGrid", "RadialProfile", "ExpDecay", "ZeroTail", "OperatorMatrix",
@@ -303,7 +313,8 @@ class OperatorMatrix:
     to the output at r_i from the grid interval [r_1, r_max]; the origin
     cell and the tail are added per profile from its annotations.  The
     weights are held as their O(M) factors (see matvec), all checked
-    finite and >= 0.
+    finite and >= 0: semiseparable for Green and for Riesz at alpha = 2,
+    Toeplitz for every other alpha.
     """
 
     def __init__(self, kind: str, N: int, grid: RadialGrid,
@@ -323,8 +334,9 @@ class OperatorMatrix:
         self.grid = grid
         # ("origin", sigma) or ("tail", tail model) -> column, keyed exactly
         self._columns: dict[tuple, np.ndarray] = {}
-        factors = (self._riesz_factors() if kind == "riesz"
-                   else self._green_factors())
+        self._semiseparable = kind == "green" or alpha == 2.0
+        factors = (self._semiseparable_factors() if self._semiseparable
+                   else self._toeplitz_factors())
         _require_nonnegative(f"{kind} product weights",
                              np.concatenate(factors))
         self._factors = _read_only(*factors)
@@ -336,15 +348,15 @@ class OperatorMatrix:
         """Nodal output for nodal input values, whose origin cell and tail
         contribute the columns origin and tail (see origin_column and
         tail_column) scaled by the first and last value."""
-        if self.kind == "riesz":
-            out = self._riesz_grid_part(values)
+        if self._semiseparable:
+            out = self._semiseparable_grid_part(values)
         else:
-            out = self._green_grid_part(values)
+            out = self._toeplitz_grid_part(values)
         out += origin * values[0]
         out += tail * values[-1]
         return out
 
-    def _riesz_grid_part(self, v: np.ndarray) -> np.ndarray:
+    def _toeplitz_grid_part(self, v: np.ndarray) -> np.ndarray:
         """r_i^alpha (sum over interior l of T(l - i) v_l + A(-i) v_0
         + B(M-2-i) v_{M-1}), the interior sum as one correlation."""
         r_alpha, toeplitz, first, last = self._factors
@@ -356,7 +368,7 @@ class OperatorMatrix:
             inner = 0.0
         return r_alpha * (inner + first * v[0] + last * v[-1])
 
-    def _riesz_factors(self):
+    def _toeplitz_factors(self):
         """(r_i^alpha, T, first, last): w[i, l] = r_i^alpha T(l - i) for
         interior l with T(d) = A(d) + B(d - 1), w[i, 0] = r_i^alpha A(-i)
         and w[i, M-1] = r_i^alpha B(M-2-i).
@@ -404,16 +416,39 @@ class OperatorMatrix:
             A[ks == k], B[ks == k] = cell_integrals(np.array([k]), x, w)
         return A, B
 
-    def _green_grid_part(self, v: np.ndarray) -> np.ndarray:
+    def _semiseparable_grid_part(self, v: np.ndarray) -> np.ndarray:
         """y0_i (sum_{l>i} P_l v_l + PA_i v_i)
         + yinf_i (sum_{l<i} Q_l v_l + QB_i v_i), by a suffix and a prefix
         sum that run in a fixed order."""
         y0, yinf, P, Q, PA, QB = self._factors
-        above = np.append(np.cumsum((P * v)[:0:-1])[::-1], 0.0)
-        below = np.append(0.0, np.cumsum((Q * v)[:-1]))
-        return y0 * (above + PA * v) + yinf * (below + QB * v)
+        above = np.empty(v.size)
+        below = np.empty(v.size)
+        above[-1] = below[0] = 0.0
+        np.cumsum((P * v)[:0:-1], out=above[-2::-1])
+        np.cumsum((Q * v)[:-1], out=below[1:])
+        above += PA * v
+        above *= y0
+        below += QB * v
+        below *= yinf
+        above += below
+        return above
 
-    def _green_factors(self):
+    def _halves(self, r: np.ndarray):
+        """(y0, yinf) at r: the kernel is y0(min(r, s)) yinf(max(r, s))."""
+        if self.kind == "green":
+            return green_halfline_factors(self.N, r)
+        # Newton's shell theorem: the order-2 average is |S^{N-1}|
+        # max(r, s)^{2-N}, as riesz_angular's 2F1 is 1 at alpha = 2
+        return np.full(r.shape, unit_sphere_area(self.N)), self._yinf(r)
+
+    def _yinf(self, r: np.ndarray) -> np.ndarray:
+        """yinf alone, for rules beyond r_max, where the Green y0 grows
+        like e^s and leaves the float range."""
+        if self.kind == "green":
+            return green_yinf(self.N, r)
+        return r ** (2.0 - self.N)
+
+    def _semiseparable_factors(self):
         """(y0, yinf, P, Q, PA, QB) at the nodes: w[i, l] = y0_i P_l above
         the diagonal, yinf_i Q_l below it, y0_i PA_i + yinf_i QB_i on it.
 
@@ -422,7 +457,7 @@ class OperatorMatrix:
         both cells' yinf and y0 moments, and the diagonal node splits
         between its outer cell (PA) and its inner one (QB).
         """
-        y0_n, yinf_n, PA, PB, QA, QB = self._green_cell_moments()
+        y0_n, yinf_n, PA, PB, QA, QB = self._cell_moments()
         if not math.isfinite(y0_n[-1]):
             raise ValueError(
                 f"green factor y0(r) overflows at r_max = "
@@ -433,22 +468,27 @@ class OperatorMatrix:
         return (y0_n, yinf_n, PA_l + np.append(0.0, PB),
                 np.append(QA, 0.0) + QB_l, PA_l, QB_l)
 
-    def _green_cell_moments(self):
+    def _cell_moments(self):
         """y0 and yinf at the nodes, and the per-cell moments of yinf (PA,
-        PB) and y0 (QA, QB) against the left and right hat factors."""
-        grid, N = self.grid, self.N
+        PB) and y0 (QA, QB) against the left and right hat factors.
+
+        Every cell lies wholly on one side of each node, so a cell above
+        r_i meets the kernel as y0_i yinf(s) and a cell below it as
+        yinf_i y0(s).
+        """
+        grid = self.grid
         nodes = grid.nodes
-        y0_n, yinf_n = green_halfline_factors(N, nodes)
+        y0_n, yinf_n = self._halves(nodes)
 
         x16, w16 = _leggauss01(16)
         # quadrature nodes per cell: (m-1, 16)
         s = nodes[:-1, None] * (nodes[1:, None] / nodes[:-1, None]) ** x16[None, :]
         # ds = s * h dx on the log-linear parametrization
         h = grid.log_step
-        y0_s, yinf_s = green_halfline_factors(N, s.ravel())
+        y0_s, yinf_s = self._halves(s.ravel())
         y0_s = y0_s.reshape(s.shape)
         yinf_s = yinf_s.reshape(s.shape)
-        meas = s ** N * h  # s^{N-1} ds = s^N h dx
+        meas = s ** self.N * h  # s^{N-1} ds = s^N h dx
         PA = (yinf_s * meas) @ (w16 * (1.0 - x16))
         PB = (yinf_s * meas) @ (w16 * x16)
         QA = (y0_s * meas) @ (w16 * (1.0 - x16))
@@ -486,13 +526,12 @@ class OperatorMatrix:
         """c_i = sum_k w_k K(r_i, s_k) for a rule (s, w) that lies wholly
         below r_1 or wholly beyond r_max, density already folded into w."""
         N, nodes = self.N, self.grid.nodes
-        if self.kind == "green":
+        if self._semiseparable:
             # kernel y0(min) yinf(max): the rule's moment times one factor
             y0_n, yinf_n = self._factors[:2]
-            y0_s, yinf_s = green_halfline_factors(N, s)
             if s[0] > self.grid.r_max:
-                return y0_n * (yinf_s @ w)
-            return yinf_n * (y0_s @ w)
+                return y0_n * (self._yinf(s) @ w)
+            return yinf_n * (self._halves(s)[0] @ w)
         # kernel r_i^{alpha-N} shape(s/r_i), evaluated block by block
         alpha = self.alpha
         col = np.zeros(nodes.size)

@@ -117,10 +117,22 @@ _GMRES_MAX_PRODUCTS = 40
 _POWER_STEPS = 12
 _SPECTRAL_MARGIN = 1e-9
 
-# largest r_max a solve accepts: the Green factor y0(r) carries e^r, which
-# overflows a float just past r = 709.78 (operators.GREEN_R_LIMIT), and a
-# solution decaying like e^{-r} is below 1e-300 long before that
-R_MAX_CEILING = 700.0
+
+def r_max_ceiling(N: int) -> float:
+    """Largest r_max a solve accepts in dimension N, a whole number.
+
+    The Green moments multiply y0(s) by s^N h (h the log step, below s),
+    and y0(s) <= e^s s^{(1-N)/2} / sqrt(2 pi), because e^{-s} sqrt(2 pi s)
+    I_nu(s) rises to 1 for nu = N/2 - 1 >= 1/2.  Every moment integrand is
+    a float while e^r r^{(N+3)/2} <= sqrt(2 pi) DBL_MAX: r <= 691 for
+    N = 3, 687 for N = 4, about 3.3 less per dimension.  A solution
+    decaying like e^{-r} is below 1e-290 there.
+    """
+    budget = math.log(np.finfo(float).max) + 0.5 * math.log(2.0 * math.pi)
+    r = budget
+    for _ in range(4):     # contracts by (N+3)/(2r) < 0.01 per pass
+        r = budget - 0.5 * (N + 3) * math.log(r)
+    return float(math.floor(r))
 
 
 def _overflow_guard(s: float) -> float:
@@ -210,10 +222,12 @@ class ProblemInstance:
         if self.grid.r_min > 1e-3:
             raise ValueError(
                 f"solver grids need r_min <= 1e-3, got {self.grid.r_min}")
-        if not 20.0 <= self.grid.r_max <= R_MAX_CEILING:
+        ceiling = r_max_ceiling(self.exponents.N)
+        if not 20.0 <= self.grid.r_max <= ceiling:
             raise ValueError(
-                f"solver grids need 20 <= r_max <= {R_MAX_CEILING:g}, got "
-                f"{self.grid.r_max:g}")
+                f"solver grids need 20 <= r_max <= {ceiling:g} for N = "
+                f"{self.exponents.N}, where the Green moments stay finite, "
+                f"got {self.grid.r_max:g}")
 
     @cached_property
     def blowup_cap(self) -> float:

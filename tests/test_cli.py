@@ -163,7 +163,12 @@ def test_solve_near_the_fold_reports_newton_steps(capsys, tmp_path):
 def test_solve_outputs_are_byte_identical(capsys, tmp_path):
     # the golden files pin the bytes across versions, not only between two
     # runs; at alpha = 2 the Riesz kernel's 2F1 is identically 1, so only the
-    # alpha = 1 case checks its hypergeometric factor
+    # alpha = 1 case checks its hypergeometric factor.  The (3,2,2,1) files
+    # were re-recorded when the alpha = 2 Riesz operator moved from the
+    # Toeplitz correlation to the semiseparable sums: u.csv moved by at
+    # most 2.1e-16 relative, report.json's probes.partial_integrals by
+    # 6.4e-14, its barrier_constant by 1.1e-15 and k_threshold_estimate by
+    # 4.8e-16; trace.json, the sidecar and every verdict kept their bytes
     for golden, args in (
             ("solve_3_2_2_1_ppd20_k0.4", solve_args(tmp_path)),
             ("solve_4_1_6-5_1_ppd20_k0.5",
@@ -233,17 +238,46 @@ def test_solve_analysis_error_exits_2_and_writes_nothing(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_solve_beyond_the_float_safe_r_max_exits_2(capsys, tmp_path):
-    # the Green factor y0 overflows past r = 709.78, so the instance refuses
-    # r_max = 1000 before anything is assembled or written
-    code, out, err = run_cli(capsys, "solve", *FLAGS, "--r-max", "1000",
+def refused_r_max_message(capsys, tmp_path, flags, r_max):
+    """stderr of a solve that must exit 2 before writing anything."""
+    code, out, err = run_cli(capsys, "solve", *flags, "--r-max", r_max,
                              "--points-per-decade", "5", "--k", "0.4",
                              "--profile-csv", str(tmp_path / "u.csv"),
                              "--trace-json", str(tmp_path / "trace.json"),
                              "--report-json", str(tmp_path / "report.json"))
     assert code == 2 and out == ""
-    assert "r_max <= 700" in err
     assert list(tmp_path.iterdir()) == []
+    return err
+
+
+def test_solve_beyond_the_float_safe_r_max_exits_2(capsys, tmp_path):
+    # the Green moments y0(s) s^N h overflow near r = 700, so the instance
+    # refuses r_max past solver.r_max_ceiling(N) before anything is
+    # assembled or written
+    err = refused_r_max_message(capsys, tmp_path, FLAGS, "1000")
+    assert "20 <= r_max <= 691 for N = 3" in err
+
+
+@pytest.mark.parametrize("flags, ceiling", [(FLAGS, "691 for N = 3"),
+                                            (FLAGS_41, "687 for N = 4")])
+def test_r_max_ceiling_falls_with_N(capsys, tmp_path, flags, ceiling):
+    # at r_max = 700 the N = 4 moments overflow on most grids, and the
+    # N = 3 ones on grids of 7-12 points per decade
+    err = refused_r_max_message(capsys, tmp_path, flags, "700")
+    assert f"20 <= r_max <= {ceiling}, where the Green moments stay " \
+        f"finite, got 700" in err
+
+
+@pytest.mark.parametrize("ppd", ["5", "8"])
+def test_solve_at_the_r_max_ceiling_raises_no_runtime_warning(capsys, ppd):
+    # pytest turns RuntimeWarning into an error, so an overflow anywhere
+    # in the run would end it in a traceback; the Green tail rule reaches
+    # s = r_max + 48, where only yinf may be evaluated.  The barrier then
+    # peaks at the grid end, as a solution decaying like e^{-r} underflows
+    code, out, err = run_cli(capsys, "solve", *FLAGS, "--r-max", "691",
+                             "--points-per-decade", ppd, "--k", "0.4")
+    assert code == 2 and out == ""
+    assert "barrier ratio peaks at grid end (r = 691)" in err
 
 
 def test_solve_other_solve_errors_exit_2(capsys, tmp_path, monkeypatch):
@@ -599,7 +633,9 @@ def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
     # bit; re-recorded when apply moved to the structured sums, which
     # changed the last digit of c_hat and of the derived k, and when the
     # special functions moved from scipy to numpy, which moved c_hat and
-    # the k values by at most 1.5e-15 relative
+    # the k values by at most 1.5e-15 relative; the (3,2,2,1) file again
+    # when its alpha = 2 Riesz operator became semiseparable, which moved
+    # chat by 6.5e-16 and the k values by at most 4.6e-16
     code, out, _ = run_cli(capsys, "sweep-k", *exponents,
                            "--points-per-decade", "40", "--steps", "6")
     assert code == 0

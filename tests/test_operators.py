@@ -11,6 +11,7 @@ preservation, linearity) get their own tests.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,12 @@ from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
 import oracles
-from choqlab import operators
+from choqlab import kernels, operators
 from choqlab.kernels import (
     ReducedAccuracyWarning,
     green_halfline_factors,
     riesz_angular,
+    unit_sphere_area,
 )
 from choqlab.operators import (
     ExpDecay,
@@ -375,13 +377,15 @@ def test_negative_columns_are_refused(monkeypatch):
         op.tail_column(ExpDecay(0.0, 2.0))
 
 
-# apply never forms the weight matrix: Riesz runs one correlation with the
-# Toeplitz family, Green a suffix and a prefix sum of the separable factors.
-# The masked per-entry definitions below build the M x M matrix entry by
-# entry from the same cell integrals, and stay here as the oracles.  Only
-# the order of the roundings differs; the worst relative gap measured over
-# these grids and random, power-law and exponentially small inputs is
-# 2.6e-15 (Green, 160 ppd), so the tolerance is 5e-15.
+# apply never forms the weight matrix: Green and the alpha = 2 Riesz
+# potential run a suffix and a prefix sum of their separable factors, every
+# other Riesz potential one correlation with its Toeplitz family.  The
+# masked per-entry definitions below build the M x M matrix entry by entry
+# from the cell integrals of the operator's own factored form, and stay
+# here as the oracles.  Only the order of the roundings differs; the worst
+# relative gap measured over these grids and random, power-law and
+# exponentially small inputs is 2.6e-15 (Green, 160 ppd), so the
+# tolerance is 5e-15.
 
 GRID_PART_RTOL = 5e-15
 
@@ -402,7 +406,7 @@ def masked_riesz_fill(A, B, nodes, alpha):
     return w
 
 
-def masked_green_fill(y0_n, yinf_n, PA, PB, QA, QB):
+def masked_semiseparable_fill(y0_n, yinf_n, PA, PB, QA, QB):
     m = y0_n.size
     w = np.zeros((m, m))
     i_idx = np.arange(m)[:, None]
@@ -422,12 +426,17 @@ def masked_green_fill(y0_n, yinf_n, PA, PB, QA, QB):
     return w
 
 
+def masked_fill(op):
+    """op's grid-part weights, entry by entry from its own factored form."""
+    if op._semiseparable:
+        return masked_semiseparable_fill(*op._cell_moments())
+    return masked_riesz_fill(*op._riesz_cell_integrals(), op.grid.nodes,
+                             op.alpha)
+
+
 def assert_fills_match_masked_definition(N, alpha, grid):
-    riesz = assemble("riesz", N, grid, alpha=alpha)
-    green = assemble("green", N, grid)
-    dense = {riesz: masked_riesz_fill(*riesz._riesz_cell_integrals(),
-                                      grid.nodes, alpha),
-             green: masked_green_fill(*green._green_cell_moments())}
+    ops = (assemble("riesz", N, grid, alpha=alpha), assemble("green", N, grid))
+    dense = {op: masked_fill(op) for op in ops}
     rng = np.random.default_rng(grid.size)
     no_column = np.zeros(grid.size)
     for v in (rng.random(grid.size),
@@ -453,6 +462,101 @@ def test_fills_match_masked_definition_on_smallest_grids():
         assert grid.size == size
         assert_fills_match_masked_definition(3, 2.0, grid)
         assert_fills_match_masked_definition(4, 1.0, grid)
+
+
+# At alpha = 2 the Riesz kernel is the Newtonian one, |S^{N-1}|
+# max(r, s)^{2-N}, and the operator takes the semiseparable form with the
+# factors (|S^{N-1}|, r^{2-N}), whose hat moments have closed forms.
+
+
+def newton_cell_moments(grid, N):
+    """(PA, PB, QA, QB) of the factors (|S^{N-1}|, r^{2-N}) at 30 digits.
+
+    On the cell from r_j, s = r_j e^{hx} turns s^{N-1} ds into r_j^N
+    e^{Nhx} h dx, so yinf = s^{2-N} has the moments h r_j^2 int phi(x)
+    e^{2hx} dx and y0 = |S^{N-1}| the moments |S^{N-1}| h r_j^N int phi(x)
+    e^{Nhx} dx, where over [0, 1] int (1-x) e^{cx} dx = (e^c - 1 - c)/c^2
+    and int x e^{cx} dx = ((c-1) e^c + 1)/c^2.  h is the grid's log_step,
+    taken as exact: the cell width that the assembly integrates over.
+    """
+    with mpmath.workdps(30):
+        h = mpmath.mpf(grid.log_step)
+        sphere = 2 * mpmath.pi ** (mpmath.mpf(N) / 2) / mpmath.gamma(
+            mpmath.mpf(N) / 2)
+        moments = []
+        for power, scale in ((2, 1), (N, sphere)):
+            c = power * h
+            left = (mpmath.exp(c) - 1 - c) / c ** 2
+            right = ((c - 1) * mpmath.exp(c) + 1) / c ** 2
+            base = [scale * h * mpmath.mpf(r) ** power
+                    for r in grid.nodes[:-1]]
+            moments += [np.array([float(b * left) for b in base]),
+                        np.array([float(b * right) for b in base])]
+    return moments
+
+
+def newton_inputs(grid):
+    rng = np.random.default_rng(grid.size)
+    return (rng.random(grid.size), grid.nodes ** -2.5,
+            np.exp(-grid.nodes) / grid.nodes)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("ppd", [20, 40, 160])
+def test_newton_grid_part_matches_closed_form(N, ppd):
+    g = build_grid(1e-3, 20.0, ppd)
+    op = assemble("riesz", N, g, alpha=2.0)
+    weights = masked_semiseparable_fill(
+        np.full(g.size, unit_sphere_area(N)), g.nodes ** (2.0 - N),
+        *newton_cell_moments(g, N))
+    no_column = np.zeros(g.size)
+    for v in newton_inputs(g):
+        np.testing.assert_allclose(op.matvec(v, no_column, no_column),
+                                   weights @ v, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("ppd", [20, 40, 160])
+def test_newton_grid_part_agrees_with_the_toeplitz_form(N, ppd):
+    # not closer than 1e-12: the Toeplitz cell integrals place the
+    # quadrature points of offset t at r_i e^{ht}, with the one log_step
+    # of the first node ratio, while np.geomspace places the nodes; over up
+    # to 2M offsets exp(h t N) drifts off them, and the Toeplitz form is
+    # off the closed form above by up to 1.3e-13 at 160 ppd
+    g = build_grid(1e-3, 20.0, ppd)
+    op = assemble("riesz", N, g, alpha=2.0)
+    toeplitz = masked_riesz_fill(*op._riesz_cell_integrals(), g.nodes, 2.0)
+    no_column = np.zeros(g.size)
+    for v in newton_inputs(g):
+        np.testing.assert_allclose(op.matvec(v, no_column, no_column),
+                                   toeplitz @ v, rtol=1e-12, atol=0.0)
+
+
+def test_newton_operator_never_evaluates_the_2f1(monkeypatch):
+    calls = []
+
+    def counted(func):
+        def wrapped(*args):
+            calls.append(func.__name__)
+            return func(*args)
+        return wrapped
+
+    monkeypatch.setattr(operators, "riesz_angular", counted(riesz_angular))
+    monkeypatch.setattr(kernels, "_riesz_hyp2f1",
+                        counted(kernels._riesz_hyp2f1))
+    g = build_grid(1e-3, 20.0, 40)
+    for N in (3, 5):
+        op = assemble("riesz", N, g, alpha=2.0)
+        apply(op, RadialProfile(g, g.nodes ** -1.5, origin_exponent=1.5,
+                                tail=ExpDecay(1.0, 1.0)))
+        op.origin_column(0.0)
+        op.tail_column(ExpDecay(0.0, N + 1.0))
+        for factor in op._factors:
+            assert np.all(np.isfinite(factor)) and factor.min() >= 0.0
+    assert calls == []
+    # the counters see the Toeplitz form's evaluations
+    assemble("riesz", 3, g, alpha=1.5).origin_column(0.0)
+    assert "riesz_angular" in calls and "_riesz_hyp2f1" in calls
 
 
 # Each origin column and diagonal Riesz cell is one kernel product over a

@@ -37,6 +37,7 @@ from choqlab.solver import (
     gamma0_profile,
     iterate_once,
     phi0_profile,
+    r_max_ceiling,
     solve_minimal,
 )
 
@@ -287,6 +288,28 @@ def test_instance_validation():
         ProblemInstance(FLAGSHIP, k=1.0, grid=GRID, max_iter=0)
     with pytest.raises(ValueError):
         ProblemInstance(FLAGSHIP, k=1.0, grid=GRID, conv_tol=0.0)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 7])
+def test_operators_stay_finite_up_to_the_r_max_ceiling(N):
+    # RuntimeWarning fails the tests, so any overflow in the Green moments
+    # or in a tail rule, which reaches s = r_max + 48, would show here; the
+    # worst grids at r = 700 have 7-12 points per decade
+    ceiling = r_max_ceiling(N)
+    assert 20.0 < ceiling < 700.0
+    ex = ProblemExponents(N=N, alpha=Fraction(2), p=Fraction(1),
+                          q=Fraction(1))
+    for ppd in (1, 5, 8, 10, 40):
+        grid = build_grid(1e-4, ceiling, ppd)
+        ProblemInstance(ex, k=1.0, grid=grid)
+        disc = Discretization(ex, grid)
+        for op in (disc.riesz, disc.green):
+            op.tail_column(ExpDecay(0.5, (N - 1) / 2.0))
+            op.origin_column(N - 2.0)
+        with pytest.raises(ValueError, match=f"r_max <= {ceiling:g} for "
+                                             f"N = {N}"):
+            ProblemInstance(ex, k=1.0, grid=build_grid(1e-4, ceiling + 1.0,
+                                                       ppd))
 
 
 def test_default_blowup_cap():
