@@ -44,6 +44,7 @@ from .solver import (
     SupercriticalError,
     estimate_barrier_constant,
     estimate_kstar,
+    require_bisection_steps,
     require_subcritical,
     solve_minimal,
 )
@@ -361,8 +362,14 @@ def cmd_sweep_k(args) -> int:
     if "k" in config:
         raise CommandError(EXIT_INVALID, "sweep-k reads no config k")
     _require_writable([args.output])
+    # both refusals come before c_hat builds the discretization
+    require_subcritical(e)
+    try:
+        require_bisection_steps(args.steps)
+    except ValueError as exc:
+        raise CommandError(EXIT_INVALID, str(exc))
 
-    # refuses supercritical e; c_hat and every solve share one discretization
+    # c_hat and every solve share one discretization
     try:
         c_hat = estimate_barrier_constant(e, inst.grid)
     except BarrierEstimateError as exc:

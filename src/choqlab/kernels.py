@@ -13,13 +13,16 @@ classical radial Green function of -Delta + 1, a product of modified Bessel
 functions of the smaller and larger radius, whose two factors
 green_halfline_factors returns.
 
-riesz_angular is the only evaluation of the Riesz 2F1 in the package: the
-operator assembly calls it at unit radius for every weight, origin column
-and tail column of an alpha != 2 operator (at alpha = 2 the 2F1 is 1 and
-the operator uses the factors directly), and the test suite checks it
-directly against the angular quadrature oracle.  The test suite checks the Green factors through their
-product, against a closed-form Bessel kernel that it checks against the
-same kind of oracle.
+The Riesz 2F1 is evaluated in two ways.  riesz_angular evaluates it at
+each point; the operator assembly calls it at unit radius for the weights
+and column rows near the kernel's diagonal of an alpha != 2 operator (at
+alpha = 2 the 2F1 is 1 and the operator uses the factors directly), and
+the test suite checks it directly against the angular quadrature oracle.
+riesz_gauss_coefficients gives the Gauss series itself, which the
+assembly sums against a quadrature rule's moments wherever rho^2 <= 1/4.
+The test suite checks the Green factors through their product, against a
+closed-form Bessel kernel that it checks against the same kind of
+oracle.
 
 Every special function is evaluated here with numpy and the standard
 library; a series sums each point until that point's next term is
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 
@@ -250,13 +254,17 @@ def _k01_trapezoid(x: np.ndarray):
     56, 2014).  The step 0.15 min(1, sqrt(20/x)) keeps the error below
     1e-17 as the integrand narrows like x^{-1/2}, and 27 nodes reach past
     where it falls below 1e-19 of its peak; cosh t - 1 is taken as
-    2 sinh^2(t/2), so large x loses nothing to cancellation."""
+    2 sinh^2(t/2), so large x loses nothing to cancellation.  The nodes
+    are summed one at a time, so no array of points by nodes is formed."""
     step = 0.15 * np.sqrt(np.minimum(1.0, 20.0 / x))
-    t = step[:, None] * np.arange(_TRAPEZOID_NODES)
-    cosh_m1 = 2.0 * np.sinh(0.5 * t) ** 2
-    f = np.exp(-x[:, None] * cosh_m1)
-    f[:, 0] *= 0.5
-    return f.sum(axis=1) * step, (f * (1.0 + cosh_m1)).sum(axis=1) * step
+    # the node t = 0, at half weight
+    k0, k1 = np.full(x.size, 0.5), np.full(x.size, 0.5)
+    for n in range(1, _TRAPEZOID_NODES):
+        cosh_m1 = 2.0 * np.sinh(0.5 * (step * n)) ** 2
+        f = np.exp(-x * cosh_m1)
+        k0 += f
+        k1 += f * (1.0 + cosh_m1)
+    return k0 * step, k1 * step
 
 
 def _kve(nu: float, r) -> np.ndarray:
@@ -400,6 +408,48 @@ def _near_one(a: float, b: float, c: float, m: int, e: float,
     return out
 
 
+def _gauss_series(a: float, b: float, c: float) -> tuple:
+    """(ratio, first_stop) for the Gauss series sum_j f_j z^j of 2F1(a, b;
+    c; z), A&S 15.1.1: ratio(j) = f_j / f_{j-1}, and past j = -b each
+    |f_j| is at most |f_{j-1}|, as a <= c and b <= 1, so from first_stop
+    on the first negligible term bounds the rest."""
+    return ((lambda j: (a + j - 1) * (b + j - 1) / ((c + j - 1) * j)),
+            max(1, math.floor(-b) + 1))
+
+
+# the largest rho^2 at which the assembly sums the Gauss series from a
+# rule's moments; there each term is at most a quarter of the one before
+FAR_FIELD_Z = 0.25
+
+
+@lru_cache(maxsize=32)
+def riesz_gauss_coefficients(N: int, alpha: float) -> np.ndarray:
+    """f_0 .. f_J of the Gauss series sum_j f_j z^j of the Riesz 2F1,
+    read-only.
+
+    J is where _series stops a point at z = FAR_FIELD_Z: the first term
+    from first_stop on that is below _TERM_TOL of the sum.  Any sum
+    sum_j f_j m_j z^j with z <= FAR_FIELD_Z and |m_j| <= m_0 is then
+    complete to the same tolerance at J.  For alpha = 2, 4, ... the series
+    is a polynomial and f_J = 0 is the first coefficient past its degree.
+    """
+    ratio, first_stop = _gauss_series((N - alpha) / 2.0,
+                                      (2.0 - alpha) / 2.0, N / 2.0)
+    coefs = [1.0]
+    term = total = 1.0
+    j = 0
+    while True:
+        j += 1
+        coefs.append(coefs[-1] * ratio(j))
+        term = term * ratio(j) * FAR_FIELD_Z
+        total += term
+        if j >= first_stop and abs(term) <= _TERM_TOL * abs(total):
+            break
+    out = np.array(coefs)
+    out.setflags(write=False)
+    return out
+
+
 def _riesz_hyp2f1(N: int, alpha: float, z: np.ndarray) -> np.ndarray:
     """2F1((N-alpha)/2, (2-alpha)/2; N/2; z) for 0 <= z <= 1, any shape,
     z < 1 where alpha <= 1.
@@ -415,20 +465,12 @@ def _riesz_hyp2f1(N: int, alpha: float, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
     if b <= 0.0 and b % 1.0 == 0.0:
-        coefs = [1.0]
-        for j in range(int(-b)):
-            coefs.append(coefs[-1] * (a + j) * (b + j) / ((c + j) * (j + 1.0)))
-        out = np.full(flat.size, coefs[-1])
-        for coef in coefs[-2::-1]:
-            out = out * flat + coef
-        return out.reshape(z.shape)
+        return np.polynomial.polynomial.polyval(
+            flat, riesz_gauss_coefficients(N, alpha)).reshape(z.shape)
     out = np.empty(flat.size)
     near = flat <= 0.5
-    # past j = -b each term is at most z times the one before, as a <= c
-    # and b <= 1, so the first negligible term bounds the rest
-    out[near] = _series(
-        lambda j: (a + j - 1) * (b + j - 1) / ((c + j - 1) * j), flat[near],
-        max(1, math.floor(-b) + 1))
+    ratio, first_stop = _gauss_series(a, b, c)
+    out[near] = _series(ratio, flat[near], first_stop)
     at_one = flat == 1.0
     if at_one.any():
         out[at_one] = math.gamma(c) * math.gamma(alpha - 1.0) \

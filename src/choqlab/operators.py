@@ -33,6 +33,17 @@ grade their panels into that end, as do the two Toeplitz cells that touch
 the diagonal.  Columns are cached per (end, model parameters); factors and
 columns are checked finite and nonnegative when built.  The Gauss rules
 are cached and read-only.
+
+Away from the diagonal the Toeplitz form never evaluates the shape point
+by point.  Its 2F1 is F(rho^2) with rho = min/max <= 1, and wherever
+every rho^2 a column row or a Toeplitz cell meets is at most 1/4, F's
+Gauss series (A&S 15.1.1) converges at least like 4^{-j}: the row or
+cell is then sum_j f_j m_j x^j, with f_j = riesz_gauss_coefficients, m_j
+the rule's moments and x the row's or offset's largest rho^2, summed by
+Horner's rule.  That is a far-field expansion (Greengard & Rokhlin, J.
+Comput. Phys. 73, 1987), formed once per column and once per assembly.
+Only the at most ln 2 / h rows next to a rule's grid end and the 2 ln 2 /
+h offsets around the diagonal call riesz_angular.
 """
 
 from __future__ import annotations
@@ -47,9 +58,11 @@ import numpy as np
 
 from .exponents import SingularityRate, green_rate, riesz_rate
 from .kernels import (
+    FAR_FIELD_Z,
     green_halfline_factors,
     green_yinf,
     riesz_angular,
+    riesz_gauss_coefficients,
     unit_sphere_area,
 )
 
@@ -293,9 +306,20 @@ def _require_nonnegative(what: str, values: np.ndarray) -> np.ndarray:
     return values
 
 
-# rule nodes per kernel evaluation in a column: bounds the M x block
-# temporaries whatever the length of the rule
-_COLUMN_BLOCK = 12
+def _gauss_sum(coefs: np.ndarray, weights: np.ndarray, z: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """sum_k weights[..., k] sum_j coefs_j (x z_k)^j at each x, shape
+    weights.shape[:-1] + x.shape: the rule's moments m_j = sum_k
+    weights[..., k] z_k^j, taken by repeated products so that no array of
+    rule points by terms is formed, then sum_j coefs_j m_j x^j by Horner's
+    rule."""
+    terms = np.empty((coefs.size,) + weights.shape[:-1])
+    power = np.array(weights, dtype=float)
+    for j, coef in enumerate(coefs):
+        terms[j] = coef * power.sum(axis=-1)
+        power *= z
+    return np.polynomial.polynomial.polyval(x, terms)
+
 
 # y0(r) = r^{1-N/2} I_{N/2-1}(r) carries e^r, which leaves the float range
 # just past ln(DBL_MAX) = 709.78
@@ -387,9 +411,17 @@ class OperatorMatrix:
 
         With s = r_i e^{h(k+x)} the cell integral against a hat factor is
         r_i^alpha * integral over x of phi(x) * shape(e^{h(k+x)}) *
-        e^{h(k+x)N} * h, independent of i.  The shape has a weak kink and,
-        for alpha < 2, an algebraic singularity at rho = 1 (x = -k), so the
-        two cells touching the diagonal use panels graded into that corner.
+        e^{h(k+x)N} * h, independent of i.  The shape is |S^{N-1}|
+        F(rho^2) below the diagonal and |S^{N-1}| rho^{alpha-N} F(rho^-2)
+        above it, F the Riesz 2F1.  On a far cell, where every rho^2 (or
+        rho^-2) is at most FAR_FIELD_Z, F's Gauss series makes the
+        integrand |S^{N-1}| h e^{hkN} sum_j f_j e^{2hkj} e^{hx(2j+N)}
+        below and |S^{N-1}| h e^{hk alpha} sum_j f_j e^{-2hkj}
+        e^{hx(alpha-2j)} above, so one set of hat moments of e^{hx(2j+N)}
+        and e^{hx(alpha-2j)} serves every far offset.  The near cells
+        evaluate the shape at each point.  It has a weak kink and, for
+        alpha < 2, an algebraic singularity at rho = 1 (x = -k), so the two
+        cells touching the diagonal use panels graded into that corner.
         """
         grid, N, alpha = self.grid, self.N, self.alpha
         m = grid.size
@@ -408,7 +440,18 @@ class OperatorMatrix:
         A = np.empty(ks.size)
         B = np.empty(ks.size)
         x24, w24 = _leggauss01(24)
-        regular = (ks != 0) & (ks != -1)
+        hats = np.stack((w24 * (1.0 - x24), w24 * x24))
+        coefs = riesz_gauss_coefficients(N, alpha)
+        # a cell's largest rho^2 below the diagonal, largest rho^-2 above
+        below = np.exp(2.0 * h * (ks + 1)) <= FAR_FIELD_Z
+        above = np.exp(-2.0 * h * ks) <= FAR_FIELD_Z
+        for far, grow, step in ((below, N, 2.0), (above, alpha, -2.0)):
+            k = ks[far]
+            A[far], B[far] = unit_sphere_area(N) * h \
+                * np.exp(h * k * grow) * _gauss_sum(
+                    coefs, hats * np.exp(h * grow * x24),
+                    np.exp(step * h * x24), np.exp(step * h * k))
+        regular = ~(below | above) & (ks != 0) & (ks != -1)
         A[regular], B[regular] = cell_integrals(ks[regular], x24, w24)
         # the corner is x = 0 in cell k = 0 and x = 1 in cell k = -1
         for k, toward_b in ((0, False), (-1, True)):
@@ -532,14 +575,30 @@ class OperatorMatrix:
             if s[0] > self.grid.r_max:
                 return y0_n * (self._yinf(s) @ w)
             return yinf_n * (self._halves(s)[0] @ w)
-        # kernel r_i^{alpha-N} shape(s/r_i), evaluated block by block
+        # kernel |S^{N-1}| max(r, s)^{alpha-N} F(rho^2), F the Riesz 2F1:
+        # r^{alpha-N} F(x_i (s/s_max)^2) below r_1 and s^{alpha-N}
+        # F(x_i (s_min/s)^2) beyond r_max, where x_i is the largest rho^2
+        # that row i meets in the rule.  Far rows, x_i <= FAR_FIELD_Z, sum
+        # F's Gauss series against the rule's moments; the near rows
+        # evaluate riesz_angular at each point of the rule
         alpha = self.alpha
-        col = np.zeros(nodes.size)
-        for j in range(0, s.size, _COLUMN_BLOCK):
-            block = slice(j, j + _COLUMN_BLOCK)
-            col += riesz_angular(N, alpha, 1.0,
-                                 s[block] / nodes[:, None]) @ w[block]
-        return col * nodes ** (alpha - N)
+        power = nodes ** (alpha - N)
+        beyond = s[0] > self.grid.r_max
+        if beyond:
+            x = (nodes / s.min()) ** 2
+            weights, z = w * s ** (alpha - N), (s.min() / s) ** 2
+        else:
+            x = (s.max() / nodes) ** 2
+            weights, z = w, (s / s.max()) ** 2
+        far = x <= FAR_FIELD_Z
+        near = ~far
+        col = np.empty(nodes.size)
+        col[far] = unit_sphere_area(N) * _gauss_sum(
+            riesz_gauss_coefficients(N, alpha), weights, z, x[far]) \
+            * (1.0 if beyond else power[far])
+        col[near] = (riesz_angular(N, alpha, 1.0, s / nodes[near, None])
+                     @ w) * power[near]
+        return col
 
     def _origin_rule(self, sigma: float):
         """Rule for the density (s/r_1)^{-sigma} s^{N-1} on (0, r_1).

@@ -77,6 +77,7 @@ __all__ = [
     "barrier",
     "estimate_barrier_constant",
     "solve_minimal",
+    "require_bisection_steps",
     "estimate_kstar",
 ]
 
@@ -775,6 +776,13 @@ class KstarBracket:
     halted_undetermined: bool
 
 
+def require_bisection_steps(steps: int) -> None:
+    """ValueError unless estimate_kstar can run steps bisection steps, so
+    that a caller can refuse a sweep before it builds anything."""
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+
+
 def estimate_kstar(template: ProblemInstance, k_lo: float, k_hi: float,
                    steps: int) -> KstarBracket:
     """Bisect [k_lo, k_hi] on the solve verdict.
@@ -786,8 +794,7 @@ def estimate_kstar(template: ProblemInstance, k_lo: float, k_hi: float,
     """
     if not (0 < k_lo < k_hi):
         raise ValueError(f"need 0 < k_lo < k_hi, got ({k_lo}, {k_hi})")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    require_bisection_steps(steps)
 
     def run(k):
         return solve_minimal(replace(template, k=k))

@@ -13,6 +13,12 @@ Bessel-product Green kernel (itself checked against green_angular_quad)
 that the operator's separable factors are checked against, and
 tangency_admissible, the barrier inequality that k_threshold's tangency
 point is checked against.
+
+The direct Riesz column and cell integrals are the other exception: they
+evaluate riesz_angular at every (row, rule point) pair over the
+operator's own rules, which is how the assembly worked before it summed
+the far rows and cells from the rules' moments, and they stay the
+reference for those sums.
 """
 
 import math
@@ -21,7 +27,8 @@ from typing import Optional
 import numpy as np
 from scipy import integrate, special
 
-from choqlab.kernels import gamma0, unit_sphere_area
+from choqlab import operators
+from choqlab.kernels import gamma0, riesz_angular, unit_sphere_area
 
 
 def riesz_angular_quad(N: int, alpha: float, r: float, s: float) -> float:
@@ -177,3 +184,34 @@ def tangency_admissible(c: float, k: float, p: float, q: float,
         t_q = (s / (s - 1.0)) ** s
         return True, t_q
     return False, None
+
+
+def riesz_column_direct(op, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """c_i = sum_k w_k K(r_i, s_k) for the Toeplitz-form Riesz operator op
+    and a rule (s, w) below r_1 or beyond r_max, with the kernel
+    r_i^{alpha-N} riesz_angular(N, alpha, 1, s_k/r_i) at every pair."""
+    nodes = op.grid.nodes
+    shape = riesz_angular(op.N, op.alpha, 1.0, s / nodes[:, None])
+    return (shape @ w) * nodes ** (op.alpha - op.N)
+
+
+def riesz_cell_integrals_direct(op) -> tuple:
+    """(A, B): op's Toeplitz hat integrals with riesz_angular at every
+    point of every cell's rule, the 24-point Gauss-Legendre rule off the
+    diagonal and the graded panels on its two cells."""
+    N, alpha, h, m = op.N, op.alpha, op.grid.log_step, op.grid.size
+    ks = np.arange(-(m - 1), m - 1)
+
+    def cells(k, x, w):
+        t = k[:, None] + x[None, :]
+        f = riesz_angular(N, alpha, 1.0, np.exp(h * t)) * np.exp(h * t * N) * h
+        return f @ (w * (1.0 - x)), f @ (w * x)
+
+    A, B = np.empty(ks.size), np.empty(ks.size)
+    regular = (ks != 0) & (ks != -1)
+    A[regular], B[regular] = cells(ks[regular], *operators._leggauss01(24))
+    for k, toward_b in ((0, False), (-1, True)):
+        rule = operators._panel_rule(
+            operators._graded_panels(0.0, 1.0, toward_b), 12)
+        A[ks == k], B[ks == k] = cells(np.array([k]), *rule)
+    return A, B

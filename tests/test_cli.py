@@ -168,7 +168,13 @@ def test_solve_outputs_are_byte_identical(capsys, tmp_path):
     # Toeplitz correlation to the semiseparable sums: u.csv moved by at
     # most 2.1e-16 relative, report.json's probes.partial_integrals by
     # 6.4e-14, its barrier_constant by 1.1e-15 and k_threshold_estimate by
-    # 4.8e-16; trace.json, the sidecar and every verdict kept their bytes
+    # 4.8e-16; trace.json, the sidecar and every verdict kept their bytes.
+    # The (4,1,6/5,1) files were re-recorded when the far rows and cells of
+    # its alpha = 1 Riesz operator moved to the Gauss-series moments and
+    # the Green K_0/K_1 trapezoid to a node-by-node sum: 12 u.csv values
+    # moved by at most 7.0e-16 relative, 10 trace.json barrier_margins by
+    # 4.2e-16 and one sup_norms entry by 1.4e-16; report.json, the sidecar,
+    # every verdict, stop reason and iteration count kept their bytes
     for golden, args in (
             ("solve_3_2_2_1_ppd20_k0.4", solve_args(tmp_path)),
             ("solve_4_1_6-5_1_ppd20_k0.5",
@@ -521,6 +527,21 @@ def test_sweep_rejects_bad_bracket_shape(capsys):
     code, _, err = run_cli(capsys, "sweep-k", *FLAGS, *FAST_GRID,
                            "--k-lo", "1.0", "--k-hi", "16.0", "--steps", "0")
     assert code == 2 and "steps" in err
+
+
+def test_sweep_refuses_zero_steps_before_assembly(capsys, tmp_path,
+                                                  monkeypatch,
+                                                  cold_discretization):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("sweep-k assembled an operator")
+
+    monkeypatch.setattr(choqlab.solver, "assemble", no_assembly)
+    output = tmp_path / "bracket.json"
+    code, out, err = run_cli(capsys, "sweep-k", *FLAGS, *FAST_GRID,
+                             "--steps", "0", "--output", str(output))
+    assert code == 2 and out == ""
+    assert err == "error: steps must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_endpoint_failure_gets_the_bracket_hint(capsys):

@@ -9,7 +9,9 @@ preservation, linearity) get their own tests.
 """
 
 import math
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -21,6 +23,7 @@ from scipy.special import gamma as gamma_fn
 
 import oracles
 from choqlab import kernels, operators
+from choqlab.exponents import ProblemExponents
 from choqlab.kernels import (
     ReducedAccuracyWarning,
     green_halfline_factors,
@@ -38,6 +41,7 @@ from choqlab.operators import (
     pointwise_power,
     pointwise_product,
 )
+from choqlab.solver import Discretization
 from choqlab.verify import _discrete_radial_lhs
 
 
@@ -557,6 +561,77 @@ def test_newton_operator_never_evaluates_the_2f1(monkeypatch):
     # the counters see the Toeplitz form's evaluations
     assemble("riesz", 3, g, alpha=1.5).origin_column(0.0)
     assert "riesz_angular" in calls and "_riesz_hyp2f1" in calls
+
+
+# Away from the diagonal an alpha != 2 operator sums the Riesz 2F1's Gauss
+# series against each rule's moments: column rows where every rho^2 <= 1/4
+# and Toeplitz cells where every rho^2 or rho^-2 is.  The direct
+# evaluation in oracles.py, riesz_angular at every pair, is the reference.
+# Columns agree to 1.1e-15; the Toeplitz factors to 1.4e-14, from the
+# rounding of e^{hkN} at offsets |k| up to M (N = 7, 160 ppd), which the
+# direct form takes as e^{h(k+x)N} per point.
+
+FAR_FIELD_ALPHAS = [1.0 / 3.0, 0.8, 1.0, 1.5, 3.0, 3.5]
+
+
+@pytest.mark.parametrize("N, alpha", [
+    (N, alpha) for N in (3, 4, 5, 7) for alpha in FAR_FIELD_ALPHAS
+    if alpha < N])
+@pytest.mark.parametrize("ppd", [20, 40, 160])
+def test_far_field_matches_the_direct_evaluation(N, alpha, ppd):
+    g = build_grid(1e-4, 30.0, ppd)
+    op = assemble("riesz", N, g, alpha=alpha)
+    for ours, direct in zip(op._riesz_cell_integrals(),
+                            oracles.riesz_cell_integrals_direct(op)):
+        np.testing.assert_allclose(ours, direct, rtol=2e-14, atol=0.0)
+    rules = [op._origin_rule(sigma) for sigma in (0.0, 1.5, N - 2.0, N - 0.6)]
+    # an algebraic tail is integrable against the kernel only past alpha
+    rules += [op._tail_rule(tail) for tail in (
+        ExpDecay(1.0, 0.0), ExpDecay(0.6, 1.8), ExpDecay(0.0, alpha + 0.5),
+        ExpDecay(0.0, N - alpha + 1.0)) if tail.rate or tail.power > alpha]
+    for s, w in rules:
+        column = op._column(s, w)
+        assert np.all(np.isfinite(column)) and column.min() >= 0.0
+        np.testing.assert_allclose(
+            column, oracles.riesz_column_direct(op, s, w), rtol=2e-15,
+            atol=0.0)
+
+
+def test_far_field_bounds_the_2f1_arguments(monkeypatch):
+    # a 160-ppd (4,1,6/5,1) discretization evaluates the 2F1 pointwise only
+    # within rho^2 > 1/4 of the diagonal: 23,760 arguments, where
+    # evaluating every pair directly takes 421,152
+    sizes = []
+    original = kernels._riesz_hyp2f1
+
+    def counted(N, alpha, z):
+        sizes.append(np.size(z))
+        return original(N, alpha, z)
+
+    monkeypatch.setattr(kernels, "_riesz_hyp2f1", counted)
+    disc = Discretization(
+        ProblemExponents(4, Fraction(1), Fraction(6, 5), Fraction(1)),
+        build_grid(1e-4, 30.0, 160))
+    disc.step_plan
+    disc.c_hat
+    assert 0 < sum(sizes) <= 30_000
+
+
+def test_riesz_assembly_forms_no_large_temporaries():
+    # only the near rows and cells meet the rule point by point, and no
+    # array of rule points by series terms is formed: a 160-ppd assembly
+    # and its origin column peak at 0.8 MB, where evaluating every pair
+    # directly peaks at 4.8 MB
+    assemble("riesz", 4, build_grid(1e-4, 30.0, 20), alpha=1.0) \
+        .origin_column(0.0)
+    g = build_grid(1e-4, 30.0, 160)
+    tracemalloc.start()
+    try:
+        assemble("riesz", 4, g, alpha=1.0).origin_column(0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 # Each origin column and diagonal Riesz cell is one kernel product over a

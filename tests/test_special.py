@@ -133,6 +133,19 @@ def test_riesz_hyp2f1_on_assembly_arguments(grid_name, t):
     check_hyp2f1(N, alpha, spread(z, logit), (grid_name, t))
 
 
+@pytest.mark.parametrize("t", TUPLES, ids=lambda t: f"{t[0]}-{t[1]}")
+def test_gauss_coefficients_sum_the_far_field(t):
+    # the assembly sums these coefficients against a rule's moments wherever
+    # z <= 1/4, so their Horner sum is the 2F1 there
+    N, alpha = t[0], float(Fraction(t[1]))
+    z = np.linspace(0.0, kernels.FAR_FIELD_Z, 40)
+    ours = np.polynomial.polynomial.polyval(
+        z, kernels.riesz_gauss_coefficients(N, alpha))
+    theirs = special.hyp2f1((N - alpha) / 2.0, (2.0 - alpha) / 2.0,
+                            N / 2.0, z)
+    assert_within_gate(ours, theirs, hyp2f1_mpmath(N, alpha, z), t)
+
+
 @pytest.mark.parametrize("alpha", [1 - 1e-3, 1 + 1e-3, 2 - 1e-3, 2 + 1e-3])
 @pytest.mark.parametrize("N", [3, 4])
 def test_riesz_hyp2f1_next_to_integer_alpha(N, alpha):
