@@ -18,8 +18,11 @@ each point; the operator assembly calls it at unit radius for the weights
 and column rows near the kernel's diagonal of an alpha != 2 operator (at
 alpha = 2 the 2F1 is 1 and the operator uses the factors directly), and
 the test suite checks it directly against the angular quadrature oracle.
-riesz_gauss_coefficients gives the Gauss series itself, which the
-assembly sums against a quadrature rule's moments wherever rho^2 <= 1/4.
+It refuses the zone 1 - rho^2 < 1e-12 next to the diagonal for every
+alpha; the assembly's smallest 1 - rho^2 is 1.0e-8, at 1000 points per
+decade.  riesz_gauss_coefficients gives the Gauss series itself, which
+the assembly sums against a quadrature rule's moments wherever rho^2 <=
+1/4.
 The test suite checks the Green factors through their product, against a
 closed-form Bessel kernel that it checks against the same kind of
 oracle.
@@ -46,14 +49,9 @@ All evaluators accept scalars or numpy arrays and broadcast.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
-
-
-class ReducedAccuracyWarning(UserWarning):
-    """Raised where the evaluation is finite but honestly less accurate."""
 
 
 def unit_sphere_area(n: int) -> float:
@@ -100,10 +98,10 @@ def phi0(N: int, r) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-_DIAGONAL_BACKOFF = 5e-4  # relative separation used for alpha <= 1 diagonals
-# 1 - rho^2 below which alpha <= 1 backs off: rho^2 carries a rounding error
-# near 1e-16, so there the divergent factor (1 - rho^2)^{alpha-1}, or its
-# log at alpha = 1, is set by rounding to no better than 1e-4
+# 1 - rho^2 below which riesz_angular refuses: rho^2 carries a rounding
+# error near 1e-16, so there the factor (1 - rho^2)^{alpha-1} that diverges
+# for alpha <= 1, or its log at alpha = 1, is set by rounding to no better
+# than 1e-4
 _DIAGONAL_ZONE = 1e-12
 
 
@@ -116,11 +114,10 @@ def riesz_angular(N: int, alpha: float, r, s) -> np.ndarray | float:
             * 2F1((N-alpha)/2, (2-alpha)/2; N/2; rho^2).
 
     Symmetric, positive, and homogeneous of degree alpha - N.  On the
-    diagonal r = s the value is finite for alpha > 1 (Gauss summation) and
-    divergent for alpha <= 1.  For alpha <= 1, wherever 1 - rho^2 < 1e-12
-    (on the diagonal, or so near it that the rounding of rho^2 sets the
-    divergent factor) the evaluation backs off to a relative separation of
-    5e-4 and flags ReducedAccuracyWarning.
+    diagonal r = s it diverges for alpha <= 1.  For every alpha it raises
+    ValueError wherever 1 - rho^2 < 1e-12, a zone the operator assembly
+    never enters: its graded panels keep 1 - rho^2 above 1e-8 up to 1000
+    points per decade.
     """
     if N < 3:
         raise ValueError(f"N must be >= 3, got {N}")
@@ -133,16 +130,10 @@ def riesz_angular(N: int, alpha: float, r, s) -> np.ndarray | float:
     hi = np.maximum(r, s)
     lo = np.minimum(r, s)
     z = (lo / hi) ** 2
-    if alpha <= 1.0:
-        on_diag = 1.0 - z < _DIAGONAL_ZONE
-        if np.any(on_diag):
-            warnings.warn(
-                "riesz_angular within 1e-12 of the diagonal with alpha <= 1 "
-                "is divergent; returning the value at relative separation "
-                "5e-4", ReducedAccuracyWarning, stacklevel=2)
-            z = np.where(on_diag, (1.0 - _DIAGONAL_BACKOFF) ** 2, z)
-    hyp = _riesz_hyp2f1(N, alpha, z)
-    out = unit_sphere_area(N) * hi ** (alpha - N) * hyp
+    if np.any(1.0 - z < _DIAGONAL_ZONE):
+        raise ValueError("riesz_angular refuses 1 - rho^2 < 1e-12, where the "
+                         "rounding of rho^2 sets the diagonal singularity")
+    out = unit_sphere_area(N) * hi ** (alpha - N) * _riesz_hyp2f1(N, alpha, z)
     return float(out) if out.ndim == 0 else out
 
 
@@ -451,15 +442,13 @@ def riesz_gauss_coefficients(N: int, alpha: float) -> np.ndarray:
 
 
 def _riesz_hyp2f1(N: int, alpha: float, z: np.ndarray) -> np.ndarray:
-    """2F1((N-alpha)/2, (2-alpha)/2; N/2; z) for 0 <= z <= 1, any shape,
-    z < 1 where alpha <= 1.
+    """2F1((N-alpha)/2, (2-alpha)/2; N/2; z) for 0 <= z < 1, any shape.
 
     alpha = 2, 4, ... make b a nonpositive integer and the Gauss series a
-    polynomial of degree -b, evaluated by Horner's rule for every z, so
-    alpha = 2 gives exactly 1.0.  Otherwise the Gauss series covers z <=
-    1/2 and _near_one the rest, for alpha < 1/2 after Euler's
-    transformation F = (1-z)^{alpha-1} 2F1(c-a, c-b; c; z), and z = 1
-    takes Gauss's sum.
+    polynomial of degree -b, evaluated by Horner's rule for every z, z = 1
+    included, so alpha = 2 gives exactly 1.0.  Otherwise the Gauss series
+    covers z <= 1/2 and _near_one the rest, for alpha < 1/2 after Euler's
+    transformation F = (1-z)^{alpha-1} 2F1(c-a, c-b; c; z).
     """
     a, b, c = (N - alpha) / 2.0, (2.0 - alpha) / 2.0, N / 2.0
     z = np.asarray(z, dtype=float)
@@ -471,11 +460,7 @@ def _riesz_hyp2f1(N: int, alpha: float, z: np.ndarray) -> np.ndarray:
     near = flat <= 0.5
     ratio, first_stop = _gauss_series(a, b, c)
     out[near] = _series(ratio, flat[near], first_stop)
-    at_one = flat == 1.0
-    if at_one.any():
-        out[at_one] = math.gamma(c) * math.gamma(alpha - 1.0) \
-            / (math.gamma(c - a) * math.gamma(c - b))
-    far = ~(near | at_one)
+    far = ~near
     if far.any():
         w = 1.0 - flat[far]
         m = round(alpha - 1.0)

@@ -4,9 +4,8 @@ Everything here goes back to first definitions: adaptive quadrature of the
 angular integrals, direct two-dimensional quadrature of the Riesz potential
 and of the Green operator, and finite-difference residuals of the radial
 ODE.  Nothing here shares code with the closed-form kernels or the
-product-integration weights it checks, beyond gamma0 itself where the
-kernel definition requires it (gamma0 has its own closed-form and ODE
-oracles).
+product-integration weights it checks: the Green quadratures evaluate
+Gamma_0 from scipy's Bessel K, not from gamma0.
 
 Two closed forms only the tests use live here too: green_angular, the
 Bessel-product Green kernel (itself checked against green_angular_quad)
@@ -18,7 +17,10 @@ The direct Riesz column and cell integrals are the other exception: they
 evaluate riesz_angular at every (row, rule point) pair over the
 operator's own rules, which is how the assembly worked before it summed
 the far rows and cells from the rules' moments, and they stay the
-reference for those sums.
+reference for those sums.  riesz_angular_to_the_diagonal is one more: it
+calls riesz_angular outside the zone next to the diagonal that
+riesz_angular refuses, and takes the back-off or Gauss's sum inside it,
+for the tests that sample that zone.
 """
 
 import math
@@ -27,8 +29,8 @@ from typing import Optional
 import numpy as np
 from scipy import integrate, special
 
-from choqlab import operators
-from choqlab.kernels import gamma0, riesz_angular, unit_sphere_area
+from choqlab import kernels, operators
+from choqlab.kernels import riesz_angular, unit_sphere_area
 
 
 def riesz_angular_quad(N: int, alpha: float, r: float, s: float) -> float:
@@ -44,13 +46,54 @@ def riesz_angular_quad(N: int, alpha: float, r: float, s: float) -> float:
     return om * val
 
 
+# relative separation at which riesz_angular_to_the_diagonal evaluates a
+# divergent (alpha <= 1) kernel inside riesz_angular's diagonal zone
+_DIAGONAL_BACKOFF = 5e-4
+
+
+def riesz_angular_to_the_diagonal(N: int, alpha: float, r, s):
+    """riesz_angular, extended into the zone 1 - rho^2 < 1e-12 it refuses.
+
+    There the kernel takes its value on the diagonal: for alpha > 1 that
+    is Gauss's sum 2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a)
+    Gamma(c-b)), within about (1e-12)^{alpha-1} relative of the value at
+    rho; for alpha <= 1, where the kernel diverges, it backs off to a
+    relative separation of 5e-4.  For the tests that sample the zone:
+    quadratures and property tests that may land on r = s.
+    """
+    r, s = np.broadcast_arrays(np.asarray(r, dtype=float),
+                               np.asarray(s, dtype=float))
+    hi, lo = np.maximum(r, s), np.minimum(r, s)
+    zone = 1.0 - (lo / hi) ** 2 < kernels._DIAGONAL_ZONE
+    out = np.empty(hi.shape)
+    out[~zone] = riesz_angular(N, alpha, hi[~zone], lo[~zone])
+    if alpha > 1.0:
+        a, b, c = (N - alpha) / 2.0, (2.0 - alpha) / 2.0, N / 2.0
+        gauss = math.gamma(c) * math.gamma(alpha - 1.0) \
+            / (math.gamma(c - a) * math.gamma(c - b))
+        out[zone] = unit_sphere_area(N) * hi[zone] ** (alpha - N) * gauss
+    else:
+        out[zone] = riesz_angular(N, alpha, hi[zone],
+                                  (1.0 - _DIAGONAL_BACKOFF) * hi[zone])
+    return float(out) if out.ndim == 0 else out
+
+
 def green_angular_quad(N: int, r: float, s: float) -> float:
-    """Direct adaptive quadrature of the angular average of Gamma_0."""
+    """Direct adaptive quadrature of the angular average of Gamma_0.
+
+    Gamma_0(d) = (2 pi)^{-N/2} d^{1-N/2} K_{N/2-1}(d), the formula in
+    gamma0's docstring, with scipy's K, at the distance d = |x - y| =
+    sqrt((r - s)^2 + 4 r s sin^2(theta/2)), which does not cancel near
+    theta = 0.
+    """
     om = unit_sphere_area(N - 1)
+    nu = N / 2.0 - 1.0
+    scale = (2.0 * math.pi) ** (-N / 2.0)
 
     def integrand(theta):
-        d = math.sqrt(r * r + s * s - 2.0 * r * s * math.cos(theta))
-        return math.sin(theta) ** (N - 2) * float(gamma0(N, d))
+        d = math.sqrt((r - s) ** 2 + 4.0 * r * s * math.sin(0.5 * theta) ** 2)
+        return math.sin(theta) ** (N - 2) * scale * d ** -nu \
+            * float(special.kv(nu, d))
 
     val, _ = integrate.quad(integrand, 0.0, math.pi, limit=300)
     return om * val

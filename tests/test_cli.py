@@ -663,6 +663,92 @@ def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
+# Byte identity holds for one numpy build, one SIMD tier and one BLAS
+# kernel.  Under another, numpy's transcendental loops and the BLAS dot
+# products round differently, and the golden commands' floats move; what
+# they decide must not.  Each setting applies to the child process only.
+# Largest relative change measured on an AVX-512 host under these three
+# settings: u.csv 4.4e-16, trace and report floats 3.3e-10 (the late
+# increments and the fit residuals), sweep k values 3.3e-16.
+CPU_SETTINGS = {
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
+}
+PROFILE_REL = 1e-13
+ARTIFACT_REL = 1e-8
+SWEEP_REL = 1e-14
+
+
+def assert_json_close(ours, golden, rel, where):
+    """Equal structure, strings, integers, booleans and nulls (verdicts,
+    stop reasons, methods, iteration counts); floats within rel."""
+    if isinstance(golden, float):
+        assert isinstance(ours, float) and math.isclose(
+            ours, golden, rel_tol=rel, abs_tol=0.0), (where, ours, golden)
+    elif isinstance(golden, dict):
+        assert ours.keys() == golden.keys(), where
+        for key in golden:
+            assert_json_close(ours[key], golden[key], rel, f"{where}.{key}")
+    elif isinstance(golden, list):
+        assert len(ours) == len(golden), where
+        for i, (a, b) in enumerate(zip(ours, golden)):
+            assert_json_close(a, b, rel, f"{where}[{i}]")
+    else:
+        assert ours == golden, (where, ours, golden)
+
+
+def profile_rows(path):
+    header, *rows = path.read_text().splitlines()
+    assert header == "r,value"
+    return [[float(v) for v in row.split(",")] for row in rows]
+
+
+@pytest.mark.parametrize("setting", sorted(CPU_SETTINGS))
+def test_golden_commands_agree_under_other_cpu_kernels(tmp_path, setting):
+    solves = {"solve_3_2_2_1_ppd20_k0.4": ("a", "0.4", FLAGS),
+              "solve_4_1_6-5_1_ppd20_k0.5": ("b", "0.5", FLAGS_41)}
+    sweeps = {f"sweep_k_{name}_ppd40_steps6.json":
+              ["sweep-k", *flags, "--points-per-decade", "40", "--steps", "6"]
+              for name, flags in (("3_2_2_1", FLAGS), ("4_1_6-5_1", FLAGS_41))}
+    argvs = []
+    for folder, k, flags in solves.values():
+        (tmp_path / folder).mkdir()
+        argvs.append(solve_args(tmp_path / folder, k, flags))
+    argvs += sweeps.values()
+    # one child runs the four commands and prints their exit codes and
+    # standard outputs
+    code = ("import contextlib, io, json, sys\n"
+            "import choqlab.cli\n"
+            "runs = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        status = choqlab.cli.main(argv)\n"
+            "    runs.append([status, out.getvalue()])\n"
+            "print(json.dumps(runs))\n")
+    src = str(Path(choqlab.cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=src, **CPU_SETTINGS[setting]),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [status for status, _ in runs] == [0, 0, 0, 0]
+    for golden, (folder, _, _) in solves.items():
+        for name in ("u.csv.meta.json", "trace.json", "report.json"):
+            assert_json_close(
+                json.loads((tmp_path / folder / name).read_text()),
+                json.loads((GOLDEN / golden / name).read_text()),
+                ARTIFACT_REL, f"{golden}/{name}")
+        assert_json_close(profile_rows(tmp_path / folder / "u.csv"),
+                          profile_rows(GOLDEN / golden / "u.csv"),
+                          PROFILE_REL, f"{golden}/u.csv")
+    for golden, (_, out) in zip(sweeps, runs[len(solves):]):
+        assert_json_close(json.loads(out),
+                          json.loads((GOLDEN / golden).read_text()),
+                          SWEEP_REL, golden)
+
+
 def test_sweep_supercritical_gate(capsys):
     code, _, _ = run_cli(capsys, "sweep-k", "--N", "3", "--alpha", "2",
                          "--p", "2", "--q", "3", *FAST_GRID,

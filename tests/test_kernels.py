@@ -1,7 +1,6 @@
 """Kernel accuracy against closed forms and independent quadrature oracles."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 import oracles
 from choqlab.kernels import (
-    ReducedAccuracyWarning,
     c_N,
     gamma0,
     green_halfline_factors,
@@ -105,7 +103,7 @@ def test_domain_errors():
 
 def test_riesz_angular_n3_alpha2_closed_form():
     # elementary reduction: 4 pi / max(r, s)
-    for r, s in [(1.0, 2.0), (2.0, 1.0), (0.3, 0.3), (5.0, 0.01)]:
+    for r, s in [(1.0, 2.0), (2.0, 1.0), (5.0, 0.01)]:
         assert math.isclose(riesz_angular(3, 2.0, r, s),
                             4.0 * math.pi / max(r, s), rel_tol=1e-12)
     assert math.isclose(riesz_angular(3, 2.0, 1.0, 2.0), 2.0 * math.pi,
@@ -135,34 +133,51 @@ def test_riesz_angular_vs_quadrature(N, alpha):
         assert math.isclose(ours, ref, rel_tol=1e-8), (N, alpha, r, s)
 
 
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5, 2.0])
+def test_riesz_angular_refuses_the_diagonal(alpha):
+    with pytest.raises(ValueError, match="1 - rho"):
+        riesz_angular(3, alpha, 1.0, 1.0)
+    with pytest.raises(ValueError, match="1 - rho"):
+        riesz_angular(3, alpha, 1.0, np.array([0.5, 1.0, 2.0]))
+
+
 def test_riesz_angular_diagonal():
-    # alpha > 1: finite Gauss value, matches quadrature
-    ours = riesz_angular(3, 2.0, 1.0, 1.0)
-    assert math.isclose(ours, 4.0 * math.pi, rel_tol=1e-10)
-    # alpha <= 1: divergent, flagged backoff value
-    with pytest.warns(ReducedAccuracyWarning):
-        v = riesz_angular(3, 1.0, 1.0, 1.0)
+    # the diagonal oracle: Gauss's sum where the kernel is finite, against
+    # quadrature of the defining integral and the N = 3, alpha = 2 closed
+    # form 4 pi / r
+    to_diagonal = oracles.riesz_angular_to_the_diagonal
+    for N, alpha in [(3, 1.5), (4, 2.5), (6, 5.0 / 3.0)]:
+        assert math.isclose(to_diagonal(N, alpha, 1.0, 1.0),
+                            oracles.riesz_angular_quad(N, alpha, 1.0, 1.0),
+                            rel_tol=1e-8), (N, alpha)
+    for r in (0.3, 1.0):
+        assert math.isclose(to_diagonal(3, 2.0, r, r), 4.0 * math.pi / r,
+                            rel_tol=1e-12)
+    # alpha <= 1: divergent, the backed-off value
+    v = to_diagonal(3, 1.0, 1.0, 1.0)
     assert np.isfinite(v) and v > 0
 
 
 @pytest.mark.parametrize("alpha", [0.8, 1.0])
-def test_riesz_angular_backs_off_next_to_the_diagonal(alpha):
+def test_riesz_angular_refuses_next_to_the_diagonal(alpha):
     # z = rho^2 carries a rounding error near 1e-16, which sets the
     # divergent factor once 1 - z is tiny; within 1e-12 of the diagonal the
-    # kernel backs off and warns when alpha <= 1
+    # kernel refuses, and the diagonal oracle backs off
+    to_diagonal = oracles.riesz_angular_to_the_diagonal
     for s in (1000.0000000000011, 1000.0 * (1.0 + 4e-13),
               1000.0 / (1.0 + 1e-15)):
-        with pytest.warns(ReducedAccuracyWarning):
-            v = riesz_angular(3, alpha, 1000.0, s)
-        assert np.isfinite(v) and v > 0
-    with pytest.warns(ReducedAccuracyWarning):
-        arr = riesz_angular(3, alpha, 1.0, np.array([0.5, 1.0 + 1e-14, 2.0]))
+        with pytest.raises(ValueError, match="1 - rho"):
+            riesz_angular(3, alpha, 1000.0, s)
+        hi = max(1000.0, s)
+        assert to_diagonal(3, alpha, 1000.0, s) \
+            == riesz_angular(3, alpha, hi, hi * (1.0 - 5e-4))
+    arr = to_diagonal(3, alpha, 1.0, np.array([0.5, 1.0 + 1e-14, 2.0]))
     assert np.all(np.isfinite(arr))
     assert arr[0] == riesz_angular(3, alpha, 1.0, 0.5)
-    # outside the zone the value is the 2F1's, finite and without a warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ReducedAccuracyWarning)
-        assert np.isfinite(riesz_angular(3, alpha, 1.0, 1.0 + 1e-11))
+    assert arr[2] == riesz_angular(3, alpha, 1.0, 2.0)
+    # outside the zone the value is the 2F1's, finite, and the oracle's too
+    v = riesz_angular(3, alpha, 1.0, 1.0 + 1e-11)
+    assert np.isfinite(v) and v == to_diagonal(3, alpha, 1.0, 1.0 + 1e-11)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
@@ -209,10 +224,10 @@ def test_angular_symmetry_positivity(N, r, s):
     g = oracles.green_angular(N, r, s)
     assert g > 0
     assert math.isclose(g, oracles.green_angular(N, s, r), rel_tol=1e-12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ReducedAccuracyWarning)
-        for alpha in (1.0, 2.0, min(2.5, N - 0.5)):
-            v = riesz_angular(N, alpha, r, s)
-            assert v > 0
-            assert math.isclose(v, riesz_angular(N, alpha, s, r),
-                                rel_tol=1e-12)
+    # r = s is in riesz_angular's refused zone; the oracle covers it
+    for alpha in (1.0, 2.0, min(2.5, N - 0.5)):
+        v = oracles.riesz_angular_to_the_diagonal(N, alpha, r, s)
+        assert v > 0
+        assert math.isclose(
+            v, oracles.riesz_angular_to_the_diagonal(N, alpha, s, r),
+            rel_tol=1e-12)

@@ -25,7 +25,6 @@ import oracles
 from choqlab import kernels, operators
 from choqlab.exponents import ProblemExponents
 from choqlab.kernels import (
-    ReducedAccuracyWarning,
     green_halfline_factors,
     riesz_angular,
     unit_sphere_area,
@@ -41,7 +40,7 @@ from choqlab.operators import (
     pointwise_power,
     pointwise_product,
 )
-from choqlab.solver import Discretization
+from choqlab.solver import BarrierEstimateError, Discretization, r_max_ceiling
 from choqlab.verify import _discrete_radial_lhs
 
 
@@ -205,12 +204,13 @@ def riesz_tail_integral(N, alpha, r, r_max, tail):
         s = r_max * (1.0 + t ** 5)
         return ((s / r_max) ** (-tail.power)
                 * math.exp(-tail.rate * (s - r_max)) * s ** (N - 1)
-                * riesz_angular(N, alpha, r, s) * 5.0 * r_max * t ** 4)
+                # the substitution samples a few points within 1e-12 of
+                # the diagonal, which riesz_angular refuses
+                * oracles.riesz_angular_to_the_diagonal(N, alpha, r, s)
+                * 5.0 * r_max * t ** 4)
 
     with warnings.catch_warnings():
-        # the substitution samples a few points within 1e-12 of the diagonal,
-        # and quad reports roundoff as it closes in on epsrel
-        warnings.simplefilter("ignore", ReducedAccuracyWarning)
+        # quad reports roundoff as it closes in on epsrel
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         return sum(integrate.quad(integrand, a, b, limit=400, epsabs=0.0,
                                   epsrel=1e-12)[0]
@@ -336,19 +336,62 @@ def test_weights_and_columns_are_nonnegative():
             if kind == "riesz" else True
 
 
-@pytest.mark.parametrize("alpha", [0.8, 1.0])
-def test_riesz_assembly_never_touches_the_divergent_diagonal(alpha):
-    # for alpha <= 1 riesz_angular warns when asked for rho = 1; the
-    # product-integration nodes of the weights, the origin cell and both
-    # tail rules must all stay off the diagonal
-    g = build_grid(1e-3, 10.0, 20)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", ReducedAccuracyWarning)
-        op = assemble("riesz", 3, g, alpha=alpha)
-        op.origin_column(0.0)
-        op.origin_column(1.5)
-        op.tail_column(ExpDecay(1.0, 1.0))
-        op.tail_column(ExpDecay(0.0, 3.0))
+# The alpha != 2 exponent tuples of test_special.py.  Their assembly, step
+# plan and c_hat must keep every 2F1 argument out of riesz_angular's
+# refused zone 1 - rho^2 < 1e-12.  The closest approach is the corner of
+# the Toeplitz cells k = 0 and -1, at the smallest node x_c = 2.2514e-6 of
+# the 12-point rule on the smallest of their graded panels, where
+# 1 - rho^2 = 1 - e^{-2h x_c}: 5.2e-7 at 20 ppd, 6.5e-8 at 160 and 1.0e-8
+# at 1000.  The columns, as measured, stay above 5e-7 at r_max = 30 and
+# above 2.5e-8 at the r_max ceiling, where a tail rule comes closest.  The
+# corner first enters the zone near 1.0e7 ppd, about 5.7e7 nodes on
+# (1e-4, 30).
+MARGIN_TUPLES = [(4, 1, "6/5", 1), (3, "4/5", "1/2", 1),
+                 (7, "1/3", "1/7", "6/5"), (3, "3/2", "7/5", "4/3")]
+
+
+@pytest.mark.parametrize("t", MARGIN_TUPLES, ids=lambda t: f"{t[0]}-{t[1]}")
+def test_riesz_assembly_keeps_a_margin_to_the_diagonal_zone(t, monkeypatch):
+    ex = ProblemExponents(t[0], *(Fraction(v) for v in t[1:]))
+    widths = operators._GRADING_RATIO ** np.arange(operators._GRADED_PANELS)
+    x_c = widths[-1] / widths.sum() * operators._leggauss01(12)[0].min()
+    closest = {"cells": [], "other": []}
+    source = ["other"]
+    hyp2f1 = kernels._riesz_hyp2f1
+    cell_integrals = operators.OperatorMatrix._riesz_cell_integrals
+
+    def recorded(N, alpha, z):
+        closest[source[0]].append(np.min(1.0 - z))
+        return hyp2f1(N, alpha, z)
+
+    def cells(op):
+        source[0] = "cells"
+        try:
+            return cell_integrals(op)
+        finally:
+            source[0] = "other"
+
+    monkeypatch.setattr(kernels, "_riesz_hyp2f1", recorded)
+    monkeypatch.setattr(operators.OperatorMatrix, "_riesz_cell_integrals",
+                        cells)
+    for ppd in (20, 160, 1000):
+        for r_max in (30.0, r_max_ceiling(ex.N)):
+            for part in closest.values():
+                part.clear()
+            grid = build_grid(1e-4, r_max, ppd)
+            disc = Discretization(ex, grid)
+            disc.step_plan
+            try:
+                disc.c_hat
+            except BarrierEstimateError:
+                # on the wider grids the barrier ratio of some tuples peaks
+                # at r_max; its columns are built before that is found
+                assert r_max > 30.0
+            assert min(map(min, closest.values())) >= 1e-9, (ppd, r_max)
+            # 1 - rho^2 carries the rounding of rho^2, a few 1e-16
+            corner = -math.expm1(-2.0 * grid.log_step * x_c)
+            assert math.isclose(min(closest["cells"]), corner, rel_tol=0.0,
+                                abs_tol=1e-15), (ppd, r_max)
 
 
 def test_negative_weights_are_refused(monkeypatch):

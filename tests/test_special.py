@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+import oracles
 from choqlab import kernels, operators
 from choqlab.exponents import ProblemExponents
 from choqlab.operators import build_grid
@@ -156,18 +157,18 @@ def test_riesz_hyp2f1_next_to_integer_alpha(N, alpha):
 
 
 def test_riesz_hyp2f1_special_values():
-    # alpha = 2 and 4 terminate; z = 1 for alpha > 1 is Gauss's sum
+    # alpha = 2 and 4 terminate, z = 1 included; for alpha > 1 the value at
+    # z = 1 is Gauss's sum, which the kernel refuses to evaluate and the
+    # tests' diagonal oracle carries
     assert np.all(kernels._riesz_hyp2f1(3, 2.0, np.array([0.0, 0.7, 1.0]))
                   == 1.0)
     z = np.array([0.3, 0.9, 1.0])
     assert np.allclose(kernels._riesz_hyp2f1(5, 4.0, z), 1.0 - z / 5.0,
                        rtol=1e-15, atol=0.0)
     for N, alpha in [(3, 1.5), (4, 2.5), (6, 5.0 / 3.0)]:
-        a, b, c = (N - alpha) / 2.0, (2.0 - alpha) / 2.0, N / 2.0
-        gauss = math.gamma(c) * math.gamma(alpha - 1.0) \
-            / (math.gamma(c - a) * math.gamma(c - b))
-        assert math.isclose(float(kernels._riesz_hyp2f1(N, alpha, 1.0)),
-                            gauss, rel_tol=1e-15)
+        on_diagonal = oracles.riesz_angular_to_the_diagonal(N, alpha, 1.0, 1.0)
+        assert math.isclose(on_diagonal / kernels.unit_sphere_area(N),
+                            hyp2f1_mpmath(N, alpha, [1])[0], rel_tol=1e-15)
 
 
 # ---------------------------------------------------------------------------
