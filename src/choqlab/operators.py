@@ -321,6 +321,17 @@ def _gauss_sum(coefs: np.ndarray, weights: np.ndarray, z: np.ndarray,
     return np.polynomial.polynomial.polyval(x, terms)
 
 
+# block sizes of the assembly, fixed so that no temporary grows with the
+# grid.  A moment block is 256 cells, 4096 rule points.  The BLAS
+# matrix-vector product groups rows by four (blocks of 1, 2, 3, 5 or 7
+# cells change bits), so with a multiple of 4 every cell gets the bits of
+# one product over all cells.  A near-row block is one riesz_angular call,
+# 25 rows or 4200 points of the 168-point origin rule; each call pays
+# about 1.5 ms of series overhead, which smaller blocks multiply
+_MOMENT_BLOCK = 256
+_NEAR_ROW_BLOCK = 25
+
+
 # y0(r) = r^{1-N/2} I_{N/2-1}(r) carries e^r, which leaves the float range
 # just past ln(DBL_MAX) = 709.78
 GREEN_R_LIMIT = 709.78
@@ -517,26 +528,28 @@ class OperatorMatrix:
 
         Every cell lies wholly on one side of each node, so a cell above
         r_i meets the kernel as y0_i yinf(s) and a cell below it as
-        yinf_i y0(s).
+        yinf_i y0(s).  The cells are integrated _MOMENT_BLOCK at a time,
+        so no temporary grows with the grid.
         """
         grid = self.grid
         nodes = grid.nodes
         y0_n, yinf_n = self._halves(nodes)
 
         x16, w16 = _leggauss01(16)
-        # quadrature nodes per cell: (m-1, 16)
-        s = nodes[:-1, None] * (nodes[1:, None] / nodes[:-1, None]) ** x16[None, :]
+        hats = (w16 * (1.0 - x16), w16 * x16)
         # ds = s * h dx on the log-linear parametrization
         h = grid.log_step
-        y0_s, yinf_s = self._halves(s.ravel())
-        y0_s = y0_s.reshape(s.shape)
-        yinf_s = yinf_s.reshape(s.shape)
-        meas = s ** self.N * h  # s^{N-1} ds = s^N h dx
-        PA = (yinf_s * meas) @ (w16 * (1.0 - x16))
-        PB = (yinf_s * meas) @ (w16 * x16)
-        QA = (y0_s * meas) @ (w16 * (1.0 - x16))
-        QB = (y0_s * meas) @ (w16 * x16)
-        return y0_n, yinf_n, PA, PB, QA, QB
+        moments = np.empty((4, grid.size - 1))      # PA, PB, QA, QB
+        for start in range(0, grid.size - 1, _MOMENT_BLOCK):
+            edges = nodes[start:start + _MOMENT_BLOCK + 1, None]
+            # quadrature nodes per cell: (cells, 16)
+            s = edges[:-1] * (edges[1:] / edges[:-1]) ** x16[None, :]
+            y0_s, yinf_s = self._halves(s.ravel())
+            meas = s ** self.N * h  # s^{N-1} ds = s^N h dx
+            moments[:, start:start + s.shape[0]] = [
+                (factor.reshape(s.shape) * meas) @ hat
+                for factor in (yinf_s, y0_s) for hat in hats]
+        return (y0_n, yinf_n, *moments)
 
     # -- origin and tail columns: one rule per grid end
 
@@ -591,13 +604,19 @@ class OperatorMatrix:
             x = (s.max() / nodes) ** 2
             weights, z = w, (s / s.max()) ** 2
         far = x <= FAR_FIELD_Z
-        near = ~far
         col = np.empty(nodes.size)
         col[far] = unit_sphere_area(N) * _gauss_sum(
             riesz_gauss_coefficients(N, alpha), weights, z, x[far]) \
             * (1.0 if beyond else power[far])
-        col[near] = (riesz_angular(N, alpha, 1.0, s / nodes[near, None])
-                     @ w) * power[near]
+        # the near rows' kernel is filled a block of rows at a time and
+        # reduced by one product, so each row sums as in one call
+        near = np.flatnonzero(~far)
+        kernel = np.empty((near.size, s.size))
+        for start in range(0, near.size, _NEAR_ROW_BLOCK):
+            block = near[start:start + _NEAR_ROW_BLOCK]
+            kernel[start:start + block.size] = riesz_angular(
+                N, alpha, 1.0, s / nodes[block, None])
+        col[near] = (kernel @ w) * power[near]
         return col
 
     def _origin_rule(self, sigma: float):

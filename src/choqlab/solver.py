@@ -348,13 +348,18 @@ class Discretization:
 
         In the subcritical class the ratio vanishes at both ends, so a max
         on the first or last node means the grid missed the interior peak.
+        A max on the last node can also mean cells too coarse for Phi_0's
+        e^{-r} decay: across a 37-unit cell at 20 points per decade near
+        r = 300, the product integration overshoots the decaying core.
         """
         ratio = self.barrier_core[0] / self.phi0.values
         peak = int(np.argmax(ratio))
         if peak in (0, self.grid.size - 1):
+            remedy = ("widen the grid" if peak == 0 else
+                      "use more points per decade, or widen the grid")
             raise BarrierEstimateError(
                 f"barrier ratio peaks at grid {'start' if peak == 0 else 'end'}"
-                f" (r = {self.grid.nodes[peak]:g}); widen the grid")
+                f" (r = {self.grid.nodes[peak]:g}); {remedy}")
         return float(ratio[peak])
 
 

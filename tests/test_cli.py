@@ -286,6 +286,22 @@ def test_solve_at_the_r_max_ceiling_raises_no_runtime_warning(capsys, ppd):
     assert "barrier ratio peaks at grid end (r = 691)" in err
 
 
+def test_solve_end_peak_names_both_remedies(capsys):
+    # at 20 points per decade the cells near r = 300 are 37 units wide, so
+    # the end peak comes from under-resolved outer cells, not a short grid;
+    # at 80 points per decade the same call gets past the barrier estimate
+    wide = ["--N", "3", "--alpha", "4/5", "--p", "1/2", "--q", "1",
+            "--k", "0.3", "--r-max", "300"]
+    code, out, err = run_cli(capsys, "solve", *wide,
+                             "--points-per-decade", "20")
+    assert code == 2 and out == ""
+    assert err == ("error: barrier ratio peaks at grid end (r = 300); use "
+                   "more points per decade, or widen the grid\n")
+    code, out, err = run_cli(capsys, "solve", *wide,
+                             "--points-per-decade", "80")
+    assert code != 2 and "barrier ratio" not in err
+
+
 def test_solve_other_solve_errors_exit_2(capsys, tmp_path, monkeypatch):
     exc = NonIntegrableOriginError("green", 3.5, 3)
 

@@ -660,21 +660,69 @@ def test_far_field_bounds_the_2f1_arguments(monkeypatch):
     assert 0 < sum(sizes) <= 30_000
 
 
-def test_riesz_assembly_forms_no_large_temporaries():
-    # only the near rows and cells meet the rule point by point, and no
-    # array of rule points by series terms is formed: a 160-ppd assembly
-    # and its origin column peak at 0.8 MB, where evaluating every pair
-    # directly peaks at 4.8 MB
-    assemble("riesz", 4, build_grid(1e-4, 30.0, 20), alpha=1.0) \
-        .origin_column(0.0)
-    g = build_grid(1e-4, 30.0, 160)
+def heap_peak(make) -> int:
+    """tracemalloc's peak while make(grid)() runs on the 160-ppd default
+    grid; make builds its inputs untraced, and one 20-ppd run first fills
+    the rule and coefficient caches."""
+    make(build_grid(1e-4, 30.0, 20))()
+    run = make(build_grid(1e-4, 30.0, 160))
     tracemalloc.start()
     try:
-        assemble("riesz", 4, g, alpha=1.0).origin_column(0.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5e6
+
+
+def test_riesz_assembly_forms_no_large_temporaries():
+    # only the near rows and cells meet the rule point by point, no array
+    # of rule points by series terms is formed, and a column's near rows
+    # are evaluated 25 at a time: a 160-ppd assembly and its origin column
+    # peak at 0.61 MB, where one call over all 49 near rows peaks at 0.83
+    # MB and evaluating every pair directly at 4.8 MB
+    peak = heap_peak(lambda g: lambda: assemble(
+        "riesz", 4, g, alpha=1.0).origin_column(0.0))
+    assert peak < 0.72e6
+
+
+def step_plan_41(grid):
+    disc = Discretization(
+        ProblemExponents(4, Fraction(1), Fraction(6, 5), Fraction(1)), grid)
+    return lambda: disc.step_plan
+
+
+@pytest.mark.parametrize("make, bound", [
+    (lambda g: lambda: assemble("green", 3, g), 0.8e6),
+    (lambda g: lambda: assemble("green", 4, g), 0.8e6),
+    (lambda g: lambda: assemble("riesz", 3, g, alpha=2.0), 0.4e6),
+    (step_plan_41, 0.67e6),
+], ids=["green-N3", "green-N4", "riesz-alpha2", "step-plan-41"])
+def test_blocked_assembly_bounds_the_heap_peak(make, bound):
+    # the Green and alpha = 2 moments are integrated 256 cells at a time
+    # and a column's near rows 25 at a time: at 160 ppd the peaks are
+    # 0.55, 0.61, 0.28 and 0.56 MB, where one batch over all 876 cells or
+    # all 49 near rows peaks at 1.36, 1.40, 0.61 and 0.78 MB
+    assert heap_peak(make) < bound
+
+
+def test_assembly_blocks_change_no_bit(monkeypatch):
+    # the blocks bound the temporaries and nothing else: one block over
+    # the whole grid gives the same factors and columns to the bit
+    grid = build_grid(1e-4, 30.0, 160)
+
+    def build():
+        green = assemble("green", 4, grid)
+        newton = assemble("riesz", 3, grid, alpha=2.0)
+        riesz = assemble("riesz", 4, grid, alpha=1.0)
+        return (*green._factors, *newton._factors, *riesz._factors,
+                riesz.origin_column(0.0),
+                riesz.tail_column(ExpDecay(1.2, 1.8)))
+
+    blocked = build()
+    monkeypatch.setattr(operators, "_MOMENT_BLOCK", grid.size)
+    monkeypatch.setattr(operators, "_NEAR_ROW_BLOCK", grid.size)
+    for a, b in zip(blocked, build(), strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 # Each origin column and diagonal Riesz cell is one kernel product over a
