@@ -126,10 +126,10 @@ class SingularityRate:
     kind: str
     exponent: Optional[Fraction] = None
 
-    _ORDER = {"bounded": 0, "log": 1, "power": 2}
+    _KINDS = ("bounded", "log", "power")
 
     def __post_init__(self):
-        if self.kind not in self._ORDER:
+        if self.kind not in self._KINDS:
             raise ValueError(f"unknown rate kind {self.kind!r}")
         if self.kind == "power":
             if self.exponent is None or self.exponent <= 0:
@@ -152,15 +152,6 @@ class SingularityRate:
         if exponent <= 0:
             return cls.bounded()
         return cls("power", exponent)
-
-    def _key(self):
-        return (self._ORDER[self.kind], self.exponent or Fraction(0))
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
 
     def __str__(self):
         if self.kind == "power":

@@ -25,9 +25,10 @@ keeps rounding monotone in the input.
 
 Each annotation is one integral of the kernel against a 1-D density, so
 each grid end has one quadrature rule (s, w) with the density folded into
-w, and one evaluator turns any rule into a column: r_i^{alpha-N}
-shape(s/r_i) @ w in the Toeplitz form, one factor at the nodes times the
-moment of the other in the semiseparable form.  Row 0 meets the kernel's
+w, and one evaluator turns any rule into a column: in the Toeplitz form
+the Riesz row evaluator, which also gives every Toeplitz cell as one row
+of a single cell's rule, and one factor at the nodes times the moment of
+the other in the semiseparable form.  Row 0 meets the kernel's
 diagonal singularity at s = r_1 and row M-1 at s = r_max, so both rules
 grade their panels into that end, as do the two Toeplitz cells that touch
 the diagonal.  Columns are cached per (end, model parameters); factors and
@@ -36,14 +37,14 @@ are cached and read-only.
 
 Away from the diagonal the Toeplitz form never evaluates the shape point
 by point.  Its 2F1 is F(rho^2) with rho = min/max <= 1, and wherever
-every rho^2 a column row or a Toeplitz cell meets is at most 1/4, F's
-Gauss series (A&S 15.1.1) converges at least like 4^{-j}: the row or
-cell is then sum_j f_j m_j x^j, with f_j = riesz_gauss_coefficients, m_j
-the rule's moments and x the row's or offset's largest rho^2, summed by
-Horner's rule.  That is a far-field expansion (Greengard & Rokhlin, J.
-Comput. Phys. 73, 1987), formed once per column and once per assembly.
-Only the at most ln 2 / h rows next to a rule's grid end and the 2 ln 2 /
-h offsets around the diagonal call riesz_angular.
+every rho^2 a row meets is at most 1/4, F's Gauss series (A&S 15.1.1)
+converges at least like 4^{-j}: the row is then sum_j f_j m_j x^j, with
+f_j = riesz_gauss_coefficients, m_j the rule's moments and x the row's
+largest rho^2, summed by Horner's rule.  That is a far-field expansion
+(Greengard & Rokhlin, J. Comput. Phys. 73, 1987), formed once per column
+and once per assembly.  Only the at most ln 2 / h rows next to a rule's
+grid end and the 2 ln 2 / h offsets around the diagonal call
+riesz_angular.
 """
 
 from __future__ import annotations
@@ -325,11 +326,12 @@ def _gauss_sum(coefs: np.ndarray, weights: np.ndarray, z: np.ndarray,
 # grid.  A moment block is 256 cells, 4096 rule points.  The BLAS
 # matrix-vector product groups rows by four (blocks of 1, 2, 3, 5 or 7
 # cells change bits), so with a multiple of 4 every cell gets the bits of
-# one product over all cells.  A near-row block is one riesz_angular call,
-# 25 rows or 4200 points of the 168-point origin rule; each call pays
-# about 1.5 ms of series overhead, which smaller blocks multiply
+# one product over all cells.  A near-row block is one riesz_angular call
+# of at most 4200 rule points, 25 rows of the 168-point origin rule and 175
+# of a 24-point cell rule; each call pays about 1.5 ms of series overhead,
+# which smaller blocks multiply
 _MOMENT_BLOCK = 256
-_NEAR_ROW_BLOCK = 25
+_NEAR_BLOCK_POINTS = 4200
 
 
 # y0(r) = r^{1-N/2} I_{N/2-1}(r) carries e^r, which leaves the float range
@@ -420,55 +422,34 @@ class OperatorMatrix:
     def _riesz_cell_integrals(self):
         """Toeplitz hat integrals: cell j to node pair, offset k = j - i.
 
-        With s = r_i e^{h(k+x)} the cell integral against a hat factor is
-        r_i^alpha * integral over x of phi(x) * shape(e^{h(k+x)}) *
-        e^{h(k+x)N} * h, independent of i.  The shape is |S^{N-1}|
-        F(rho^2) below the diagonal and |S^{N-1}| rho^{alpha-N} F(rho^-2)
-        above it, F the Riesz 2F1.  On a far cell, where every rho^2 (or
-        rho^-2) is at most FAR_FIELD_Z, F's Gauss series makes the
-        integrand |S^{N-1}| h e^{hkN} sum_j f_j e^{2hkj} e^{hx(2j+N)}
-        below and |S^{N-1}| h e^{hk alpha} sum_j f_j e^{-2hkj}
-        e^{hx(alpha-2j)} above, so one set of hat moments of e^{hx(2j+N)}
-        and e^{hx(alpha-2j)} serves every far offset.  The near cells
-        evaluate the shape at each point.  It has a weak kink and, for
+        With s = r_i e^{h(k+x)} the cell integral against a hat factor
+        phi is r_i^alpha * integral over x of phi(x) * shape(e^{h(k+x)}) *
+        e^{h(k+x)N} * h, independent of i.  The kernel is homogeneous, so
+        that is e^{hk alpha} times row e^{-hk} of one cell's rule: s =
+        e^{hx}, weights phi(x) h s^N.  The shape has a weak kink and, for
         alpha < 2, an algebraic singularity at rho = 1 (x = -k), so the two
-        cells touching the diagonal use panels graded into that corner.
+        cells touching the diagonal use panels graded into that corner and
+        are taken from row 1, their rule placed at cell k: from row e^{-hk}
+        the rounding of rho next to the diagonal would be amplified by
+        (1 - rho^2)^{alpha-1}.
         """
-        grid, N, alpha = self.grid, self.N, self.alpha
-        m = grid.size
-        h = grid.log_step
-        ks = np.arange(-(m - 1), m - 1)
+        h, N = self.grid.log_step, self.N
+        ks = np.arange(-(self.grid.size - 1), self.grid.size - 1)
 
-        def cell_integrals(k_arr, x, w):
-            # returns (A, B) contributions for hat factors (1-x) and x
-            t = k_arr[:, None] + x[None, :]
-            rho = np.exp(h * t)
-            f = riesz_angular(N, alpha, 1.0, rho) * np.exp(h * t * N) * h
-            A = f @ (w * (1.0 - x))
-            B = f @ (w * x)
-            return A, B
+        def rule(x, w, k):
+            s = np.exp(h * (k + x))
+            return s, np.stack((w * (1.0 - x), w * x)) * (h * s ** N)
 
-        A = np.empty(ks.size)
-        B = np.empty(ks.size)
-        x24, w24 = _leggauss01(24)
-        hats = np.stack((w24 * (1.0 - x24), w24 * x24))
-        coefs = riesz_gauss_coefficients(N, alpha)
-        # a cell's largest rho^2 below the diagonal, largest rho^-2 above
-        below = np.exp(2.0 * h * (ks + 1)) <= FAR_FIELD_Z
-        above = np.exp(-2.0 * h * ks) <= FAR_FIELD_Z
-        for far, grow, step in ((below, N, 2.0), (above, alpha, -2.0)):
-            k = ks[far]
-            A[far], B[far] = unit_sphere_area(N) * h \
-                * np.exp(h * k * grow) * _gauss_sum(
-                    coefs, hats * np.exp(h * grow * x24),
-                    np.exp(step * h * x24), np.exp(step * h * k))
-        regular = ~(below | above) & (ks != 0) & (ks != -1)
-        A[regular], B[regular] = cell_integrals(ks[regular], x24, w24)
+        cells = np.empty((2, ks.size))
+        regular = (ks != 0) & (ks != -1)
+        cells[:, regular] = np.exp(h * self.alpha * ks[regular]) \
+            * self._riesz_rows(np.exp(-h * ks[regular]),
+                               *rule(*_leggauss01(24), 0.0))
         # the corner is x = 0 in cell k = 0 and x = 1 in cell k = -1
         for k, toward_b in ((0, False), (-1, True)):
             x, w = _panel_rule(_graded_panels(0.0, 1.0, toward_b), 12)
-            A[ks == k], B[ks == k] = cell_integrals(np.array([k]), x, w)
-        return A, B
+            cells[:, ks == k] = self._riesz_rows(np.ones(1), *rule(x, w, k))
+        return cells[0], cells[1]
 
     def _semiseparable_grid_part(self, v: np.ndarray) -> np.ndarray:
         """y0_i (sum_{l>i} P_l v_l + PA_i v_i)
@@ -581,43 +562,51 @@ class OperatorMatrix:
     def _column(self, s: np.ndarray, w: np.ndarray) -> np.ndarray:
         """c_i = sum_k w_k K(r_i, s_k) for a rule (s, w) that lies wholly
         below r_1 or wholly beyond r_max, density already folded into w."""
-        N, nodes = self.N, self.grid.nodes
         if self._semiseparable:
             # kernel y0(min) yinf(max): the rule's moment times one factor
             y0_n, yinf_n = self._factors[:2]
             if s[0] > self.grid.r_max:
                 return y0_n * (self._yinf(s) @ w)
             return yinf_n * (self._halves(s)[0] @ w)
-        # kernel |S^{N-1}| max(r, s)^{alpha-N} F(rho^2), F the Riesz 2F1:
-        # r^{alpha-N} F(x_i (s/s_max)^2) below r_1 and s^{alpha-N}
-        # F(x_i (s_min/s)^2) beyond r_max, where x_i is the largest rho^2
-        # that row i meets in the rule.  Far rows, x_i <= FAR_FIELD_Z, sum
-        # F's Gauss series against the rule's moments; the near rows
-        # evaluate riesz_angular at each point of the rule
-        alpha = self.alpha
-        power = nodes ** (alpha - N)
-        beyond = s[0] > self.grid.r_max
-        if beyond:
-            x = (nodes / s.min()) ** 2
-            weights, z = w * s ** (alpha - N), (s.min() / s) ** 2
-        else:
-            x = (s.max() / nodes) ** 2
-            weights, z = w, (s / s.max()) ** 2
+        return self._riesz_rows(self.grid.nodes, s, w)
+
+    def _riesz_rows(self, r: np.ndarray, s: np.ndarray,
+                    w: np.ndarray) -> np.ndarray:
+        """sum_k w[..., k] K(r_i, s_k), shape w.shape[:-1] + r.shape, for
+        rows r that each lie wholly below or wholly above the rule (s, w).
+
+        K is |S^{N-1}| max(r, s)^{alpha-N} F(rho^2), F the Riesz 2F1: a row
+        below the rule meets s^{alpha-N} F(x_i (s_min/s)^2), a row above
+        it r_i^{alpha-N} F(x_i (s/s_max)^2), where x_i is the largest rho^2
+        the row meets.  Far rows, x_i <= FAR_FIELD_Z, sum F's Gauss series
+        against the rule's moments on their side; the near rows evaluate
+        riesz_angular at each point of the rule.
+        """
+        N, alpha = self.N, self.alpha
+        lo, hi = s.min(), s.max()
+        below = r < lo
+        x = np.where(below, (r / lo) ** 2, (hi / r) ** 2)
+        power = r ** (alpha - N)
         far = x <= FAR_FIELD_Z
-        col = np.empty(nodes.size)
-        col[far] = unit_sphere_area(N) * _gauss_sum(
-            riesz_gauss_coefficients(N, alpha), weights, z, x[far]) \
-            * (1.0 if beyond else power[far])
-        # the near rows' kernel is filled a block of rows at a time and
-        # reduced by one product, so each row sums as in one call
+        out = np.empty(w.shape[:-1] + r.shape)
+        for side, weights, z in ((far & below, w * s ** (alpha - N),
+                                  (lo / s) ** 2),
+                                 (far & ~below, w, (s / hi) ** 2)):
+            if side.any():
+                out[..., side] = unit_sphere_area(N) * _gauss_sum(
+                    riesz_gauss_coefficients(N, alpha), weights, z, x[side]) \
+                    * np.where(below, 1.0, power)[side]
+        # the near rows' kernel is filled _NEAR_BLOCK_POINTS rule points at
+        # a time and reduced by one product, so each row sums as in one call
         near = np.flatnonzero(~far)
+        rows = _NEAR_BLOCK_POINTS // s.size
         kernel = np.empty((near.size, s.size))
-        for start in range(0, near.size, _NEAR_ROW_BLOCK):
-            block = near[start:start + _NEAR_ROW_BLOCK]
+        for start in range(0, near.size, rows):
+            block = near[start:start + rows]
             kernel[start:start + block.size] = riesz_angular(
-                N, alpha, 1.0, s / nodes[block, None])
-        col[near] = (kernel @ w) * power[near]
-        return col
+                N, alpha, 1.0, s / r[block, None])
+        out[..., near] = (kernel @ w.T).T * power[near]
+        return out
 
     def _origin_rule(self, sigma: float):
         """Rule for the density (s/r_1)^{-sigma} s^{N-1} on (0, r_1).

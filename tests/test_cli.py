@@ -174,7 +174,13 @@ def test_solve_outputs_are_byte_identical(capsys, tmp_path):
     # the Green K_0/K_1 trapezoid to a node-by-node sum: 12 u.csv values
     # moved by at most 7.0e-16 relative, 10 trace.json barrier_margins by
     # 4.2e-16 and one sup_norms entry by 1.4e-16; report.json, the sidecar,
-    # every verdict, stop reason and iteration count kept their bytes
+    # every verdict, stop reason and iteration count kept their bytes.
+    # They were re-recorded again when the Toeplitz cells of that operator
+    # moved to the row evaluator of its columns: 2 u.csv values moved by at
+    # most 1.4e-16 relative, 3 trace.json bounds and ratios and 2 rel_deltas
+    # by at most 7.3e-14, and report.json's probes.partial_integrals by
+    # 1.9e-16; the sidecar, every verdict, stop reason and iteration count
+    # kept their bytes
     for golden, args in (
             ("solve_3_2_2_1_ppd20_k0.4", solve_args(tmp_path)),
             ("solve_4_1_6-5_1_ppd20_k0.5",
@@ -672,7 +678,10 @@ def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
     # special functions moved from scipy to numpy, which moved c_hat and
     # the k values by at most 1.5e-15 relative; the (3,2,2,1) file again
     # when its alpha = 2 Riesz operator became semiseparable, which moved
-    # chat by 6.5e-16 and the k values by at most 4.6e-16
+    # chat by 6.5e-16 and the k values by at most 4.6e-16; the (4,1,6/5,1)
+    # file again when its Toeplitz cells moved to the row evaluator of its
+    # columns, which moved chat by 2.1e-16 and the k values by at most
+    # 1.7e-16, every verdict the same
     code, out, _ = run_cli(capsys, "sweep-k", *exponents,
                            "--points-per-decade", "40", "--steps", "6")
     assert code == 0
@@ -684,8 +693,9 @@ def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
 # products round differently, and the golden commands' floats move; what
 # they decide must not.  Each setting applies to the child process only.
 # Largest relative change measured on an AVX-512 host under these three
-# settings: u.csv 4.4e-16, trace and report floats 3.3e-10 (the late
-# increments and the fit residuals), sweep k values 3.3e-16.
+# settings: u.csv 4.4e-16, trace floats 2.3e-9 (the late increments,
+# without AVX-512), report floats 3.3e-10 (the fit residuals), sweep
+# floats 3.3e-16.
 CPU_SETTINGS = {
     "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "prescott": {"OPENBLAS_CORETYPE": "Prescott"},

@@ -720,7 +720,8 @@ def test_assembly_blocks_change_no_bit(monkeypatch):
 
     blocked = build()
     monkeypatch.setattr(operators, "_MOMENT_BLOCK", grid.size)
-    monkeypatch.setattr(operators, "_NEAR_ROW_BLOCK", grid.size)
+    # every row of a column or of the Toeplitz cells in one call
+    monkeypatch.setattr(operators, "_NEAR_BLOCK_POINTS", 2 * grid.size * 168)
     for a, b in zip(blocked, build(), strict=True):
         assert a.tobytes() == b.tobytes()
 
