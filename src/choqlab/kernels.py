@@ -413,6 +413,16 @@ def _gauss_series(a: float, b: float, c: float) -> tuple:
 FAR_FIELD_Z = 0.25
 
 
+def horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sum_j coefs[j] x^j at each x, shape coefs.shape[1:] + x.shape, by
+    Horner's rule in the order of numpy's polyval, so with its bits."""
+    c = coefs.reshape(coefs.shape + (1,) * x.ndim)
+    out = c[-1] + 0.0 * x
+    for coef in c[-2::-1]:
+        out = coef + out * x
+    return out
+
+
 @lru_cache(maxsize=32)
 def riesz_gauss_coefficients(N: int, alpha: float) -> np.ndarray:
     """f_0 .. f_J of the Gauss series sum_j f_j z^j of the Riesz 2F1,
@@ -454,8 +464,8 @@ def _riesz_hyp2f1(N: int, alpha: float, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
     if b <= 0.0 and b % 1.0 == 0.0:
-        return np.polynomial.polynomial.polyval(
-            flat, riesz_gauss_coefficients(N, alpha)).reshape(z.shape)
+        return horner(flat, riesz_gauss_coefficients(N, alpha)).reshape(
+            z.shape)
     out = np.empty(flat.size)
     near = flat <= 0.5
     ratio, first_stop = _gauss_series(a, b, c)

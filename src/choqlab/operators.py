@@ -32,8 +32,8 @@ the other in the semiseparable form.  Row 0 meets the kernel's
 diagonal singularity at s = r_1 and row M-1 at s = r_max, so both rules
 grade their panels into that end, as do the two Toeplitz cells that touch
 the diagonal.  Columns are cached per (end, model parameters); factors and
-columns are checked finite and nonnegative when built.  The Gauss rules
-are cached and read-only.
+columns are checked finite and nonnegative when built.  Every Gauss rule,
+Legendre's (beta = 0) too, is _jacobi01's, cached and read-only.
 
 Away from the diagonal the Toeplitz form never evaluates the shape point
 by point.  Its 2F1 is F(rho^2) with rho = min/max <= 1, and wherever
@@ -62,6 +62,7 @@ from .kernels import (
     FAR_FIELD_Z,
     green_halfline_factors,
     green_yinf,
+    horner,
     riesz_angular,
     riesz_gauss_coefficients,
     unit_sphere_area,
@@ -111,8 +112,8 @@ class RadialGrid:
 
     @property
     def log_step(self) -> float:
-        """Uniform spacing in ln r."""
-        return math.log(self.nodes[1] / self.nodes[0])
+        """Uniform spacing in ln r, the mean over the whole grid."""
+        return math.log(self.nodes[-1] / self.nodes[0]) / (self.size - 1)
 
 
 def build_grid(r_min: float, r_max: float,
@@ -228,13 +229,6 @@ def _read_only(*arrays):
 
 
 @lru_cache(maxsize=32)
-def _leggauss01(n: int):
-    """Gauss-Legendre nodes/weights on [0, 1], shared and read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return _read_only((x + 1.0) / 2.0, w / 2.0)
-
-
-@lru_cache(maxsize=32)
 def _jacobi01(n: int, beta: float):
     """Nodes/weights for int_0^1 x^beta f(x) dx, beta > -1 (read-only).
 
@@ -292,7 +286,7 @@ def _graded_panels(a: float, b: float, toward_b: bool):
 
 def _panel_rule(edges: np.ndarray, n: int):
     """Composite n-point Gauss-Legendre rule over consecutive panels."""
-    x, w = _leggauss01(n)
+    x, w = _jacobi01(n, 0.0)
     widths = np.diff(edges)[:, None]
     return (edges[:-1, None] + widths * x).ravel(), (widths * w).ravel()
 
@@ -319,7 +313,7 @@ def _gauss_sum(coefs: np.ndarray, weights: np.ndarray, z: np.ndarray,
     for j, coef in enumerate(coefs):
         terms[j] = coef * power.sum(axis=-1)
         power *= z
-    return np.polynomial.polynomial.polyval(x, terms)
+    return horner(x, terms)
 
 
 # block sizes of the assembly, fixed so that no temporary grows with the
@@ -444,7 +438,7 @@ class OperatorMatrix:
         regular = (ks != 0) & (ks != -1)
         cells[:, regular] = np.exp(h * self.alpha * ks[regular]) \
             * self._riesz_rows(np.exp(-h * ks[regular]),
-                               *rule(*_leggauss01(24), 0.0))
+                               *rule(*_jacobi01(24, 0.0), 0.0))
         # the corner is x = 0 in cell k = 0 and x = 1 in cell k = -1
         for k, toward_b in ((0, False), (-1, True)):
             x, w = _panel_rule(_graded_panels(0.0, 1.0, toward_b), 12)
@@ -516,17 +510,16 @@ class OperatorMatrix:
         nodes = grid.nodes
         y0_n, yinf_n = self._halves(nodes)
 
-        x16, w16 = _leggauss01(16)
+        x16, w16 = _jacobi01(16, 0.0)
         hats = (w16 * (1.0 - x16), w16 * x16)
-        # ds = s * h dx on the log-linear parametrization
-        h = grid.log_step
         moments = np.empty((4, grid.size - 1))      # PA, PB, QA, QB
         for start in range(0, grid.size - 1, _MOMENT_BLOCK):
             edges = nodes[start:start + _MOMENT_BLOCK + 1, None]
-            # quadrature nodes per cell: (cells, 16)
-            s = edges[:-1] * (edges[1:] / edges[:-1]) ** x16[None, :]
+            # quadrature nodes per cell, (cells, 16), by its own node ratio
+            ratio = edges[1:] / edges[:-1]
+            s = edges[:-1] * ratio ** x16[None, :]
             y0_s, yinf_s = self._halves(s.ravel())
-            meas = s ** self.N * h  # s^{N-1} ds = s^N h dx
+            meas = s ** self.N * np.log(ratio)  # s^{N-1} ds = s^N h_l dx
             moments[:, start:start + s.shape[0]] = [
                 (factor.reshape(s.shape) * meas) @ hat
                 for factor in (yinf_s, y0_s) for hat in hats]

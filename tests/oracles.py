@@ -252,7 +252,7 @@ def riesz_cell_integrals_direct(op) -> tuple:
 
     A, B = np.empty(ks.size), np.empty(ks.size)
     regular = (ks != 0) & (ks != -1)
-    A[regular], B[regular] = cells(ks[regular], *operators._leggauss01(24))
+    A[regular], B[regular] = cells(ks[regular], *operators._jacobi01(24, 0.0))
     for k, toward_b in ((0, False), (-1, True)):
         rule = operators._panel_rule(
             operators._graded_panels(0.0, 1.0, toward_b), 12)

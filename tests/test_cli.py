@@ -180,7 +180,16 @@ def test_solve_outputs_are_byte_identical(capsys, tmp_path):
     # most 1.4e-16 relative, 3 trace.json bounds and ratios and 2 rel_deltas
     # by at most 7.3e-14, and report.json's probes.partial_integrals by
     # 1.9e-16; the sidecar, every verdict, stop reason and iteration count
-    # kept their bytes
+    # kept their bytes.  Both were re-recorded when every Gauss-Legendre
+    # rule moved to the Golub-Welsch one, log_step to the mean step and the
+    # semiseparable cells to their own log ratio: (3,2,2,1) report.json's
+    # probes.partial_integrals moved by 1.9e-14, barrier_constant by
+    # 6.4e-16 and k_threshold_estimate by 2.4e-16, its other files kept
+    # their bytes; (4,1,6/5,1) u.csv moved 6 values by at most 1.9e-16,
+    # trace.json's rel_deltas, ratios and bounds by at most 4.9e-13,
+    # report.json's fixed_point_residual by 1.1e-16 absolute (7e-8
+    # relative) and probes.partial_integrals by 1.0e-14, the sidecar kept
+    # its bytes, and so did every verdict, stop reason and iteration count
     for golden, args in (
             ("solve_3_2_2_1_ppd20_k0.4", solve_args(tmp_path)),
             ("solve_4_1_6-5_1_ppd20_k0.5",
@@ -681,7 +690,9 @@ def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
     # chat by 6.5e-16 and the k values by at most 4.6e-16; the (4,1,6/5,1)
     # file again when its Toeplitz cells moved to the row evaluator of its
     # columns, which moved chat by 2.1e-16 and the k values by at most
-    # 1.7e-16, every verdict the same
+    # 1.7e-16; both when the Legendre rules, log_step and the semiseparable
+    # cell geometry changed, which moved chat by at most 1.6e-15 and the k
+    # values by at most 9.4e-16; every verdict the same
     code, out, _ = run_cli(capsys, "sweep-k", *exponents,
                            "--points-per-decade", "40", "--steps", "6")
     assert code == 0
@@ -692,10 +703,11 @@ def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
 # kernel.  Under another, numpy's transcendental loops and the BLAS dot
 # products round differently, and the golden commands' floats move; what
 # they decide must not.  Each setting applies to the child process only.
-# Largest relative change measured on an AVX-512 host under these three
-# settings: u.csv 4.4e-16, trace floats 2.3e-9 (the late increments,
-# without AVX-512), report floats 3.3e-10 (the fit residuals), sweep
-# floats 3.3e-16.
+# Largest change measured on an AVX-512 host under these three settings,
+# against the goldens: u.csv 4.4e-16 relative, report floats 3.3e-10 (the
+# fit residuals), 40-ppd sweep floats 2.1e-16, and the QUANTUM_KEYS 1.1e-16
+# absolute, which is 7e-8 relative for fixed_point_residual and 2.3e-9 for
+# the last bounds (without AVX-512).
 CPU_SETTINGS = {
     "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
@@ -704,24 +716,76 @@ CPU_SETTINGS = {
 PROFILE_REL = 1e-13
 ARTIFACT_REL = 1e-8
 SWEEP_REL = 1e-14
+# Each of these is a maximum over nodes of a difference divided by a node
+# value, so whatever its size it resolves only to about one ulp of 1: one
+# ulp of v at the maximizing node moves the (4,1,6/5,1) golden's
+# fixed_point_residual of 1.65e-9 by 7e-8 relative.  They are held to
+# QUANTUM absolute as well as to ARTIFACT_REL, and each ratios entry
+# d_n / d_{n-1} of two rel_deltas to the relative bound that those two
+# quanta set.
+QUANTUM = 8 * 2.0 ** -52
+QUANTUM_KEYS = {"rel_deltas", "bounds", "mono_violations",
+                "fixed_point_residual", "lower_bound_violation"}
 
 
-def assert_json_close(ours, golden, rel, where):
+def ratio_rel_tols(rel_deltas):
+    """The relative bound of each ratios[n] = d_n / d_{n-1}, with d the
+    golden's rel_deltas; ratios[0] is null."""
+    return [ARTIFACT_REL] + [
+        max(ARTIFACT_REL, QUANTUM * (1.0 / d + 1.0 / d_prev))
+        for d_prev, d in zip(rel_deltas, rel_deltas[1:])]
+
+
+def assert_json_close(ours, golden, rel, where, quantum=0.0):
     """Equal structure, strings, integers, booleans and nulls (verdicts,
-    stop reasons, methods, iteration counts); floats within rel."""
+    stop reasons, methods, iteration counts); floats within rel relative
+    or quantum absolute.  Under a key in QUANTUM_KEYS, quantum is QUANTUM,
+    and each ratios entry gets its ratio_rel_tols bound."""
     if isinstance(golden, float):
         assert isinstance(ours, float) and math.isclose(
-            ours, golden, rel_tol=rel, abs_tol=0.0), (where, ours, golden)
+            ours, golden, rel_tol=rel, abs_tol=quantum), (where, ours, golden)
     elif isinstance(golden, dict):
         assert ours.keys() == golden.keys(), where
         for key in golden:
-            assert_json_close(ours[key], golden[key], rel, f"{where}.{key}")
+            if key == "ratios":
+                assert len(ours[key]) == len(golden[key]), where
+                for i, (a, b, tol) in enumerate(zip(
+                        ours[key], golden[key],
+                        ratio_rel_tols(golden["rel_deltas"]))):
+                    assert_json_close(a, b, tol, f"{where}.{key}[{i}]")
+            else:
+                assert_json_close(
+                    ours[key], golden[key], rel, f"{where}.{key}",
+                    QUANTUM if key in QUANTUM_KEYS else quantum)
     elif isinstance(golden, list):
         assert len(ours) == len(golden), where
         for i, (a, b) in enumerate(zip(ours, golden)):
-            assert_json_close(a, b, rel, f"{where}[{i}]")
+            assert_json_close(a, b, rel, f"{where}[{i}]", quantum)
     else:
         assert ours == golden, (where, ours, golden)
+
+
+def test_golden_comparison_fires_past_the_quantum():
+    golden = GOLDEN / "solve_4_1_6-5_1_ppd20_k0.5"
+    report = json.loads((golden / "report.json").read_text())
+    residual = report["fixed_point_residual"]
+    assert_json_close({**report, "fixed_point_residual":
+                       residual + 2.0 ** -52}, report, ARTIFACT_REL, "r")
+    with pytest.raises(AssertionError, match="fixed_point_residual"):
+        assert_json_close({**report, "fixed_point_residual":
+                           residual + 16 * 2.0 ** -52}, report,
+                          ARTIFACT_REL, "r")
+    trace = json.loads((golden / "trace.json").read_text())
+    tol = ratio_rel_tols(trace["rel_deltas"])[-1]
+    assert 1e-7 < tol < 2e-7
+    for scale, fires in ((0.9, False), (1.1, True)):
+        moved = {**trace, "ratios": [*trace["ratios"][:-1],
+                                     trace["ratios"][-1] * (1 + scale * tol)]}
+        if fires:
+            with pytest.raises(AssertionError, match=r"ratios\[8\]"):
+                assert_json_close(moved, trace, ARTIFACT_REL, "t")
+        else:
+            assert_json_close(moved, trace, ARTIFACT_REL, "t")
 
 
 def profile_rows(path):

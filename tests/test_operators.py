@@ -354,7 +354,7 @@ MARGIN_TUPLES = [(4, 1, "6/5", 1), (3, "4/5", "1/2", 1),
 def test_riesz_assembly_keeps_a_margin_to_the_diagonal_zone(t, monkeypatch):
     ex = ProblemExponents(t[0], *(Fraction(v) for v in t[1:]))
     widths = operators._GRADING_RATIO ** np.arange(operators._GRADED_PANELS)
-    x_c = widths[-1] / widths.sum() * operators._leggauss01(12)[0].min()
+    x_c = widths[-1] / widths.sum() * operators._jacobi01(12, 0.0)[0].min()
     closest = {"cells": [], "other": []}
     source = ["other"]
     hyp2f1 = kernels._riesz_hyp2f1
@@ -519,26 +519,28 @@ def test_fills_match_masked_definition_on_smallest_grids():
 def newton_cell_moments(grid, N):
     """(PA, PB, QA, QB) of the factors (|S^{N-1}|, r^{2-N}) at 30 digits.
 
-    On the cell from r_j, s = r_j e^{hx} turns s^{N-1} ds into r_j^N
-    e^{Nhx} h dx, so yinf = s^{2-N} has the moments h r_j^2 int phi(x)
-    e^{2hx} dx and y0 = |S^{N-1}| the moments |S^{N-1}| h r_j^N int phi(x)
-    e^{Nhx} dx, where over [0, 1] int (1-x) e^{cx} dx = (e^c - 1 - c)/c^2
-    and int x e^{cx} dx = ((c-1) e^c + 1)/c^2.  h is the grid's log_step,
-    taken as exact: the cell width that the assembly integrates over.
+    On the cell from r_j to r_{j+1}, s = r_j e^{h_j x} with h_j = ln(r_{j+1}
+    / r_j) turns s^{N-1} ds into r_j^N e^{N h_j x} h_j dx, so yinf = s^{2-N}
+    has the moments h_j r_j^2 int phi(x) e^{2 h_j x} dx and y0 = |S^{N-1}|
+    the moments |S^{N-1}| h_j r_j^N int phi(x) e^{N h_j x} dx, where over
+    [0, 1] int (1-x) e^{cx} dx = (e^c - 1 - c)/c^2 and int x e^{cx} dx =
+    ((c-1) e^c + 1)/c^2.  Each cell is the one between its float nodes.
     """
     with mpmath.workdps(30):
-        h = mpmath.mpf(grid.log_step)
         sphere = 2 * mpmath.pi ** (mpmath.mpf(N) / 2) / mpmath.gamma(
             mpmath.mpf(N) / 2)
+        r = [mpmath.mpf(v) for v in grid.nodes]
+        cells = [(lo, mpmath.log(hi / lo)) for lo, hi in zip(r, r[1:])]
         moments = []
         for power, scale in ((2, 1), (N, sphere)):
-            c = power * h
-            left = (mpmath.exp(c) - 1 - c) / c ** 2
-            right = ((c - 1) * mpmath.exp(c) + 1) / c ** 2
-            base = [scale * h * mpmath.mpf(r) ** power
-                    for r in grid.nodes[:-1]]
-            moments += [np.array([float(b * left) for b in base]),
-                        np.array([float(b * right) for b in base])]
+            for hat in ("left", "right"):
+                out = []
+                for lo, h in cells:
+                    c = power * h
+                    integral = ((mpmath.exp(c) - 1 - c) if hat == "left"
+                                else ((c - 1) * mpmath.exp(c) + 1)) / c ** 2
+                    out.append(float(scale * h * lo ** power * integral))
+                moments.append(np.array(out))
     return moments
 
 
@@ -564,19 +566,29 @@ def test_newton_grid_part_matches_closed_form(N, ppd):
 
 @pytest.mark.parametrize("N", [3, 5])
 @pytest.mark.parametrize("ppd", [20, 40, 160])
+def test_newton_cell_moments_match_each_cells_closed_form(N, ppd):
+    # each cell is integrated over its own node ratio, so the moments are
+    # as exact as the 16-point rule, whatever the rounding of np.geomspace
+    g = build_grid(1e-4, 30.0, ppd)
+    moments = assemble("riesz", N, g, alpha=2.0)._cell_moments()[2:]
+    for ours, exact in zip(moments, newton_cell_moments(g, N), strict=True):
+        np.testing.assert_allclose(ours, exact, rtol=2e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("N", [3, 5])
+@pytest.mark.parametrize("ppd", [20, 40, 160])
 def test_newton_grid_part_agrees_with_the_toeplitz_form(N, ppd):
-    # not closer than 1e-12: the Toeplitz cell integrals place the
-    # quadrature points of offset t at r_i e^{ht}, with the one log_step
-    # of the first node ratio, while np.geomspace places the nodes; over up
-    # to 2M offsets exp(h t N) drifts off them, and the Toeplitz form is
-    # off the closed form above by up to 1.3e-13 at 160 ppd
+    # the Toeplitz cell integrals place the quadrature points of offset t
+    # at r_i e^{ht}, with h the grid's mean log step, and np.geomspace puts
+    # every node within a few ulps of r_1 e^{hi}, so over up to 2M offsets
+    # the Toeplitz form stays on the semiseparable one to a few ulps
     g = build_grid(1e-3, 20.0, ppd)
     op = assemble("riesz", N, g, alpha=2.0)
     toeplitz = masked_riesz_fill(*op._riesz_cell_integrals(), g.nodes, 2.0)
     no_column = np.zeros(g.size)
     for v in newton_inputs(g):
         np.testing.assert_allclose(op.matvec(v, no_column, no_column),
-                                   toeplitz @ v, rtol=1e-12, atol=0.0)
+                                   toeplitz @ v, rtol=1e-14, atol=0.0)
 
 
 def test_newton_operator_never_evaluates_the_2f1(monkeypatch):
@@ -741,7 +753,7 @@ def looped_origin_column(op, sigma):
     rho = 0.5 * r1 * xg[None, :] / nodes[:, None]
     shape = riesz_angular(N, alpha, 1.0, rho)
     col = (0.5 * r1) ** (N - sigma) * r1 ** sigma * (shape @ wg)
-    x12, w12 = operators._leggauss01(12)
+    x12, w12 = operators._jacobi01(12, 0.0)
     edges = operators._graded_panels(0.5 * r1, r1, toward_b=True)
     for lo, hi in zip(edges, edges[1:]):
         s = lo + (hi - lo) * x12
@@ -752,7 +764,7 @@ def looped_origin_column(op, sigma):
 
 def looped_diagonal_cells(op):
     N, alpha, h = op.N, op.alpha, op.grid.log_step
-    x12, w12 = operators._leggauss01(12)
+    x12, w12 = operators._jacobi01(12, 0.0)
     cells = []
     for k, toward_b in ((-1, True), (0, False)):
         edges = operators._graded_panels(0.0, 1.0, toward_b)
@@ -786,13 +798,13 @@ def test_rules_match_the_panel_loops(N, alpha, ppd):
 
 
 def test_cached_quadrature_rules_are_read_only():
-    for rule in (operators._leggauss01(12), operators._leggauss01(24),
+    for rule in (operators._jacobi01(12, 0.0), operators._jacobi01(24, 0.0),
                  operators._jacobi01(24, 1.5)):
         for arr in rule:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-    assert operators._leggauss01(16) is operators._leggauss01(16)
+    assert operators._jacobi01(16, 0.0) is operators._jacobi01(16, 0.0)
     assert operators._jacobi01(32, 0.25) is operators._jacobi01(32, 0.25)
 
 

@@ -85,6 +85,53 @@ def test_scipy_import_scan_fires(tmp_path):
         "m.py:2 scipy.special", "m.py:3 scipy", "m.py:7 scipy.special"]
 
 
+def numpy_polynomial_uses(paths: list[Path]) -> list[str]:
+    """Every import of numpy.polynomial or of a module in it, and every
+    attribute polynomial read off a plain name (np.polynomial), in line
+    order."""
+    found = []
+    for path in paths:
+        uses = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{alias.name}" if node.module ==
+                         "numpy" else node.module for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and node.attr == "polynomial"
+                  and isinstance(node.value, ast.Name)):
+                uses.append((node.lineno, f"{node.value.id}.polynomial"))
+                continue
+            else:
+                continue
+            uses += [(node.lineno, name) for name in names
+                     if f"{name}.".startswith("numpy.polynomial.")]
+        found += [f"{path.name}:{line} {name}" for line, name in sorted(uses)]
+    return found
+
+
+def test_library_uses_no_numpy_polynomial():
+    # Gauss-Legendre comes from the Golub-Welsch rule at beta = 0 and the
+    # Gauss series from kernels.horner, so there is one source of each
+    assert numpy_polynomial_uses(library_modules()) == []
+
+
+def test_numpy_polynomial_scan_fires(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import numpy as np\nimport numpy.polynomial.legendre as L\n"
+        "from numpy.polynomial import polynomial\n"
+        "from numpy import linalg, polynomial as P\n"
+        "x = np.polynomial.polynomial.polyval\nimport numpy.linalg\n"
+        "from numpyx.polynomial import y\n"
+        "def f():\n    return numpy.polynomial.legendre.leggauss(3)\n")
+    assert numpy_polynomial_uses([module]) == [
+        "m.py:2 numpy.polynomial.legendre", "m.py:3 numpy.polynomial",
+        "m.py:4 numpy.polynomial", "m.py:5 np.polynomial",
+        "m.py:9 numpy.polynomial"]
+
+
 def unreferenced_definitions(modules: list[Path],
                              users=()) -> list[str]:
     """Public module-level functions and classes of `modules` that no code

@@ -7,7 +7,8 @@ r_max = 700.  A set is thinned to points evenly spaced in logit(z) or
 log(r), ends included.  The gate on every set: the relative error against
 mpmath is at most max(2e-14, scipy's own error on the same points).  The
 Gauss-Jacobi rules are judged the same way at the exponents the origin and
-tail rules use, nodes by absolute error.
+tail rules use, nodes by absolute error; the Legendre rule, Jacobi's at
+beta = 0, by the fixed gate alone.
 """
 
 import math
@@ -147,6 +148,19 @@ def test_gauss_coefficients_sum_the_far_field(t):
     assert_within_gate(ours, theirs, hyp2f1_mpmath(N, alpha, z), t)
 
 
+def test_horner_has_the_bits_of_polyval():
+    # the assembly sums the series of one x over a rule's (2, n) weights,
+    # so its Horner helper meets (J+1,) and (J+1, 2) coefficient arrays
+    z = np.linspace(0.0, kernels.FAR_FIELD_Z, 40)
+    for N, alpha in ((4, 1.0), (3, 0.5), (5, 3.5), (7, 1.0 / 3.0)):
+        coefs = kernels.riesz_gauss_coefficients(N, alpha)
+        for c in (coefs, np.stack((coefs, coefs[::-1]), axis=1)):
+            ours = kernels.horner(z, c)
+            assert ours.shape == c.shape[1:] + z.shape
+            assert ours.tobytes() == np.polynomial.polynomial.polyval(
+                z, c).tobytes(), (N, alpha, c.shape)
+
+
 @pytest.mark.parametrize("alpha", [1 - 1e-3, 1 + 1e-3, 2 - 1e-3, 2 + 1e-3])
 @pytest.mark.parametrize("N", [3, 4])
 def test_riesz_hyp2f1_next_to_integer_alpha(N, alpha):
@@ -257,3 +271,17 @@ def test_jacobi_rules_are_exact_on_monomials(n):
         for k in range(2 * n):
             assert math.isclose(float(w @ x ** k), 1.0 / (beta + k + 1.0),
                                 rel_tol=1e-13), (n, beta, k)
+
+
+@pytest.mark.parametrize("n", [6, 12, 16, 24])
+def test_legendre_panel_rule_against_mpmath(n):
+    # a fixed gate, not scipy's error: at n = 24 numpy's leggauss weights
+    # are 1.2e-13 off, and the Golub-Welsch rule at beta = 0 is 9.5e-15 off
+    x, w = operators._panel_rule(np.array([0.0, 1.0]), n)
+    with mpmath.workdps(30):
+        X, W = mpmath.gauss_quadrature(n, "legendre")
+        ref_x = np.array([float((v + 1) / 2) for v in X])
+        ref_w = np.array([float(v / 2) for v in W])
+    order = np.argsort(ref_x)
+    assert np.abs(x - ref_x[order]).max() <= 2.0 ** -52
+    np.testing.assert_allclose(w, ref_w[order], rtol=GATE, atol=0.0)
