@@ -122,6 +122,13 @@ _GRID_DEFAULTS = {"r_min": 1e-4, "r_max": 30.0, "points_per_decade": 40}
 _SOLVER_DEFAULTS = {f.name: f.default
                     for f in dataclasses.fields(ProblemInstance)
                     if f.name in ("max_iter", "conv_tol")}
+# the keys a config file may hold, at its top level (None) and in each
+# section
+_CONFIG_KEYS = {None: ["exponents", "k", "grid", "solver", "outputs"],
+                "exponents": ["N", "alpha", "p", "q"],
+                "grid": list(_GRID_DEFAULTS),
+                "solver": list(_SOLVER_DEFAULTS),
+                "outputs": ["profile_csv", "trace_json", "report_json"]}
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -136,6 +143,15 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise CommandError(EXIT_INVALID, f"config is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise CommandError(EXIT_INVALID, "config must be a JSON object")
+    # a key nothing reads is refused, so that a typo or a setting that was
+    # removed cannot pass for one that took effect
+    for section, known in _CONFIG_KEYS.items():
+        keys = config if section is None else _config_section(config, section)
+        unknown = sorted(set(keys) - set(known))
+        if unknown:
+            where = "config" if section is None else f"config {section}"
+            raise CommandError(EXIT_INVALID, f"unknown {where} keys "
+                                             f"{unknown}; known: {known}")
     return config
 
 
@@ -149,7 +165,7 @@ def _config_section(config: dict, section: str) -> dict:
 def _resolve_exponents(args, config: dict) -> ProblemExponents:
     section = _config_section(config, "exponents")
     fields = {}
-    for name in ("N", "alpha", "p", "q"):
+    for name in _CONFIG_KEYS["exponents"]:
         flag = getattr(args, name)
         if flag is not None:
             fields[name] = flag
@@ -169,13 +185,6 @@ def _resolve_exponents(args, config: dict) -> ProblemExponents:
 def _merged_section(args, config: dict, section: str, defaults: dict) -> dict:
     merged = dict(defaults)
     file_section = _config_section(config, section)
-    # a key nothing reads is refused, so that a typo or a setting that was
-    # removed cannot pass for one that took effect
-    unknown = sorted(set(file_section) - set(defaults))
-    if unknown:
-        raise CommandError(EXIT_INVALID,
-                           f"unknown config {section} keys {unknown}; "
-                           f"known: {list(defaults)}")
     for key in merged:
         if key in file_section:
             merged[key] = file_section[key]

@@ -22,14 +22,13 @@ It refuses the zone 1 - rho^2 < 1e-12 next to the diagonal for every
 alpha; the assembly's smallest 1 - rho^2 is 1.0e-8, at 1000 points per
 decade.  riesz_gauss_coefficients gives the Gauss series itself, which
 the assembly sums against a quadrature rule's moments wherever rho^2 <=
-1/4.
+1/2.
 The test suite checks the Green factors through their product, against a
 closed-form Bessel kernel that it checks against the same kind of
 oracle.
 
 Every special function is evaluated here with numpy and the standard
-library; a series sums each point until that point's next term is
-negligible:
+library:
 
 - e^r K_nu(r), nu = N/2 - 1: for half-integer nu the closed forms of
   K_{1/2} and K_{3/2}; for integer nu, K_0 and K_1 from their power
@@ -37,11 +36,13 @@ negligible:
   representation (r > 2).  Forward recurrence in the order, all of whose
   terms are positive, carries the pair up to nu.
 - e^{-r} I_nu(r): the power series up to r = max(20, nu^2/4), the Hankel
-  expansion beyond (it terminates for half-integer nu).
+  expansion beyond (it terminates for half-integer nu), each point summed
+  until its next term is negligible.
 - The Riesz 2F1: the Gauss series for z <= 1/2; beyond, A&S 15.3.6 about
   z = 1 with its two series paired term by term, so that the form stays
   accurate as c - a - b = alpha - 1 nears an integer and is A&S
-  15.3.10-11 where it is one.
+  15.3.10-11 where it is one.  Both series are cut once per (N, alpha),
+  where their terms at z = 1/2 are negligible, and summed by Horner's rule.
 
 All evaluators accept scalars or numpy arrays and broadcast.
 """
@@ -165,7 +166,7 @@ def green_yinf(N: int, r) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # series summed point by point
 
-# a term below this fraction of its point's running sum ends that series
+# a term below this fraction of the running sum ends a series
 _TERM_TOL = 2.0 ** -56
 
 
@@ -181,10 +182,9 @@ def _retire(done, live, out, value, *state):
     return (live[keep], value[keep], *(a[keep] for a in state))
 
 
-def _series(coef, arg: np.ndarray, first_stop: int) -> np.ndarray:
+def _series(coef, arg: np.ndarray) -> np.ndarray:
     """sum_{j >= 0} t_j with t_0 = 1 and t_j = t_{j-1} coef(j) arg, each
-    point summed until its term falls below _TERM_TOL of its sum, at
-    j >= first_stop, from where on the caller knows the terms shrink."""
+    point summed until its term falls below _TERM_TOL of its sum."""
     out = np.empty(arg.size)
     total, term = np.ones(arg.size), np.ones(arg.size)
     live = np.arange(arg.size)
@@ -193,10 +193,8 @@ def _series(coef, arg: np.ndarray, first_stop: int) -> np.ndarray:
         j += 1
         term = term * coef(j) * arg
         total = total + term
-        if j >= first_stop:
-            done = np.abs(term) <= _TERM_TOL * np.abs(total)
-            live, total, term, arg = _retire(done, live, out, total, term,
-                                             arg)
+        done = np.abs(term) <= _TERM_TOL * np.abs(total)
+        live, total, term, arg = _retire(done, live, out, total, term, arg)
     return out
 
 
@@ -298,11 +296,11 @@ def _ive(nu: float, r) -> np.ndarray:
     out = np.empty(x.size)
     hankel = x > max(_HANKEL_FROM, 0.25 * nu * nu)
     xs, xl = x[~hankel], x[hankel]
-    out[~hankel] = _series(lambda j: 1.0 / (j * (nu + j)), 0.25 * xs * xs, 1) \
+    out[~hankel] = _series(lambda j: 1.0 / (j * (nu + j)), 0.25 * xs * xs) \
         * (0.5 * xs) ** nu * np.exp(-xs) / math.gamma(nu + 1.0)
     out[hankel] = _series(
-        lambda j: ((2 * j - 1) ** 2 - 4.0 * nu * nu) / (8.0 * j), 1.0 / xl,
-        1) / np.sqrt(2.0 * np.pi * xl)
+        lambda j: ((2 * j - 1) ** 2 - 4.0 * nu * nu) / (8.0 * j),
+        1.0 / xl) / np.sqrt(2.0 * np.pi * xl)
     return out.reshape(r.shape)
 
 
@@ -338,36 +336,38 @@ def _lgamma_slope(x: float, e: float) -> float:
     return total
 
 
-def _near_one(a: float, b: float, c: float, m: int, e: float,
-              w: np.ndarray) -> np.ndarray:
-    """2F1(a, b; c; 1 - w) for 0 < w < 1/2, where c - a - b = m + e with m
-    >= 0 an integer and |e| <= 1/2, and a + m, b + m > 0.
+@lru_cache(maxsize=32)
+def _near_one(a: float, b: float, c: float, m: int, e: float) -> np.ndarray:
+    """Coefficients (Q, K), shape (m + J + 1, 2), read-only, with which
+    2F1(a, b; c; 1 - w) = Q(w) - E(w) K(w) for 0 < w <= 1/2, E(w) = (w^e
+    - 1)/e and Q, K their Horner sums, where c - a - b = m + e with m >= 0
+    an integer and |e| <= 1/2, and a + m, b + m > 0.
 
-    A&S 15.3.6 is the first series (m terms of it have no partner) plus
-    pairs: term m + n of the first series and term n of the second, each
-    of size 1/e, summed as
+    A&S 15.3.6 is the first series (m terms of it have no partner, Q's
+    first m) plus pairs: term m + n of the first series and term n of the
+    second, each of size 1/e, summed as
 
         P (-1)^m (pi e / sin(pi e)) w^{m+n} (D1_n - D2_n - E(w) K_n)
 
     with P = Gamma(c) / (Gamma(a) Gamma(b) Gamma(c-a) Gamma(c-b)),
-    E(w) = (w^e - 1)/e, K_n = g_n(0, e) and D1_n, D2_n the difference
-    quotients of g_n(-e, 0) and g_n(0, e) about g_n(0, 0), where
-    g_n(u, v) = Gamma(a+m+n+v) Gamma(b+m+n+v) / (Gamma(1+m+n+v)
-    Gamma(1+n+u)).  The coefficients follow from n to n + 1 by rational
-    factors, and at n = 0 from _lgamma_slope, so no quantity grows like
-    1/e; at e = 0 the same sum is A&S 15.3.10-11.
+    K_n = g_n(0, e) and D1_n, D2_n the difference quotients of g_n(-e, 0)
+    and g_n(0, e) about g_n(0, 0), where g_n(u, v) = Gamma(a+m+n+v)
+    Gamma(b+m+n+v) / (Gamma(1+m+n+v) Gamma(1+n+u)).  The coefficients
+    follow from n to n + 1 by rational factors, and at n = 0 from
+    _lgamma_slope, so no quantity grows like 1/e; at e = 0 the same sum is
+    A&S 15.3.10-11.  J is the first n at which the pair's bound at w = 1/2
+    is below a quarter of _TERM_TOL of the sum there, so that the rest,
+    whose terms there shrink about like 2^{-n}, stays below _TERM_TOL.
     """
-    out = np.empty(w.size)
     # the unpaired terms, A (a)_k (b)_k / ((1-m-e)_k k!) w^k for k < m
-    total = np.zeros(w.size)
-    power = np.ones(w.size)
+    rows, total = [], 0.0                  # total: the sum at w = 1/2
     coef = math.gamma(c) * math.gamma(m + e) \
         / (math.gamma(c - a) * math.gamma(c - b)) if m else 0.0
     for k in range(m):
         if k:
             coef *= (a + k - 1) * (b + k - 1) / ((k - m - e) * k)
-        total += coef * power
-        power = power * w
+        rows.append((coef, 0.0))
+        total += coef * 0.5 ** k
     # the pairs, with their coefficients at n = 0
     x0, y0 = a + m, b + m
     g = math.gamma(x0) * math.gamma(y0) / math.gamma(1.0 + m)
@@ -378,39 +378,30 @@ def _near_one(a: float, b: float, c: float, m: int, e: float,
     pref = math.gamma(c) / (math.gamma(a) * math.gamma(b)
                             * math.gamma(c - a) * math.gamma(c - b))
     pref *= (-1.0) ** m * (math.pi * e / math.sin(math.pi * e) if e else 1.0)
-    power = power * pref
-    ew = _expm1_over(np.log(w), e)
-    live = np.arange(w.size)
+    half_e = _expm1_over(-math.log(2.0), e)        # E(1/2)
     n = 0
-    while live.size:
-        total = total + power * ((d1 - d2) - ew * kn)
-        bound = np.abs(power) * (abs(d1) + abs(d2) + np.abs(ew) * abs(kn))
-        done = bound <= _TERM_TOL * np.abs(total)
-        live, total, power, ew, w = _retire(done, live, out, total,
-                                            power, ew, w)
+    while True:
+        rows.append((pref * (d1 - d2), pref * kn))
+        power = pref * 0.5 ** (m + n)
+        total += power * ((d1 - d2) - half_e * kn)
+        bound = abs(power) * (abs(d1) + abs(d2) + abs(half_e * kn))
+        if bound <= 0.25 * _TERM_TOL * abs(total):
+            break
         x, y, z, n1 = x0 + n, y0 + n, 1.0 + m + n, 1.0 + n
         q = x * y / (z * n1)               # g_{n+1}(0, 0) / g_n(0, 0)
         p = (x + e) * (y + e) / ((z + e) * n1)
         d1 = d1 * q * n1 / (n1 - e) + g * q / (n1 - e)
         d2 = d2 * p + g * ((x + y + e) * z - x * y) / (z * (z + e) * n1)
         kn, g = kn * p, g * q
-        power = power * w
         n += 1
+    out = np.array(rows)
+    out.setflags(write=False)
     return out
 
 
-def _gauss_series(a: float, b: float, c: float) -> tuple:
-    """(ratio, first_stop) for the Gauss series sum_j f_j z^j of 2F1(a, b;
-    c; z), A&S 15.1.1: ratio(j) = f_j / f_{j-1}, and past j = -b each
-    |f_j| is at most |f_{j-1}|, as a <= c and b <= 1, so from first_stop
-    on the first negligible term bounds the rest."""
-    return ((lambda j: (a + j - 1) * (b + j - 1) / ((c + j - 1) * j)),
-            max(1, math.floor(-b) + 1))
-
-
-# the largest rho^2 at which the assembly sums the Gauss series from a
-# rule's moments; there each term is at most a quarter of the one before
-FAR_FIELD_Z = 0.25
+# the largest z at which the Riesz 2F1 is summed as its Gauss series, by
+# _riesz_hyp2f1 and against a rule's moments: past j = -b terms halve there
+FAR_FIELD_Z = 0.5
 
 
 def horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -426,25 +417,25 @@ def horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def riesz_gauss_coefficients(N: int, alpha: float) -> np.ndarray:
     """f_0 .. f_J of the Gauss series sum_j f_j z^j of the Riesz 2F1,
-    read-only.
+    A&S 15.1.1, read-only.
 
-    J is where _series stops a point at z = FAR_FIELD_Z: the first term
-    from first_stop on that is below _TERM_TOL of the sum.  Any sum
-    sum_j f_j m_j z^j with z <= FAR_FIELD_Z and |m_j| <= m_0 is then
+    f_j = f_{j-1} (a+j-1)(b+j-1) / ((c+j-1) j), and past j = -b each |f_j|
+    is at most |f_{j-1}|, as a <= c and b <= 1.  J is the first j past -b
+    at which f_j FAR_FIELD_Z^j is below _TERM_TOL of the sum there.  Any
+    sum sum_j f_j m_j z^j with z <= FAR_FIELD_Z and |m_j| <= m_0 is then
     complete to the same tolerance at J.  For alpha = 2, 4, ... the series
     is a polynomial and f_J = 0 is the first coefficient past its degree.
     """
-    ratio, first_stop = _gauss_series((N - alpha) / 2.0,
-                                      (2.0 - alpha) / 2.0, N / 2.0)
-    coefs = [1.0]
-    term = total = 1.0
+    a, b, c = (N - alpha) / 2.0, (2.0 - alpha) / 2.0, N / 2.0
+    coefs, total = [1.0], 1.0
     j = 0
     while True:
         j += 1
-        coefs.append(coefs[-1] * ratio(j))
-        term = term * ratio(j) * FAR_FIELD_Z
+        coefs.append(coefs[-1] * (a + j - 1) * (b + j - 1)
+                     / ((c + j - 1) * j))
+        term = coefs[-1] * FAR_FIELD_Z ** j
         total += term
-        if j >= first_stop and abs(term) <= _TERM_TOL * abs(total):
+        if j > -b and abs(term) <= _TERM_TOL * abs(total):
             break
     out = np.array(coefs)
     out.setflags(write=False)
@@ -454,30 +445,26 @@ def riesz_gauss_coefficients(N: int, alpha: float) -> np.ndarray:
 def _riesz_hyp2f1(N: int, alpha: float, z: np.ndarray) -> np.ndarray:
     """2F1((N-alpha)/2, (2-alpha)/2; N/2; z) for 0 <= z < 1, any shape.
 
-    alpha = 2, 4, ... make b a nonpositive integer and the Gauss series a
-    polynomial of degree -b, evaluated by Horner's rule for every z, z = 1
-    included, so alpha = 2 gives exactly 1.0.  Otherwise the Gauss series
-    covers z <= 1/2 and _near_one the rest, for alpha < 1/2 after Euler's
+    The Horner sum of riesz_gauss_coefficients up to z = FAR_FIELD_Z, and
+    at every z, z = 1 included, where alpha = 2, 4, ... make the series a
+    polynomial, so alpha = 2 gives exactly 1.0.  Beyond, the Horner sums
+    of _near_one's coefficients, for alpha < 1/2 after Euler's
     transformation F = (1-z)^{alpha-1} 2F1(c-a, c-b; c; z).
     """
     a, b, c = (N - alpha) / 2.0, (2.0 - alpha) / 2.0, N / 2.0
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
-    if b <= 0.0 and b % 1.0 == 0.0:
-        return horner(flat, riesz_gauss_coefficients(N, alpha)).reshape(
-            z.shape)
+    coefs = riesz_gauss_coefficients(N, alpha)
+    far = (flat > FAR_FIELD_Z) & (coefs[-1] != 0.0)
     out = np.empty(flat.size)
-    near = flat <= 0.5
-    ratio, first_stop = _gauss_series(a, b, c)
-    out[near] = _series(ratio, flat[near], first_stop)
-    far = ~near
+    out[~far] = horner(flat[~far], coefs)
     if far.any():
         w = 1.0 - flat[far]
         m = round(alpha - 1.0)
         e = (alpha - 1.0) - m             # exact: alpha - 1 - m is a float
-        if m >= 0:
-            out[far] = _near_one(a, b, c, m, e, w)
-        else:
-            out[far] = w ** (alpha - 1.0) \
-                * _near_one(c - a, c - b, c, -m, -e, w)
+        scale = 1.0
+        if m < 0:
+            a, b, m, e, scale = c - a, c - b, -m, -e, w ** (alpha - 1.0)
+        q, k = horner(w, _near_one(a, b, c, m, e))
+        out[far] = scale * (q - _expm1_over(np.log(w), e) * k)
     return out.reshape(z.shape)

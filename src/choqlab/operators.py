@@ -37,13 +37,13 @@ Legendre's (beta = 0) too, is _jacobi01's, cached and read-only.
 
 Away from the diagonal the Toeplitz form never evaluates the shape point
 by point.  Its 2F1 is F(rho^2) with rho = min/max <= 1, and wherever
-every rho^2 a row meets is at most 1/4, F's Gauss series (A&S 15.1.1)
-converges at least like 4^{-j}: the row is then sum_j f_j m_j x^j, with
+every rho^2 a row meets is at most 1/2, F's Gauss series (A&S 15.1.1)
+converges at least like 2^{-j}: the row is then sum_j f_j m_j x^j, with
 f_j = riesz_gauss_coefficients, m_j the rule's moments and x the row's
 largest rho^2, summed by Horner's rule.  That is a far-field expansion
 (Greengard & Rokhlin, J. Comput. Phys. 73, 1987), formed once per column
-and once per assembly.  Only the at most ln 2 / h rows next to a rule's
-grid end and the 2 ln 2 / h offsets around the diagonal call
+and once per assembly.  Only the at most ln 2 / (2h) rows next to a
+rule's grid end and the ln 2 / h offsets around the diagonal call
 riesz_angular.
 """
 
@@ -92,10 +92,12 @@ class RadialGrid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
-        if nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
-            raise ValueError("grid nodes must be positive and increasing")
+        # every check is written to fail on NaN
+        if not (math.isfinite(nodes[-1]) and nodes[0] > 0
+                and np.all(nodes[1:] > nodes[:-1])):
+            raise ValueError("grid nodes must be finite, positive, increasing")
         ratios = nodes[1:] / nodes[:-1]
-        if np.abs(ratios / ratios[0] - 1.0).max() > 1e-12:
+        if not np.abs(ratios / ratios[0] - 1.0).max() <= 1e-12:
             raise ValueError("grid spacing must be geometric")
 
     @property
@@ -119,8 +121,9 @@ class RadialGrid:
 def build_grid(r_min: float, r_max: float,
                points_per_decade: int) -> RadialGrid:
     """Geometric grid with points_per_decade * log10(r_max/r_min) + 1 nodes."""
-    if not (0.0 < r_min < r_max):
-        raise ValueError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
+    if not (0.0 < r_min < r_max and math.isfinite(r_max / r_min)):
+        raise ValueError(f"need 0 < r_min < r_max with a finite ratio, got "
+                         f"({r_min}, {r_max})")
     if points_per_decade < 1:
         raise ValueError(
             f"points_per_decade must be >= 1, got {points_per_decade}")
@@ -322,8 +325,8 @@ def _gauss_sum(coefs: np.ndarray, weights: np.ndarray, z: np.ndarray,
 # cells change bits), so with a multiple of 4 every cell gets the bits of
 # one product over all cells.  A near-row block is one riesz_angular call
 # of at most 4200 rule points, 25 rows of the 168-point origin rule and 175
-# of a 24-point cell rule; each call pays about 1.5 ms of series overhead,
-# which smaller blocks multiply
+# of a 24-point cell rule; each call pays about 0.15 ms whatever its size
+# (on a 2-vCPU x86-64 host), which smaller blocks multiply
 _MOMENT_BLOCK = 256
 _NEAR_BLOCK_POINTS = 4200
 

@@ -189,7 +189,13 @@ def test_solve_outputs_are_byte_identical(capsys, tmp_path):
     # trace.json's rel_deltas, ratios and bounds by at most 4.9e-13,
     # report.json's fixed_point_residual by 1.1e-16 absolute (7e-8
     # relative) and probes.partial_integrals by 1.0e-14, the sidecar kept
-    # its bytes, and so did every verdict, stop reason and iteration count
+    # its bytes, and so did every verdict, stop reason and iteration count.
+    # The (4,1,6/5,1) files were re-recorded once more when every series of
+    # the Riesz 2F1 moved to cached coefficients summed by Horner's rule,
+    # split once at z = 1/2: 3 u.csv values moved by at most 1.9e-16
+    # relative and report.json's probes.partial_integrals by 7.6e-16;
+    # trace.json, the sidecar, every verdict, stop reason and iteration
+    # count kept their bytes, and so did the (3,2,2,1) files
     for golden, args in (
             ("solve_3_2_2_1_ppd20_k0.4", solve_args(tmp_path)),
             ("solve_4_1_6-5_1_ppd20_k0.5",
@@ -330,6 +336,21 @@ def test_solve_other_solve_errors_exit_2(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("r_min, r_max", [("1e-4", "inf"),
+                                          ("1e-308", "1e308")])
+def test_solve_refuses_a_span_without_a_finite_ratio(capsys, tmp_path, r_min,
+                                                     r_max):
+    # the node count round(ppd log10(r_max/r_min)) has no value there
+    code, out, err = run_cli(
+        capsys, "solve", *FLAGS, "--k", "0.4", "--r-min", r_min,
+        "--r-max", r_max, "--profile-csv", str(tmp_path / "u.csv"),
+        "--trace-json", str(tmp_path / "trace.json"),
+        "--report-json", str(tmp_path / "report.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: need 0 < r_min < r_max with a finite ratio")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_reads_config_file(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     config = {
@@ -350,17 +371,23 @@ def test_solve_reads_config_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("section, key", [
-    ("solver", "conv_tl"), ("grid", "ppd")])
+    ("solver", "conv_tl"), ("grid", "ppd"), ("outputs", "report_jsn"),
+    ("exponents", "beta"), (None, "grd")])
 def test_unknown_config_keys_are_refused(capsys, tmp_path, section, key):
-    # a misspelt key would otherwise leave its setting at the default
+    # a misspelt key would otherwise leave its setting at the default, or
+    # write no report; a misspelt section, None here, would leave all of
+    # its settings there
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"k": 0.4, section: {key: 1e-14}}))
-    code, out, err = run_cli(capsys, "solve", *FLAGS, *FAST_GRID,
-                             "--config", str(config),
-                             "--report-json", str(tmp_path / "r.json"))
-    assert code == 2 and out == ""
-    assert f"unknown config {section} keys ['{key}']" in err
-    assert list(tmp_path.iterdir()) == [config]
+    entry = {key: 1e-14} if section is None else {section: {key: 1e-14}}
+    config.write_text(json.dumps({"k": 0.4, **entry}))
+    where = "config" if section is None else f"config {section}"
+    solve = ["solve", *FLAGS, *FAST_GRID, "--config", str(config),
+             "--report-json", str(tmp_path / "r.json")]
+    for argv in (solve, ["classify", *FLAGS, "--config", str(config)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv[0]
+        assert f"unknown {where} keys ['{key}']; known: [" in err, argv[0]
+        assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("section", ["exponents", "grid", "solver",
@@ -482,6 +509,25 @@ def test_report_profile_with_repeated_radius(capsys, tmp_path):
 
 VALID_SIDECAR = {"origin_exponent": 1.0, "tail_model": {"kind": "zero"},
                  "annotation_warning": False}
+
+
+@pytest.mark.parametrize("radii", [
+    ("1.0", "inf", "inf"), ("1.0", "2.0", "nan"), ("nan", "1.0", "2.0")])
+def test_report_profile_with_non_finite_radius(capsys, tmp_path, radii):
+    # every comparison with NaN is false, so the grid's checks must fail
+    # on it, and inf / inf is NaN
+    csv = tmp_path / "u.csv"
+    csv.write_text("r,value\n" + "".join(f"{r},1.0\n" for r in radii))
+    (tmp_path / "u.csv.meta.json").write_text(json.dumps(VALID_SIDECAR))
+    code, out, err = run_cli(capsys, "report", *FLAGS, "--k", "0.4",
+                             "--profile-csv", str(csv),
+                             "--report-json", str(tmp_path / "r.json"),
+                             "--plot-csv", str(tmp_path / "plot.csv"))
+    assert code == 2 and out == ""
+    assert err == ("error: cannot load profile: grid nodes must be finite, "
+                   "positive, increasing\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "u.csv", "u.csv.meta.json"]
 
 
 @pytest.mark.parametrize("sidecar, message", [

@@ -32,6 +32,7 @@ from choqlab.kernels import (
 from choqlab.operators import (
     ExpDecay,
     NonIntegrableOriginError,
+    RadialGrid,
     RadialProfile,
     ZERO_TAIL,
     apply,
@@ -70,6 +71,20 @@ def test_build_grid_rejects_bad_arguments():
         build_grid(1.0, 0.5, 40)
     with pytest.raises(ValueError):
         build_grid(1e-2, 1.0, 0.5)
+    # a span whose ratio is not a finite float has no node count
+    for r_min, r_max in ((1.0, math.inf), (1e-308, 1e308),
+                         (math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite ratio"):
+            build_grid(r_min, r_max, 40)
+
+
+@pytest.mark.parametrize("nodes", [
+    [1.0, math.inf, math.inf], [1.0, 2.0, math.nan], [math.nan, 1.0, 2.0],
+    [1.0, 2.0, math.inf], [-math.inf, 1.0, 2.0]])
+def test_grid_refuses_non_finite_nodes(nodes):
+    # every comparison with NaN is false, so a check must fail on it
+    with pytest.raises(ValueError, match="finite, positive, increasing"):
+        RadialGrid(np.array(nodes))
 
 
 def test_profile_validation():
@@ -619,10 +634,10 @@ def test_newton_operator_never_evaluates_the_2f1(monkeypatch):
 
 
 # Away from the diagonal an alpha != 2 operator sums the Riesz 2F1's Gauss
-# series against each rule's moments: column rows where every rho^2 <= 1/4
+# series against each rule's moments: column rows where every rho^2 <= 1/2
 # and Toeplitz cells where every rho^2 or rho^-2 is.  The direct
 # evaluation in oracles.py, riesz_angular at every pair, is the reference.
-# Columns agree to 1.1e-15; the Toeplitz factors to 1.4e-14, from the
+# Columns agree to 1.0e-15; the Toeplitz factors to 1.2e-14, from the
 # rounding of e^{hkN} at offsets |k| up to M (N = 7, 160 ppd), which the
 # direct form takes as e^{h(k+x)N} per point.
 
@@ -654,7 +669,7 @@ def test_far_field_matches_the_direct_evaluation(N, alpha, ppd):
 
 def test_far_field_bounds_the_2f1_arguments(monkeypatch):
     # a 160-ppd (4,1,6/5,1) discretization evaluates the 2F1 pointwise only
-    # within rho^2 > 1/4 of the diagonal: 23,760 arguments, where
+    # within rho^2 > 1/2 of the diagonal: 12,240 arguments, where
     # evaluating every pair directly takes 421,152
     sizes = []
     original = kernels._riesz_hyp2f1
@@ -669,7 +684,7 @@ def test_far_field_bounds_the_2f1_arguments(monkeypatch):
         build_grid(1e-4, 30.0, 160))
     disc.step_plan
     disc.c_hat
-    assert 0 < sum(sizes) <= 30_000
+    assert 0 < sum(sizes) <= 13_000
 
 
 def heap_peak(make) -> int:

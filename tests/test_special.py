@@ -137,8 +137,9 @@ def test_riesz_hyp2f1_on_assembly_arguments(grid_name, t):
 
 @pytest.mark.parametrize("t", TUPLES, ids=lambda t: f"{t[0]}-{t[1]}")
 def test_gauss_coefficients_sum_the_far_field(t):
-    # the assembly sums these coefficients against a rule's moments wherever
-    # z <= 1/4, so their Horner sum is the 2F1 there
+    # the assembly sums these coefficients against a rule's moments, and
+    # _riesz_hyp2f1 by Horner's rule, wherever z <= 1/2, so their Horner
+    # sum must be the 2F1 there
     N, alpha = t[0], float(Fraction(t[1]))
     z = np.linspace(0.0, kernels.FAR_FIELD_Z, 40)
     ours = np.polynomial.polynomial.polyval(
@@ -161,13 +162,31 @@ def test_horner_has_the_bits_of_polyval():
                 z, c).tobytes(), (N, alpha, c.shape)
 
 
-@pytest.mark.parametrize("alpha", [1 - 1e-3, 1 + 1e-3, 2 - 1e-3, 2 + 1e-3])
+NEAR_INTEGER = [1 - 1e-3, 1 + 1e-3, 2 - 1e-3, 2 + 1e-3]
+
+
+@pytest.mark.parametrize("alpha", NEAR_INTEGER)
 @pytest.mark.parametrize("N", [3, 4])
 def test_riesz_hyp2f1_next_to_integer_alpha(N, alpha):
     # c - a - b = alpha - 1 is 1e-3 from an integer, where A&S 15.3.6 as
     # printed loses three digits to cancellation
     z = assembly_arguments("ppd160")[("hyp", 4, 1.0)]
     check_hyp2f1(N, alpha, spread(z, logit), (N, alpha))
+
+
+# each cached series is cut where its terms at z = 1/2 are negligible, the
+# Gauss series' at z = 1/2 and the A&S 15.3.6 pairs' at w = 1 - z = 1/2, so
+# the split is each cut's worst argument; 1 - 1e-8 is the assembly's
+# closest approach to the diagonal
+SPLIT = np.array([0.25, 0.5 - 2.0 ** -30, 0.5, np.nextafter(0.5, 1.0),
+                  1.0 - 1e-8])
+
+
+@pytest.mark.parametrize("N, alpha", [
+    (t[0], float(Fraction(t[1]))) for t in TUPLES] + [
+    (N, alpha) for N in (3, 4) for alpha in NEAR_INTEGER])
+def test_riesz_hyp2f1_at_the_split(N, alpha):
+    check_hyp2f1(N, alpha, SPLIT, (N, alpha))
 
 
 def test_riesz_hyp2f1_special_values():
