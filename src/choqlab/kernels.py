@@ -14,35 +14,31 @@ functions of the smaller and larger radius, whose two factors
 green_halfline_factors returns.
 
 The Riesz 2F1 is evaluated in two ways.  riesz_angular evaluates it at
-each point; the operator assembly calls it at unit radius for the weights
-and column rows near the kernel's diagonal of an alpha != 2 operator (at
-alpha = 2 the 2F1 is 1 and the operator uses the factors directly), and
-the test suite checks it directly against the angular quadrature oracle.
-It refuses the zone 1 - rho^2 < 1e-12 next to the diagonal for every
-alpha; the assembly's smallest 1 - rho^2 is 1.0e-8, at 1000 points per
-decade.  riesz_gauss_coefficients gives the Gauss series itself, which
-the assembly sums against a quadrature rule's moments wherever rho^2 <=
-1/2.
-The test suite checks the Green factors through their product, against a
-closed-form Bessel kernel that it checks against the same kind of
-oracle.
+each point, and refuses the zone 1 - rho^2 < 1e-12 next to the diagonal;
+the assembly of an alpha != 2 operator calls it near the diagonal only
+(its smallest 1 - rho^2 is 1.0e-8, at 1000 points per decade).
+riesz_gauss_coefficients gives the Gauss series, which the assembly sums
+against a quadrature rule's moments wherever rho^2 <= 1/2.  The test
+suite checks the 2F1 against an angular quadrature oracle, and the Green
+factors through their product against a closed-form Bessel kernel.
 
 Every special function is evaluated here with numpy and the standard
-library:
+library, each series as a cached, read-only coefficient table summed by
+Horner's rule (horner) and cut once, where its terms at the far end of
+the range the table serves are negligible:
 
 - e^r K_nu(r), nu = N/2 - 1: for half-integer nu the closed forms of
   K_{1/2} and K_{3/2}; for integer nu, K_0 and K_1 from their power
-  series (r <= 2) or the trapezoidal rule on their integral
-  representation (r > 2).  Forward recurrence in the order, all of whose
-  terms are positive, carries the pair up to nu.
+  series (r <= 2, cut at r = 2), each term's log part kept with it, or
+  the trapezoidal rule on their integral representation (r > 2).
+  Forward recurrence in the order, all of whose terms are positive,
+  carries the pair up to nu.
 - e^{-r} I_nu(r): the power series up to r = max(20, nu^2/4), the Hankel
-  expansion beyond (it terminates for half-integer nu), each point summed
-  until its next term is negligible.
+  expansion beyond (it terminates for half-integer nu), both cut there.
 - The Riesz 2F1: the Gauss series for z <= 1/2; beyond, A&S 15.3.6 about
   z = 1 with its two series paired term by term, so that the form stays
   accurate as c - a - b = alpha - 1 nears an integer and is A&S
-  15.3.10-11 where it is one.  Both series are cut once per (N, alpha),
-  where their terms at z = 1/2 are negligible, and summed by Horner's rule.
+  15.3.10-11 where it is one; both cut at z = 1/2, per (N, alpha).
 
 All evaluators accept scalars or numpy arrays and broadcast.
 """
@@ -51,6 +47,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate, count
 
 import numpy as np
 
@@ -147,11 +144,9 @@ def green_halfline_factors(N: int, r):
     y0(min) * yinf(max).  Exposed for the operator assembly, which exploits
     this separability cell by cell.
     """
+    yinf = green_yinf(N, r)
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("green factors require r > 0")
-    y0 = r ** (1.0 - N / 2.0) * _ive(N / 2.0 - 1.0, r) * np.exp(r)
-    return y0, green_yinf(N, r)
+    return r ** (1.0 - N / 2.0) * _ive(N / 2.0 - 1.0, r) * np.exp(r), yinf
 
 
 def green_yinf(N: int, r) -> np.ndarray:
@@ -164,49 +159,64 @@ def green_yinf(N: int, r) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# series summed point by point
+# series: coefficient tables cut once, summed by Horner's rule
 
-# a term below this fraction of the running sum ends a series
+# a table ends at its first term below this fraction of the sum, both
+# taken at the far end of the range the table serves
 _TERM_TOL = 2.0 ** -56
 
 
-def _retire(done, live, out, value, *state):
-    """Once a quarter of the live points are done, write value where done
-    into out at the positions live and drop those points from live, value
-    and every state array.  A done point left live a little longer only
-    adds terms below its tolerance."""
-    if 4 * np.count_nonzero(done) < live.size:
-        return (live, value, *state)
-    out[live[done]] = value[done]
-    keep = ~done
-    return (live[keep], value[keep], *(a[keep] for a in state))
-
-
-def _series(coef, arg: np.ndarray) -> np.ndarray:
-    """sum_{j >= 0} t_j with t_0 = 1 and t_j = t_{j-1} coef(j) arg, each
-    point summed until its term falls below _TERM_TOL of its sum."""
-    out = np.empty(arg.size)
-    total, term = np.ones(arg.size), np.ones(arg.size)
-    live = np.arange(arg.size)
-    j = 0
-    while live.size:
-        j += 1
-        term = term * coef(j) * arg
+def _cut(series, start: float = 0.0) -> np.ndarray:
+    """The rows of series, which yields (row, term at the far end) for j =
+    0, 1, ..., up to and with the first j past start whose terms (a float
+    or an array) are below _TERM_TOL of their sums, as one read-only
+    array."""
+    rows, total = [], 0.0
+    for j, (row, term) in enumerate(series):
+        rows.append(row)
         total = total + term
-        done = np.abs(term) <= _TERM_TOL * np.abs(total)
-        live, total, term, arg = _retire(done, live, out, total, term, arg)
+        if j > start and np.all(np.abs(term) <= _TERM_TOL * np.abs(total)):
+            break
+    out = np.array(rows)
+    out.setflags(write=False)
+    return out
+
+
+def _powers(step, x: float):
+    """(c_j, c_j x^j) for j = 0, 1, ..., c_0 = 1, c_j = step(c_{j-1}, j)."""
+    coefs = accumulate(count(1), step, initial=1.0)
+    return ((coef, coef * x ** j) for j, coef in enumerate(coefs))
+
+
+def horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sum_j coefs[j] x^j by Horner's rule in the order of numpy's polyval,
+    so with its bits.  Each coefs[j] broadcasts against x: coefs[..., None]
+    gives the shape coefs.shape[1:] + x.shape of a 1-D x."""
+    out = coefs[-1] + 0.0 * x
+    for coef in coefs[-2::-1]:
+        out = coef + out * x
     return out
 
 
 # ---------------------------------------------------------------------------
 # modified Bessel functions, scaled: e^r K_nu(r) and e^{-r} I_nu(r)
 
-_EULER_GAMMA = 0.57721566490153286061
-# I_nu switches from its power series to the Hankel expansion at
-# max(20, nu^2/4), where the expansion's smallest term is below 1e-17 and
-# comes after every point's stopping term
-_HANKEL_FROM = 20.0
 _TRAPEZOID_NODES = 27
+
+
+@lru_cache(maxsize=1)
+def _k01_coefficients() -> np.ndarray:
+    """Rows (H_j, 1/j!^2, (H_j + H_{j+1})/2, 1/(j! (j+1)!)) of
+    _k01_series, read-only, cut at the far end x = 2 (t = 1, L = gamma)."""
+    def rows():
+        harmonic, coef = 0.0, 1.0
+        for j in count(1):
+            mid, coef1 = harmonic + 0.5 / j, coef / j
+            yield (harmonic, coef, mid, coef1), np.array(
+                ((harmonic - np.euler_gamma) * coef,
+                 (np.euler_gamma - mid) * coef1))
+            harmonic, coef = harmonic + 1.0 / j, coef / (j * j)
+    return _cut(rows())
 
 
 def _k01_series(x: np.ndarray):
@@ -217,21 +227,20 @@ def _k01_series(x: np.ndarray):
         K_0 = sum_j (H_j - L) t^j / j!^2
         K_1 = 1/x + (x/2) sum_j (L - (H_j + H_{j+1})/2) t^j / (j! (j+1)!)
 
-    With t <= 1, term 13 is below 1e-18 of either sum, so both sums stop
-    at j = 14.  Each term keeps its log part, so only the small terms
-    cancel."""
+    Each term keeps its log part, as one coefficient per point, so only
+    the small terms cancel: at x = 2 K_0 is 0.114, while the sums of its
+    H_j and L parts apart are 1.430 and 1.316."""
     t = 0.25 * x * x
-    ell = np.log(0.5 * x) + _EULER_GAMMA
-    term = np.ones(x.size)                 # t^j / j!^2
-    k0, k1 = -ell, ell - 0.5               # the terms j = 0
-    harmonic = 1.0
-    for j in range(1, 15):
-        term = term * t / (j * j)
-        k0 = k0 + (harmonic - ell) * term
-        harmonic_next = harmonic + 1.0 / (j + 1)
-        k1 = k1 + (ell - 0.5 * (harmonic + harmonic_next)) * term / (j + 1)
-        harmonic = harmonic_next
-    k1 = 1.0 / x + 0.5 * x * k1
+    ell = np.log(0.5 * x) + np.euler_gamma
+    harmonic, coef, mid, coef1 = _k01_coefficients().T[..., None]
+    # one (terms, points) buffer serves both sums, which bounds the heap
+    # peak of a block of the Green assembly
+    column = harmonic - ell
+    column *= coef
+    k0 = horner(t, column)
+    np.subtract(ell, mid, out=column)
+    column *= coef1
+    k1 = 1.0 / x + 0.5 * x * horner(t, column)
     scale = np.exp(x)
     return k0 * scale, k1 * scale
 
@@ -282,25 +291,42 @@ def _kve(nu: float, r) -> np.ndarray:
     return lo.reshape(r.shape)
 
 
+@lru_cache(maxsize=16)
+def _ive_tables(nu: float):
+    """(split, scale, power, hankel) of _ive: both tables are cut at split
+    = max(20, nu^2/4), past which the Hankel expansion (in 1/x) takes over.
+    The power series is in x^2 scale, scale = 2^-k with split^2 scale in
+    [1, 2): its coefficients stay floats for large nu, and as scale is a
+    power of 2 the sum has the bits of one in x^2/4."""
+    split = max(20.0, 0.25 * nu * nu)
+    scale = math.ldexp(1.0, 1 - math.frexp(split * split)[1])
+    unit = 0.25 / scale                    # x^2/4 per unit of x^2 scale
+    power = _cut(_powers(lambda c, j: c * unit / (j * (nu + j)),
+                         split * split * scale))
+    hankel = _cut(_powers(
+        lambda h, j: h * ((2 * j - 1) ** 2 - 4.0 * nu * nu) / (8.0 * j),
+        1.0 / split))
+    return split, scale, power, hankel
+
+
 def _ive(nu: float, r) -> np.ndarray:
     """e^{-r} I_nu(r) for nu = N/2 - 1 and r > 0, any shape.
 
-    Up to r = max(20, nu^2/4) the power series (r/2)^nu / Gamma(nu+1)
-    sum_j t^j / (j! (nu+1)_j), t = r^2/4, whose terms are all positive;
-    beyond, the Hankel expansion (2 pi r)^{-1/2} sum_j prod_{i<=j}
-    ((2i-1)^2 - 4 nu^2) / (8 i r) (A&S 9.7.1), which terminates for
-    half-integer nu.
+    Up to split the power series (r/2)^nu / Gamma(nu+1) sum_j t^j / (j!
+    (nu+1)_j), t = r^2/4, whose terms are all positive; beyond, the Hankel
+    expansion (2 pi r)^{-1/2} sum_j prod_{i<=j} ((2i-1)^2 - 4 nu^2) / (8 i
+    r) (A&S 9.7.1), which terminates for half-integer nu; each the Horner
+    sum of its table of _ive_tables.
     """
+    split, scale, power, hankel = _ive_tables(nu)
     r = np.asarray(r, dtype=float)
     x = r.ravel()
     out = np.empty(x.size)
-    hankel = x > max(_HANKEL_FROM, 0.25 * nu * nu)
-    xs, xl = x[~hankel], x[hankel]
-    out[~hankel] = _series(lambda j: 1.0 / (j * (nu + j)), 0.25 * xs * xs) \
-        * (0.5 * xs) ** nu * np.exp(-xs) / math.gamma(nu + 1.0)
-    out[hankel] = _series(
-        lambda j: ((2 * j - 1) ** 2 - 4.0 * nu * nu) / (8.0 * j),
-        1.0 / xl) / np.sqrt(2.0 * np.pi * xl)
+    beyond = x > split
+    xs, xl = x[~beyond], x[beyond]
+    out[~beyond] = horner(xs * xs * scale, power) * (0.5 * xs) ** nu \
+        * np.exp(-xs) / math.gamma(nu + 1.0)
+    out[beyond] = horner(1.0 / xl, hankel) / np.sqrt(2.0 * np.pi * xl)
     return out.reshape(r.shape)
 
 
@@ -404,16 +430,6 @@ def _near_one(a: float, b: float, c: float, m: int, e: float) -> np.ndarray:
 FAR_FIELD_Z = 0.5
 
 
-def horner(x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """sum_j coefs[j] x^j at each x, shape coefs.shape[1:] + x.shape, by
-    Horner's rule in the order of numpy's polyval, so with its bits."""
-    c = coefs.reshape(coefs.shape + (1,) * x.ndim)
-    out = c[-1] + 0.0 * x
-    for coef in c[-2::-1]:
-        out = coef + out * x
-    return out
-
-
 @lru_cache(maxsize=32)
 def riesz_gauss_coefficients(N: int, alpha: float) -> np.ndarray:
     """f_0 .. f_J of the Gauss series sum_j f_j z^j of the Riesz 2F1,
@@ -427,19 +443,9 @@ def riesz_gauss_coefficients(N: int, alpha: float) -> np.ndarray:
     is a polynomial and f_J = 0 is the first coefficient past its degree.
     """
     a, b, c = (N - alpha) / 2.0, (2.0 - alpha) / 2.0, N / 2.0
-    coefs, total = [1.0], 1.0
-    j = 0
-    while True:
-        j += 1
-        coefs.append(coefs[-1] * (a + j - 1) * (b + j - 1)
-                     / ((c + j - 1) * j))
-        term = coefs[-1] * FAR_FIELD_Z ** j
-        total += term
-        if j > -b and abs(term) <= _TERM_TOL * abs(total):
-            break
-    out = np.array(coefs)
-    out.setflags(write=False)
-    return out
+    return _cut(_powers(
+        lambda f, j: f * (a + j - 1) * (b + j - 1) / ((c + j - 1) * j),
+        FAR_FIELD_Z), -b)
 
 
 def _riesz_hyp2f1(N: int, alpha: float, z: np.ndarray) -> np.ndarray:
@@ -465,6 +471,6 @@ def _riesz_hyp2f1(N: int, alpha: float, z: np.ndarray) -> np.ndarray:
         scale = 1.0
         if m < 0:
             a, b, m, e, scale = c - a, c - b, -m, -e, w ** (alpha - 1.0)
-        q, k = horner(w, _near_one(a, b, c, m, e))
+        q, k = horner(w, _near_one(a, b, c, m, e)[..., None])
         out[far] = scale * (q - _expm1_over(np.log(w), e) * k)
     return out.reshape(z.shape)

@@ -70,7 +70,8 @@ from .kernels import (
 
 __all__ = [
     "RadialGrid", "RadialProfile", "ExpDecay", "ZeroTail", "OperatorMatrix",
-    "NonIntegrableOriginError", "build_grid", "assemble", "apply",
+    "NonIntegrableOriginError", "build_grid", "geometric_nodes", "assemble",
+    "apply",
     "transfer_origin_exponent", "origin_slope_disagrees",
     "pointwise_power", "pointwise_product",
 ]
@@ -96,6 +97,9 @@ class RadialGrid:
         if not (math.isfinite(nodes[-1]) and nodes[0] > 0
                 and np.all(nodes[1:] > nodes[:-1])):
             raise ValueError("grid nodes must be finite, positive, increasing")
+        if not math.isfinite(float(nodes[-1]) / float(nodes[0])):
+            raise ValueError(f"grid span {nodes[0]:g} to {nodes[-1]:g} has no "
+                             f"finite ratio")
         ratios = nodes[1:] / nodes[:-1]
         if not np.abs(ratios / ratios[0] - 1.0).max() <= 1e-12:
             raise ValueError("grid spacing must be geometric")
@@ -130,8 +134,16 @@ def build_grid(r_min: float, r_max: float,
     m = round(points_per_decade * math.log10(r_max / r_min)) + 1
     if m < 2:
         raise ValueError("grid span too short for this resolution")
-    nodes = np.geomspace(r_min, r_max, m)
-    return RadialGrid(nodes)
+    return RadialGrid(geometric_nodes(r_min, r_max, m))
+
+
+def geometric_nodes(r_min: float, r_max: float, size: int) -> np.ndarray:
+    """r_min e^{ih}, i < size - 1, h = log(r_max/r_min)/(size-1), then
+    r_max: Python floats and libm, so no numpy SIMD loop sets their bits,
+    and h halves exactly as size - 1 doubles, so finer grids nest."""
+    step = math.log(r_max / r_min) / (size - 1)
+    return np.array([r_min * math.exp(i * step) for i in range(size - 1)]
+                    + [r_max])
 
 
 @dataclass(frozen=True)
@@ -316,18 +328,19 @@ def _gauss_sum(coefs: np.ndarray, weights: np.ndarray, z: np.ndarray,
     for j, coef in enumerate(coefs):
         terms[j] = coef * power.sum(axis=-1)
         power *= z
-    return horner(x, terms)
+    return horner(x, terms[..., None])
 
 
 # block sizes of the assembly, fixed so that no temporary grows with the
-# grid.  A moment block is 256 cells, 4096 rule points.  The BLAS
+# grid.  A moment block is 128 cells, 2048 rule points: the K_0/K_1
+# series hold 14 coefficients per point of a block.  The BLAS
 # matrix-vector product groups rows by four (blocks of 1, 2, 3, 5 or 7
 # cells change bits), so with a multiple of 4 every cell gets the bits of
 # one product over all cells.  A near-row block is one riesz_angular call
 # of at most 4200 rule points, 25 rows of the 168-point origin rule and 175
 # of a 24-point cell rule; each call pays about 0.15 ms whatever its size
 # (on a 2-vCPU x86-64 host), which smaller blocks multiply
-_MOMENT_BLOCK = 256
+_MOMENT_BLOCK = 128
 _NEAR_BLOCK_POINTS = 4200
 
 

@@ -24,7 +24,8 @@ import numpy as np
 from .asymptotics import verify_rate_transfer
 from .exponents import ProblemExponents, T_sequence, bootstrap_t1, s_sequence
 from .kernels import c_N, gamma0, green_halfline_factors, phi0
-from .operators import RadialProfile, ZERO_TAIL, apply, assemble, build_grid
+from .operators import (RadialProfile, ZERO_TAIL, apply, assemble, build_grid,
+                        geometric_nodes)
 from .serialize import write_csv
 
 __all__ = ["CheckResult", "SUITES", "run_suite",
@@ -48,7 +49,7 @@ def _check(name: str, passed, detail: str = "") -> CheckResult:
 
 
 def _kernel_audit_rows():
-    r = np.geomspace(1e-3, 20.0, 200)
+    r = geometric_nodes(1e-3, 20.0, 200)
     gam = gamma0(3, r)
     phi = phi0(3, r)
     closed = np.exp(-r) / (4.0 * math.pi * r)

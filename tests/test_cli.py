@@ -20,7 +20,7 @@ import choqlab.solver
 import choqlab.verify
 from choqlab.cli import main, parse_rational
 from choqlab.kernels import green_halfline_factors
-from choqlab.operators import NonIntegrableOriginError
+from choqlab.operators import NonIntegrableOriginError, build_grid
 from choqlab.serialize import read_profile
 from choqlab.solver import BarrierEstimateError
 
@@ -195,7 +195,18 @@ def test_solve_outputs_are_byte_identical(capsys, tmp_path):
     # split once at z = 1/2: 3 u.csv values moved by at most 1.9e-16
     # relative and report.json's probes.partial_integrals by 7.6e-16;
     # trace.json, the sidecar, every verdict, stop reason and iteration
-    # count kept their bytes, and so did the (3,2,2,1) files
+    # count kept their bytes, and so did the (3,2,2,1) files.  All were
+    # re-recorded when the grid nodes moved from np.geomspace to the
+    # standard library's exp and the Bessel series to cached tables summed
+    # by Horner's rule: u.csv's r column moved 59 of 87 nodes by at most
+    # 1.3e-15 relative and its values by at most 1.6e-14 (the slope of u
+    # times the node move); in report.json the fit keys decay.rate, power,
+    # window and residual and singularity.residual moved by at most
+    # 1.8e-12 (decay.residual of (3,2,2,1) by 3.2e-10) and
+    # probes.partial_integrals by 2.2e-16; the (4,1,6/5,1) trace.json
+    # rel_deltas, ratios and bounds by at most 3.1e-11; (3,2,2,1)
+    # trace.json and both sidecars kept their bytes, and so did every
+    # verdict, stop reason and iteration count
     for golden, args in (
             ("solve_3_2_2_1_ppd20_k0.4", solve_args(tmp_path)),
             ("solve_4_1_6-5_1_ppd20_k0.5",
@@ -738,7 +749,9 @@ def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
     # columns, which moved chat by 2.1e-16 and the k values by at most
     # 1.7e-16; both when the Legendre rules, log_step and the semiseparable
     # cell geometry changed, which moved chat by at most 1.6e-15 and the k
-    # values by at most 9.4e-16; every verdict the same
+    # values by at most 9.4e-16; both when the grid nodes and the Bessel
+    # series changed, which moved chat, khat_q, k_conv, k_div and 8 of 8
+    # k values by at most 4.4e-16; every verdict the same
     code, out, _ = run_cli(capsys, "sweep-k", *exponents,
                            "--points-per-decade", "40", "--steps", "6")
     assert code == 0
@@ -750,10 +763,11 @@ def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
 # products round differently, and the golden commands' floats move; what
 # they decide must not.  Each setting applies to the child process only.
 # Largest change measured on an AVX-512 host under these three settings,
-# against the goldens: u.csv 4.4e-16 relative, report floats 3.3e-10 (the
-# fit residuals), 40-ppd sweep floats 2.1e-16, and the QUANTUM_KEYS 1.1e-16
-# absolute, which is 7e-8 relative for fixed_point_residual and 2.3e-9 for
-# the last bounds (without AVX-512).
+# against the goldens: u.csv 4.4e-16 relative (its r column none: the
+# nodes come from the standard library's exp), report floats 2.6e-10 (the
+# fit residuals), 40-ppd sweep floats 4.4e-16, and the QUANTUM_KEYS
+# 1.1e-16 absolute, which is 7e-8 relative for fixed_point_residual
+# (without AVX-512).
 CPU_SETTINGS = {
     "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "prescott": {"OPENBLAS_CORETYPE": "Prescott"},
@@ -853,22 +867,26 @@ def test_golden_commands_agree_under_other_cpu_kernels(tmp_path, setting):
         argvs.append(solve_args(tmp_path / folder, k, flags))
     argvs += sweeps.values()
     # one child runs the four commands and prints their exit codes and
-    # standard outputs
+    # standard outputs, and the bytes of the 160-ppd default grid's nodes
     code = ("import contextlib, io, json, sys\n"
             "import choqlab.cli\n"
+            "from choqlab.operators import build_grid\n"
             "runs = []\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
             "        status = choqlab.cli.main(argv)\n"
             "    runs.append([status, out.getvalue()])\n"
-            "print(json.dumps(runs))\n")
+            "nodes = build_grid(1e-4, 30.0, 160).nodes.tobytes().hex()\n"
+            "print(json.dumps([runs, nodes]))\n")
     src = str(Path(choqlab.cli.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps(argvs)],
         env=dict(os.environ, PYTHONPATH=src, **CPU_SETTINGS[setting]),
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    runs = json.loads(proc.stdout)
+    runs, nodes = json.loads(proc.stdout)
+    # the grid is built from the standard library's exp, not numpy's loops
+    assert nodes == build_grid(1e-4, 30.0, 160).nodes.tobytes().hex()
     assert [status for status, _ in runs] == [0, 0, 0, 0]
     for golden, (folder, _, _) in solves.items():
         for name in ("u.csv.meta.json", "trace.json", "report.json"):

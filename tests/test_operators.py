@@ -64,6 +64,17 @@ def test_build_grid_production_size():
     assert math.isclose(g.log_step, math.log(10.0) / 40.0, rel_tol=1e-3)
 
 
+def test_grid_nodes_nest_bit_for_bit():
+    # node i is r_min e^{ih} from the standard library's exp, and doubling
+    # the node count's steps halves h exactly, so each finer grid holds
+    # the coarser one's nodes at every other place
+    coarse, middle, fine = (build_grid(1e-4, 30.0, ppd).nodes
+                            for ppd in (40, 80, 160))
+    assert (coarse.size, middle.size, fine.size) == (220, 439, 877)
+    assert middle[::2].tobytes() == coarse.tobytes()
+    assert fine[::2].tobytes() == middle.tobytes()
+
+
 def test_build_grid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_grid(0.0, 1.0, 40)
@@ -84,6 +95,15 @@ def test_build_grid_rejects_bad_arguments():
 def test_grid_refuses_non_finite_nodes(nodes):
     # every comparison with NaN is false, so a check must fail on it
     with pytest.raises(ValueError, match="finite, positive, increasing"):
+        RadialGrid(np.array(nodes))
+
+
+@pytest.mark.parametrize("nodes", [[1e-300, 1e300], [1e-300, 1.0, 1e300]])
+def test_grid_refuses_a_span_without_a_finite_ratio(nodes):
+    # the span is checked before the node ratios, whose quotient by the
+    # first would overflow
+    with pytest.raises(ValueError,
+                       match=r"grid span 1e-300 to 1e\+300 has no finite"):
         RadialGrid(np.array(nodes))
 
 
@@ -583,7 +603,7 @@ def test_newton_grid_part_matches_closed_form(N, ppd):
 @pytest.mark.parametrize("ppd", [20, 40, 160])
 def test_newton_cell_moments_match_each_cells_closed_form(N, ppd):
     # each cell is integrated over its own node ratio, so the moments are
-    # as exact as the 16-point rule, whatever the rounding of np.geomspace
+    # as exact as the 16-point rule, whatever the rounding of the nodes
     g = build_grid(1e-4, 30.0, ppd)
     moments = assemble("riesz", N, g, alpha=2.0)._cell_moments()[2:]
     for ours, exact in zip(moments, newton_cell_moments(g, N), strict=True):
@@ -594,9 +614,10 @@ def test_newton_cell_moments_match_each_cells_closed_form(N, ppd):
 @pytest.mark.parametrize("ppd", [20, 40, 160])
 def test_newton_grid_part_agrees_with_the_toeplitz_form(N, ppd):
     # the Toeplitz cell integrals place the quadrature points of offset t
-    # at r_i e^{ht}, with h the grid's mean log step, and np.geomspace puts
-    # every node within a few ulps of r_1 e^{hi}, so over up to 2M offsets
-    # the Toeplitz form stays on the semiseparable one to a few ulps
+    # at r_i e^{ht}, with h the grid's mean log step, and build_grid makes
+    # node i r_1 e^{hi} with the same h, rounded in hi and in exp, so over
+    # up to 2M offsets the Toeplitz form stays on the semiseparable one to
+    # a few ulps
     g = build_grid(1e-3, 20.0, ppd)
     op = assemble("riesz", N, g, alpha=2.0)
     toeplitz = masked_riesz_fill(*op._riesz_cell_integrals(), g.nodes, 2.0)
@@ -725,10 +746,10 @@ def step_plan_41(grid):
     (step_plan_41, 0.67e6),
 ], ids=["green-N3", "green-N4", "riesz-alpha2", "step-plan-41"])
 def test_blocked_assembly_bounds_the_heap_peak(make, bound):
-    # the Green and alpha = 2 moments are integrated 256 cells at a time
+    # the Green and alpha = 2 moments are integrated 128 cells at a time
     # and a column's near rows 25 at a time: at 160 ppd the peaks are
-    # 0.55, 0.61, 0.28 and 0.56 MB, where one batch over all 876 cells or
-    # all 49 near rows peaks at 1.36, 1.40, 0.61 and 0.78 MB
+    # 0.23, 0.61, 0.16 and 0.48 MB, where one batch over all 876 cells or
+    # all 49 near rows peaks at 0.95, 2.67, 0.69 and 0.78 MB
     assert heap_peak(make) < bound
 
 

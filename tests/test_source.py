@@ -132,6 +132,71 @@ def test_numpy_polynomial_scan_fires(tmp_path):
         "m.py:9 numpy.polynomial"]
 
 
+# numpy calls whose bits depend on the CPU: the BLAS kernel sets those of
+# a product (@, np.dot), np.correlate, lstsq, eigvalsh and polyfit, and
+# the SIMD tier those of np.exp, np.expm1 and np.geomspace (which calls
+# them).  Byte identity holds for one of each (README); each module lists
+# the calls it makes, so a new one shows here before it moves an artifact
+CPU_DISPATCHED = {"correlate", "dot", "lstsq", "eigvalsh", "polyfit", "exp",
+                  "expm1", "geomspace"}
+CPU_DISPATCHED_CALLS = {
+    "asymptotics.py": {"@", "np.dot", "np.exp", "np.linalg.lstsq",
+                       "np.polyfit"},
+    "kernels.py": {"np.exp", "np.expm1"},
+    "operators.py": {"@", "np.correlate", "np.exp", "np.linalg.eigvalsh"},
+    "solver.py": {"@"},
+    "verify.py": {"np.exp"},
+}
+
+
+def _dotted(node: ast.AST):
+    """a.b.c for an attribute chain on a plain name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return (".".join([node.id, *reversed(parts)])
+            if isinstance(node, ast.Name) else None)
+
+
+def cpu_dispatched_calls(path: Path) -> set[str]:
+    """Every matrix product (@ or @=), every name of CPU_DISPATCHED read
+    off np or numpy at any depth (np.linalg.lstsq), and every such name
+    imported from a numpy module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            found.add("@")
+        elif isinstance(node, ast.Attribute) and node.attr in CPU_DISPATCHED:
+            name = _dotted(node)
+            if name and name.partition(".")[0] in ("np", "numpy"):
+                found.add(name)
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.partition(".")[0] == "numpy"):
+            found |= {f"{node.module}.{alias.name}" for alias in node.names
+                      if alias.name in CPU_DISPATCHED}
+    return found
+
+
+def test_library_lists_its_cpu_dispatched_calls():
+    assert {path.name: cpu_dispatched_calls(path)
+            for path in library_modules()
+            if cpu_dispatched_calls(path)} == CPU_DISPATCHED_CALLS
+
+
+def test_cpu_dispatched_call_scan_fires(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import math\nimport numpy as np\n"
+        "from numpy.linalg import lstsq, norm\nx = np.exp(1.0) @ a\ny = math.exp(2.0) + np.sin(1.0)\n"
+        "def f(m, b):\n    b @= m\n    return np.linalg.eigvalsh(m)\n"
+        "z = v.dot(w) + numpy.geomspace(1, 2, 3)\n")
+    assert cpu_dispatched_calls(module) == {
+        "@", "np.exp", "np.linalg.eigvalsh", "numpy.geomspace",
+        "numpy.linalg.lstsq"}
+
+
 def unreferenced_definitions(modules: list[Path],
                              users=()) -> list[str]:
     """Public module-level functions and classes of `modules` that no code

@@ -149,17 +149,83 @@ def test_gauss_coefficients_sum_the_far_field(t):
     assert_within_gate(ours, theirs, hyp2f1_mpmath(N, alpha, z), t)
 
 
+BESSEL_NU = [0.5, 1.0, 1.5, 2.0, 2.5]
+
+
+def first_dropped_ive_term(nu, hankel, j, x):
+    """Term j of _ive's power series or Hankel expansion at x, from its
+    closed form, and the sum of the whole series there (scipy), the
+    Hankel expansion's being e^{-x} I_nu(x) sqrt(2 pi x) to its last
+    digit past x = 20."""
+    if hankel:
+        term = math.prod(((2 * i - 1) ** 2 - 4.0 * nu * nu) / (8.0 * i * x)
+                         for i in range(1, j + 1))
+        return term, special.ive(nu, x) * math.sqrt(2.0 * math.pi * x)
+    term = math.exp(2 * j * math.log(0.5 * x) - math.lgamma(j + 1.0)
+                    - math.lgamma(nu + j + 1.0) + math.lgamma(nu + 1.0))
+    return term, special.iv(nu, x) * math.gamma(nu + 1.0) * (0.5 * x) ** -nu
+
+
+@pytest.mark.parametrize("hankel", [False, True], ids=["power", "hankel"])
+@pytest.mark.parametrize("nu", BESSEL_NU)
+def test_bessel_tables_are_cut_where_the_next_term_is_negligible(nu, hankel):
+    # each side's table is cut at the split x = max(20, nu^2/4), the far
+    # end of both sides' ranges, where the first term it drops is below
+    # 2^-56 of the sum; the tables are cached and read-only, and a point
+    # gets the same bits alone as inside a large array
+    split, _, *tables = kernels._ive_tables(nu)
+    coefs = tables[hankel]
+    assert not coefs.flags.writeable
+    assert kernels._ive_tables(nu)[2 + hankel] is coefs
+    assert split == max(20.0, nu * nu / 4.0)
+    term, total = first_dropped_ive_term(nu, hankel, coefs.size, split)
+    assert abs(term) <= 2.0 ** -56 * abs(total), (nu, hankel, term, total)
+    r = np.geomspace(1e-4, 748.0, 14_000)
+    r = r[(r > split) == hankel]
+    together = kernels._ive(nu, r)
+    for i in np.unique(np.linspace(0, r.size - 1, 60).astype(int)):
+        assert kernels._ive(nu, r[i:i + 1]).tobytes() == \
+            together[i:i + 1].tobytes(), (nu, hankel, r[i])
+
+
+def test_k01_table_is_cut_where_the_next_term_is_negligible():
+    # the K_0/K_1 series serve 0 < x <= 2 and are cut at x = 2 (t = 1, L =
+    # gamma), where K_0 = sum_j (H_j - gamma) / j!^2 and K_1 - 1/2 = sum_j
+    # (gamma - (H_j + H_{j+1})/2) / (j! (j+1)!)
+    table = kernels._k01_coefficients()
+    assert not table.flags.writeable
+    j = table.shape[0]
+    harmonic = sum(1.0 / i for i in range(1, j + 1))
+    k0 = (harmonic - np.euler_gamma) / math.factorial(j) ** 2
+    k1 = (np.euler_gamma - harmonic - 0.5 / (j + 1)) / (
+        math.factorial(j) * math.factorial(j + 1))
+    assert abs(k0) <= 2.0 ** -56 * special.k0(2.0)
+    assert abs(k1) <= 2.0 ** -56 * abs(special.k1(2.0) - 0.5)
+    r = np.geomspace(1e-4, 2.0, 4_000)
+    together = kernels._kve(1.0, r)
+    for i in range(0, r.size, 97):
+        assert kernels._kve(1.0, r[i:i + 1]).tobytes() == \
+            together[i:i + 1].tobytes(), r[i]
+
+
 def test_horner_has_the_bits_of_polyval():
     # the assembly sums the series of one x over a rule's (2, n) weights,
-    # so its Horner helper meets (J+1,) and (J+1, 2) coefficient arrays
+    # so its Horner helper meets (J+1,) and (J+1, 2) coefficient arrays,
+    # passed as c[..., None] for polyval's outer product; the K_0/K_1
+    # series pass one coefficient column per point, which broadcasts
+    polyval = np.polynomial.polynomial.polyval
     z = np.linspace(0.0, kernels.FAR_FIELD_Z, 40)
     for N, alpha in ((4, 1.0), (3, 0.5), (5, 3.5), (7, 1.0 / 3.0)):
         coefs = kernels.riesz_gauss_coefficients(N, alpha)
         for c in (coefs, np.stack((coefs, coefs[::-1]), axis=1)):
-            ours = kernels.horner(z, c)
+            ours = kernels.horner(z, c[..., None])
             assert ours.shape == c.shape[1:] + z.shape
-            assert ours.tobytes() == np.polynomial.polynomial.polyval(
-                z, c).tobytes(), (N, alpha, c.shape)
+            assert ours.tobytes() == polyval(z, c).tobytes(), \
+                (N, alpha, c.shape)
+        columns = coefs[:, None] * (1.0 - z)
+        pointwise = [polyval(v, column) for v, column in zip(z, columns.T)]
+        assert kernels.horner(z, columns).tobytes() == np.array(
+            pointwise).tobytes(), (N, alpha)
 
 
 NEAR_INTEGER = [1 - 1e-3, 1 + 1e-3, 2 - 1e-3, 2 + 1e-3]
