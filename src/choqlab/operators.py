@@ -464,16 +464,21 @@ class OperatorMatrix:
     def _semiseparable_grid_part(self, v: np.ndarray) -> np.ndarray:
         """y0_i (sum_{l>i} P_l v_l + PA_i v_i)
         + yinf_i (sum_{l<i} Q_l v_l + QB_i v_i), by a suffix and a prefix
-        sum that run in a fixed order."""
+        sum that run in a fixed order.  np.add.accumulate is cumsum's
+        loop without its wrapper, and one scratch array takes each of the
+        four factor products in turn."""
         y0, yinf, P, Q, PA, QB = self._factors
         above = np.empty(v.size)
         below = np.empty(v.size)
+        scratch = np.empty(v.size)
         above[-1] = below[0] = 0.0
-        np.cumsum((P * v)[:0:-1], out=above[-2::-1])
-        np.cumsum((Q * v)[:-1], out=below[1:])
-        above += PA * v
+        np.multiply(P, v, out=scratch)
+        np.add.accumulate(scratch[:0:-1], out=above[-2::-1])
+        np.multiply(Q, v, out=scratch)
+        np.add.accumulate(scratch[:-1], out=below[1:])
+        above += np.multiply(PA, v, out=scratch)
         above *= y0
-        below += QB * v
+        below += np.multiply(QB, v, out=scratch)
         below *= yinf
         above += below
         return above

@@ -315,27 +315,36 @@ class Discretization:
         return self.green.matvec(product, origin_g, tail_g), warn
 
     def jacobian(self, x: np.ndarray, potential: np.ndarray):
-        """d -> J d, the derivative of the step map at the iterate values x:
+        """y -> S y, the derivative J of the step map at the iterate values
+        x > 0 in the nodewise-scaled variable y = d / x:
 
-            J d = G[ I_alpha[p x^{p-1} d] x^q + q x^{q-1} I_alpha[x^p] d ],
+            S y = J(x y) / x
+                = G[ I_alpha[p x^p y] x^q + q x^q I_alpha[x^p] y ] / x,
 
         applied with the step plan's columns, which are the exact
         derivative of the discrete map because matvec is linear in its
-        values for fixed columns.  potential is I_alpha[x^p] as the step
-        from x computed it.  Two matvecs per product.
+        values for fixed columns.  S = diag(1/x) J diag(x) keeps J's
+        spectrum and nonnegativity.  potential is I_alpha[x^p] as the step
+        from x computed it.  The diagonals p x^p, q x^q I_alpha[x^p] and
+        1/x are formed once; a product is two matvecs.
         """
         (_, origin_r, tail_r), (_, origin_g, tail_g) = self.step_plan
         p, q = float(self.exponents.p), float(self.exponents.q)
         riesz, green = self.riesz.matvec, self.green.matvec
-        d_power = p * x ** (p - 1.0)
         x_q = x ** q
-        d_factor = q * x ** (q - 1.0) * potential
+        d_power = p * x ** p
+        d_factor = q * x_q * potential
+        inverse = 1.0 / x
 
-        def product(d: np.ndarray) -> np.ndarray:
-            return green(riesz(d_power * d, origin_r, tail_r) * x_q
-                         + d_factor * d, origin_g, tail_g)
+        def scaled(y: np.ndarray) -> np.ndarray:
+            field = riesz(d_power * y, origin_r, tail_r)
+            field *= x_q
+            field += d_factor * y
+            out = green(field, origin_g, tail_g)
+            out *= inverse
+            return out
 
-        return product
+        return scaled
 
     @cached_property
     def barrier_core(self) -> tuple:
@@ -515,13 +524,16 @@ def _nodewise(change: np.ndarray, scale: np.ndarray) -> float:
 def _gmres(operator, b: np.ndarray, rtol: float) -> tuple:
     """GMRES for operator(y) = b from y = 0, in one Arnoldi cycle.
 
-    Arnoldi by modified Gram-Schmidt, the least-squares problem by Givens
-    rotations (Saad & Schultz 1986; Kelley 1995, ch. 6).  Returns (y,
-    converged, products): converged once the residual 2-norm, as the
-    rotations carry it, is at most max(rtol ||b||, _GMRES_FLOOR) within
-    _GMRES_MAX_PRODUCTS products.
+    Arnoldi by classical Gram-Schmidt applied twice, a pass being one
+    product with the basis and one with its transpose, which keeps the
+    basis as orthogonal as modified Gram-Schmidt does (Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50, 2005); the least-squares problem
+    by Givens rotations (Saad & Schultz 1986; Kelley 1995, ch. 6).
+    Returns (y, converged, products): converged once the residual 2-norm,
+    as the rotations carry it, is at most max(rtol ||b||, _GMRES_FLOOR)
+    within _GMRES_MAX_PRODUCTS products.
     """
-    beta = float(np.linalg.norm(b))
+    beta = math.sqrt(b @ b)
     target = max(rtol * beta, _GMRES_FLOOR)
     if beta <= target:
         return np.zeros_like(b), True, 0
@@ -535,12 +547,13 @@ def _gmres(operator, b: np.ndarray, rtol: float) -> tuple:
     g = [beta]
     for j in range(_GMRES_MAX_PRODUCTS):
         w = operator(basis[j])
-        col = []
-        for i in range(j + 1):
-            h = float(w @ basis[i])
-            w -= h * basis[i]
-            col.append(h)
-        h_next = float(np.linalg.norm(w))
+        known = basis[:j + 1]
+        h = known @ w
+        w -= h @ known
+        again = known @ w
+        w -= again @ known
+        col = (h + again).tolist()
+        h_next = math.sqrt(w @ w)
         for i in range(j):
             col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
                                   cs[i] * col[i + 1] - sn[i] * col[i])
@@ -573,8 +586,10 @@ def _newton_step(v: RadialProfile, tv: RadialProfile, jac,
     fails its guard.
 
     The correction d solves (I - J(v)) d = T(v) - v in the nodewise-scaled
-    variable y = d / v, so the Krylov residual is relative at every node,
-    to the forcing term set out beside _FORCING_MAX.
+    variable y = d / v, as y - S y = (T(v) - v) / v with jac = S the
+    scaled Jacobian (Discretization.jacobian), so the Krylov residual is
+    relative at every node, to the forcing term set out beside
+    _FORCING_MAX.
     w = v + d is accepted only when GMRES converged, d >= -eps v, w stays
     below blowup_cap (so that T(w) is finite) and w is still a
     subsolution, T(w) - w >= -eps w.
@@ -582,7 +597,7 @@ def _newton_step(v: RadialProfile, tv: RadialProfile, jac,
     x = v.values
     b = (tv.values - x) / x
     forcing = min(_FORCING_MAX, float(np.abs(b).max()) ** 2)
-    y, converged, products = _gmres(lambda z: z - jac(x * z) / x, b,
+    y, converged, products = _gmres(lambda z: z - jac(z), b,
                                     max(forcing, _GMRES_RTOL))
     # written so that a NaN fails the test
     if not (converged and y.min() >= -_GUARD_EPS):
@@ -598,16 +613,18 @@ def _newton_step(v: RadialProfile, tv: RadialProfile, jac,
     return (w, tw, potential), products
 
 
-def _spectral_certificate(jac, x: np.ndarray) -> tuple:
+def _spectral_certificate(jac, size: int) -> tuple:
     """(rho(J) > 1 + margin is certified, products spent), by power steps
-    of the nonnegative J from z = x > 0.
+    of the nonnegative scaled Jacobian jac = S = diag(1/x) J diag(x) from
+    z = 1 on size nodes: S's Collatz-Wielandt ratios at z are J's at x z,
+    so these are J's steps from x.
 
-    After every step the Collatz-Wielandt bounds min_i (J z)_i / z_i <=
-    rho(J) <= max_i (J z)_i / z_i are checked: the lower one above the
-    margin certifies, the upper one at or below it rules the certificate
-    out, and either ends the power steps early.
+    After every step the bounds min_i (S z)_i / z_i <= rho(J) <=
+    max_i (S z)_i / z_i are checked: the lower one above the margin
+    certifies, the upper one at or below it rules the certificate out,
+    and either ends the power steps early.
     """
-    z = x
+    z = np.ones(size)
     for n in range(1, _POWER_STEPS + 1):
         jz = jac(z)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -687,7 +704,7 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
             jac = disc.jacobian(v.values, potential)
             step, spent = _newton_step(v, tv, jac, inst)
             if step is None:
-                certified, used = _spectral_certificate(jac, v.values)
+                certified, used = _spectral_certificate(jac, v.values.size)
                 spent += used
                 if certified:
                     if products:

@@ -20,7 +20,9 @@ the far rows and cells from the rules' moments, and they stay the
 reference for those sums.  riesz_angular_to_the_diagonal is one more: it
 calls riesz_angular outside the zone next to the diagonal that
 riesz_angular refuses, and takes the back-off or Gauss's sum inside it,
-for the tests that sample that zone.
+for the tests that sample that zone.  semiseparable_matvec_loop is one
+more: the semiseparable matvec as a plain loop in its documented order of
+summation, which the fast path must match bit for bit.
 """
 
 import math
@@ -258,3 +260,26 @@ def riesz_cell_integrals_direct(op) -> tuple:
             operators._graded_panels(0.0, 1.0, toward_b), 12)
         A[ks == k], B[ks == k] = cells(np.array([k]), *rule)
     return A, B
+
+
+def semiseparable_matvec_loop(op, values, origin, tail) -> np.ndarray:
+    """op.matvec for a semiseparable op as a plain Python loop over its
+    factors, in the documented order: the suffix sums sum_{l>i} P_l v_l
+    from l = M-1 down, the prefix sums sum_{l<i} Q_l v_l from l = 0 up,
+    then y0_i (above_i + PA_i v_i) + yinf_i (below_i + QB_i v_i), and
+    last the origin and tail columns scaled by the end values."""
+    y0, yinf, P, Q, PA, QB = (a.tolist() for a in op._factors)
+    v, m = values.tolist(), len(values)
+    above, below = [0.0] * m, [0.0] * m
+    for i in range(m - 2, -1, -1):
+        above[i] = above[i + 1] + P[i + 1] * v[i + 1]
+    for i in range(1, m):
+        below[i] = below[i - 1] + Q[i - 1] * v[i - 1]
+    out = []
+    for i in range(m):
+        cell = ((above[i] + PA[i] * v[i]) * y0[i]
+                + (below[i] + QB[i] * v[i]) * yinf[i])
+        cell += origin[i] * v[0]
+        cell += tail[i] * v[-1]
+        out.append(cell)
+    return np.array(out)

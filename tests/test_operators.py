@@ -599,6 +599,24 @@ def test_newton_grid_part_matches_closed_form(N, ppd):
                                    weights @ v, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("kind, N, alpha", [("green", 3, None),
+                                             ("green", 4, None),
+                                             ("riesz", 3, 2.0)])
+def test_semiseparable_matvec_is_the_reference_loop_bit_for_bit(kind, N,
+                                                                alpha):
+    # the fixed summation order is what keeps rounding monotone in the
+    # input, so any other order of the same sums fails here
+    g = build_grid(1e-4, 30.0, 160)
+    op = assemble(kind, N, g, alpha=alpha)
+    origin = op.origin_column(N - 2.0)
+    tail = op.tail_column(ExpDecay(1.0, (N - 1) / 2.0))
+    rng = np.random.default_rng(N)
+    for v in (g.nodes ** (2.0 - N) * np.exp(-g.nodes) * rng.random(g.size),
+              rng.random(g.size)):
+        assert op.matvec(v, origin, tail).tobytes() == \
+            oracles.semiseparable_matvec_loop(op, v, origin, tail).tobytes()
+
+
 @pytest.mark.parametrize("N", [3, 5])
 @pytest.mark.parametrize("ppd", [20, 40, 160])
 def test_newton_cell_moments_match_each_cells_closed_form(N, ppd):
