@@ -24,7 +24,6 @@ from .exponents import (
     ProblemExponents,
     SingularityRate,
     bootstrap_case,
-    green_rate,
     riesz_rate,
 )
 from .kernels import gamma0
@@ -271,7 +270,7 @@ def verify_rate_transfer(N: int, alpha: float, tau: float,
     return RateTransferResult(
         green_measured=_classify_origin_behavior(grid, g_out.values),
         riesz_measured=_classify_origin_behavior(grid, r_out.values),
-        green_predicted=green_rate(rate_in, N),
+        green_predicted=riesz_rate(rate_in, N, 2),
         riesz_predicted=riesz_rate(rate_in, N, Fraction(alpha)),
     )
 

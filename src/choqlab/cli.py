@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .asymptotics import (
     check_lower_bound,
@@ -77,152 +77,156 @@ class CommandError(Exception):
         self.exit_code = exit_code
 
 
-def parse_rational(text: str) -> Fraction:
-    """Exact rational from 'a/b' or a decimal string; floats never appear."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a rational (use 'a/b' or a decimal string)"
-        ) from exc
+def _read(value, json_types: tuple, what: str, parse):
+    """parse(value) for a flag's text or a JSON value of json_types; a bool,
+    any other type and text that does not parse are refused."""
+    if not isinstance(value, bool) and isinstance(value, (str, *json_types)):
+        try:
+            return parse(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise argparse.ArgumentTypeError(f"{json.dumps(value)} is not {what}")
 
 
-def _rational_from_config(value, name: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise CommandError(
-            EXIT_INVALID,
-            f"config field {name} must be a string or integer, not "
-            f"{type(value).__name__}: rationals are parsed exactly")
-    try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CommandError(EXIT_INVALID,
-                           f"config field {name}: {exc}") from exc
+def read_integer(value) -> int:
+    return _read(value, (int,), "an integer", int)
 
 
-def _int_from_config(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise CommandError(
-            EXIT_INVALID,
-            f"config field {name} must be an integer or an integer string, "
-            f"not {type(value).__name__}")
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise CommandError(EXIT_INVALID,
-                           f"config field {name}: {exc}") from exc
+def read_number(value) -> float:
+    return _read(value, (int, float), "a number", float)
+
+
+def parse_rational(value) -> Fraction:
+    """Exact rational from 'a/b', a decimal string or an integer."""
+    return _read(value, (int,), "a rational given exactly ('a/b', a decimal "
+                 "string or an integer)", Fraction)
+
+
+def read_path(value) -> str:
+    return _read(value, (), "a path string", str)
 
 
 # ---------------------------------------------------------------------------
 # configuration assembly
 
 
-_GRID_DEFAULTS = {"r_min": 1e-4, "r_max": 30.0, "points_per_decade": 40}
-# the stopping policy a solve accepts; its defaults are the solver's own
-_SOLVER_DEFAULTS = {f.name: f.default
-                    for f in dataclasses.fields(ProblemInstance)
-                    if f.name in ("max_iter", "conv_tol")}
-# the keys a config file may hold, at its top level (None) and in each
-# section
-_CONFIG_KEYS = {None: ["exponents", "k", "grid", "solver", "outputs"],
-                "exponents": ["N", "alpha", "p", "q"],
-                "grid": list(_GRID_DEFAULTS),
-                "solver": list(_SOLVER_DEFAULTS),
-                "outputs": ["profile_csv", "trace_json", "report_json"]}
+_REQUIRED = object()
+
+
+class _Setting(NamedTuple):
+    read: Callable  # also the argparse type of the key's flag
+    default: object = _REQUIRED
+    help: Optional[str] = None
+
+
+# every key a config file may hold, by section (None: the top level, which
+# also holds the other sections); the stopping policy's defaults are the
+# solver's own
+_SETTINGS = {
+    None: {"k": _Setting(read_number, help="point-source strength")},
+    "exponents": {
+        "N": _Setting(read_integer, help="dimension, N >= 3"),
+        "alpha": _Setting(parse_rational,
+                          help="potential order in (0, N), e.g. 2 or 5/2"),
+        "p": _Setting(parse_rational),
+        "q": _Setting(parse_rational)},
+    "grid": {"r_min": _Setting(read_number, 1e-4),
+             "r_max": _Setting(read_number, 30.0),
+             "points_per_decade": _Setting(read_integer, 40)},
+    "solver": {"max_iter": _Setting(read_integer, ProblemInstance.max_iter),
+               "conv_tol": _Setting(read_number, ProblemInstance.conv_tol)},
+    "outputs": {key: _Setting(read_path, None)
+                for key in ("profile_csv", "trace_json", "report_json")},
+}
 
 
 def _load_config_file(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise CommandError(EXIT_INVALID, f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        raise CommandError(EXIT_INVALID, f"config is not valid JSON: {exc}")
-    if not isinstance(config, dict):
-        raise CommandError(EXIT_INVALID, "config must be a JSON object")
-    # a key nothing reads is refused, so that a typo or a setting that was
-    # removed cannot pass for one that took effect
-    for section, known in _CONFIG_KEYS.items():
-        keys = config if section is None else _config_section(config, section)
-        unknown = sorted(set(keys) - set(known))
+    """The config file's values by section (None: the top level), each read
+    by its key's reader; a file that holds a key nothing reads, or a value
+    its reader refuses, is invalid input for every subcommand."""
+    config = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                config = json.load(fh)
+        except OSError as exc:
+            raise CommandError(EXIT_INVALID, f"cannot read config: {exc}")
+        except json.JSONDecodeError as exc:
+            raise CommandError(EXIT_INVALID,
+                               f"config is not valid JSON: {exc}")
+        if not isinstance(config, dict):
+            raise CommandError(EXIT_INVALID, "config must be a JSON object")
+    typed = {}
+    for section in _SETTINGS:
+        values = config if section is None else config.get(section, {})
+        if not isinstance(values, dict):
+            raise CommandError(EXIT_INVALID,
+                               f"config {section} must be an object")
+        # refused, so that a typo or a removed setting cannot pass for one
+        # that took effect
+        known = list(_SETTINGS[section])
+        if section is None:
+            known += filter(None, _SETTINGS)
+        unknown = sorted(set(values) - set(known))
         if unknown:
-            where = "config" if section is None else f"config {section}"
+            where = f"config {section}" if section else "config"
             raise CommandError(EXIT_INVALID, f"unknown {where} keys "
                                              f"{unknown}; known: {known}")
-    return config
+        typed[section] = {}
+        for key, setting in _SETTINGS[section].items():
+            if key in values:
+                try:
+                    typed[section][key] = setting.read(values[key])
+                except argparse.ArgumentTypeError as exc:
+                    where = f"{section}.{key}" if section else key
+                    raise CommandError(EXIT_INVALID,
+                                       f"config field {where}: {exc}")
+    return typed
 
 
-def _config_section(config: dict, section: str) -> dict:
-    value = config.get(section, {})
-    if not isinstance(value, dict):
-        raise CommandError(EXIT_INVALID, f"config {section} must be an object")
-    return value
+def _resolve(args, config: dict, section: Optional[str]) -> dict:
+    """Each key of the section: its flag's value, else its config value,
+    else its default; a required key given neither way is invalid input."""
+    resolved = {}
+    for key, setting in _SETTINGS[section].items():
+        value = getattr(args, key)
+        if value is None:
+            value = config[section].get(key, setting.default)
+        if value is _REQUIRED:
+            noun = "exponent" if section else "source strength"
+            where = f"{section}.{key}" if section else key
+            flag = "--" + key.replace("_", "-")
+            raise CommandError(EXIT_INVALID, f"missing {noun} {key} (flag "
+                                             f"{flag} or config {where})")
+        resolved[key] = value
+    return resolved
 
 
 def _resolve_exponents(args, config: dict) -> ProblemExponents:
-    section = _config_section(config, "exponents")
-    fields = {}
-    for name in _CONFIG_KEYS["exponents"]:
-        flag = getattr(args, name)
-        if flag is not None:
-            fields[name] = flag
-        elif name in section:
-            parse = _int_from_config if name == "N" else _rational_from_config
-            fields[name] = parse(section[name], f"exponents.{name}")
-        else:
-            raise CommandError(EXIT_INVALID,
-                               f"missing exponent {name} (flag --{name} "
-                               f"or config exponents.{name})")
     try:
-        return ProblemExponents(**fields)
-    except (TypeError, ValueError) as exc:
+        return ProblemExponents(**_resolve(args, config, "exponents"))
+    except ValueError as exc:
         raise CommandError(EXIT_INVALID, str(exc)) from exc
-
-
-def _merged_section(args, config: dict, section: str, defaults: dict) -> dict:
-    merged = dict(defaults)
-    file_section = _config_section(config, section)
-    for key in merged:
-        if key in file_section:
-            merged[key] = file_section[key]
-        flag = getattr(args, key)
-        if flag is not None:
-            merged[key] = flag
-    return merged
 
 
 def _build_instance(args, config: dict, exponents: ProblemExponents,
-                    k) -> ProblemInstance:
-    grid_cfg = _merged_section(args, config, "grid", _GRID_DEFAULTS)
-    solver_cfg = _merged_section(args, config, "solver", _SOLVER_DEFAULTS)
-    if k is None:
-        raise CommandError(EXIT_INVALID, "missing source strength k "
-                                         "(flag --k or config k)")
+                    k: float) -> ProblemInstance:
     try:
-        grid = build_grid(float(grid_cfg["r_min"]), float(grid_cfg["r_max"]),
-                          int(grid_cfg["points_per_decade"]))
-        return ProblemInstance(exponents, k=float(k), grid=grid,
-                               max_iter=int(solver_cfg["max_iter"]),
-                               conv_tol=float(solver_cfg["conv_tol"]))
-    except (TypeError, ValueError) as exc:
+        grid = build_grid(**_resolve(args, config, "grid"))
+        return ProblemInstance(exponents, k=k, grid=grid,
+                               **_resolve(args, config, "solver"))
+    except ValueError as exc:
         raise CommandError(EXIT_INVALID, str(exc)) from exc
 
 
-def _resolve_output(args, config: dict, name: str) -> Optional[str]:
-    flag = getattr(args, name)
-    if flag is not None:
-        return flag
-    value = _config_section(config, "outputs").get(name)
-    return None if value is None else str(value)
-
-
 def _require_writable(paths) -> None:
+    """Refuses, before any file is opened, an empty path, an existing
+    directory and a path whose directory cannot be written."""
     for path in paths:
         if path is None:
             continue
+        if path == "" or os.path.isdir(path):
+            raise CommandError(EXIT_INVALID, f"not a file path: {path!r}")
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
             raise CommandError(EXIT_INVALID,
@@ -308,12 +312,10 @@ def cmd_classify(args) -> int:
 def cmd_solve(args) -> int:
     config = _load_config_file(args.config)
     e = _resolve_exponents(args, config)
-    inst = _build_instance(args, config, e,
-                           args.k if args.k is not None else config.get("k"))
-    profile_csv = _resolve_output(args, config, "profile_csv")
-    trace_json = _resolve_output(args, config, "trace_json")
-    report_json = _resolve_output(args, config, "report_json")
-    _require_writable([profile_csv, trace_json, report_json])
+    inst = _build_instance(args, config, e, _resolve(args, config, None)["k"])
+    outputs = _resolve(args, config, "outputs")
+    _require_writable(outputs.values())
+    profile_csv, trace_json, report_json = outputs.values()
     require_subcritical(e)
 
     try:
@@ -334,7 +336,7 @@ def cmd_solve(args) -> int:
     # the analyses can still reject the profile; do that before any file
     # is written, so exit 2 leaves the filesystem untouched
     if report_json is not None:
-        report = {"verdict": outcome.verdict.value, **summary}
+        report = dict(summary)
         if outcome.profile is not None:
             try:
                 report.update(_analysis_report(outcome.profile, e, inst.k))
@@ -368,7 +370,7 @@ def cmd_sweep_k(args) -> int:
     e = _resolve_exponents(args, config)
     # k on the template is a placeholder; every run replaces it
     inst = _build_instance(args, config, e, 1.0)
-    if "k" in config:
+    if "k" in config[None]:
         raise CommandError(EXIT_INVALID, "sweep-k reads no config k")
     _require_writable([args.output])
     # both refusals come before c_hat builds the discretization
@@ -455,22 +457,14 @@ def cmd_verify(args) -> int:
 # parser
 
 
-def _add_exponent_flags(sub) -> None:
-    sub.add_argument("--N", type=int, help="dimension, N >= 3")
-    sub.add_argument("--alpha", type=parse_rational,
-                     help="potential order in (0, N), e.g. 2 or 5/2")
-    sub.add_argument("--p", type=parse_rational)
-    sub.add_argument("--q", type=parse_rational)
+def _add_config_flags(sub, *sections) -> None:
+    """--config, and one flag per key of the sections, typed by the key's
+    reader."""
+    for section in sections:
+        for key, setting in _SETTINGS[section].items():
+            sub.add_argument("--" + key.replace("_", "-"), type=setting.read,
+                             help=setting.help)
     sub.add_argument("--config", help="RunConfig JSON file")
-
-
-def _add_instance_flags(sub) -> None:
-    sub.add_argument("--r-min", dest="r_min", type=float)
-    sub.add_argument("--r-max", dest="r_max", type=float)
-    sub.add_argument("--points-per-decade", dest="points_per_decade",
-                     type=int)
-    sub.add_argument("--max-iter", dest="max_iter", type=int)
-    sub.add_argument("--conv-tol", dest="conv_tol", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -485,25 +479,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify = subs.add_parser(
         "classify", allow_abbrev=False,
         help="criticality class and exact bootstrap ledgers")
-    _add_exponent_flags(p_classify)
+    _add_config_flags(p_classify, "exponents")
     p_classify.set_defaults(func=cmd_classify)
 
     p_solve = subs.add_parser(
         "solve", allow_abbrev=False,
         help="run the monotone iteration and write its artifacts")
-    _add_exponent_flags(p_solve)
-    p_solve.add_argument("--k", type=float, help="point-source strength")
-    _add_instance_flags(p_solve)
-    p_solve.add_argument("--profile-csv", dest="profile_csv")
-    p_solve.add_argument("--trace-json", dest="trace_json")
-    p_solve.add_argument("--report-json", dest="report_json")
+    _add_config_flags(p_solve, *_SETTINGS)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sweep = subs.add_parser(
         "sweep-k", allow_abbrev=False,
         help="bisect the existence threshold in k")
-    _add_exponent_flags(p_sweep)
-    _add_instance_flags(p_sweep)
+    _add_config_flags(p_sweep, "exponents", "grid", "solver")
     p_sweep.add_argument("--k-lo", dest="k_lo", type=float,
                          help="convergent endpoint (default khat_q / 2)")
     p_sweep.add_argument("--k-hi", dest="k_hi", type=float,
@@ -515,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = subs.add_parser(
         "report", allow_abbrev=False,
         help="asymptotic analyses of a stored profile")
-    _add_exponent_flags(p_report)
-    p_report.add_argument("--k", type=float, required=True)
+    _add_config_flags(p_report, "exponents")
+    p_report.add_argument("--k", type=read_number, required=True)
     p_report.add_argument("--profile-csv", dest="profile_csv", required=True)
     p_report.add_argument("--report-json", dest="report_json", required=True)
     p_report.add_argument("--plot-csv", dest="plot_csv")

@@ -166,29 +166,13 @@ def _check_rate_window(rate: SingularityRate, N: int) -> None:
             f"dimension N = {N}; rate transfer requires tau in (0, N)")
 
 
-def green_rate(rate: SingularityRate, N: int) -> SingularityRate:
-    """Origin rate of G[f] when f is O(r^-tau), tau in (0, N).
-
-    The screened Laplacian gains two powers: tau > 2 maps to tau - 2, the
-    boundary tau = 2 leaves a logarithm, and tau < 2 is absorbed entirely.
-    Bounded and log inputs come out bounded.
-    """
-    _check_rate_window(rate, N)
-    if rate.kind != "power":
-        return SingularityRate.bounded()
-    tau = rate.exponent
-    if tau > 2:
-        return SingularityRate.power(tau - 2)
-    if tau == 2:
-        return SingularityRate.log()
-    return SingularityRate.bounded()
-
-
 def riesz_rate(rate: SingularityRate, N: int, alpha: Rational) -> SingularityRate:
     """Origin rate of the order-alpha potential of an O(r^-tau) density.
 
     Gains alpha powers: tau > alpha maps to tau - alpha, equality to a log,
     and tau < alpha to bounded.  Requires tau < N for local integrability.
+    The Green operator of -Laplacian + 1 is alpha = 2: near the origin it
+    gains two powers, as the Newtonian potential does.
     """
     alpha = as_fraction(alpha)
     if not 0 < alpha:

@@ -57,7 +57,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .exponents import SingularityRate, green_rate, riesz_rate
+from .exponents import SingularityRate, riesz_rate
 from .kernels import (
     FAR_FIELD_Z,
     green_halfline_factors,
@@ -182,8 +182,9 @@ class RadialProfile:
 
     Below r_1 the function is modeled as values[0] * (r/r_1)^{-sigma} with
     sigma = origin_exponent >= 0; beyond r_max by the tail model anchored at
-    values[-1].  annotation_warning is set by apply() when the declared
-    sigma disagrees with the observed near-origin slope.
+    values[-1].  annotation_warning is set when a declared sigma disagrees
+    with the observed near-origin slope: by apply(), and by the step map
+    (Discretization.image, through iterate_once).
     """
 
     grid: RadialGrid
@@ -688,17 +689,16 @@ def assemble(kind: str, N: int, grid: RadialGrid,
 
 
 def transfer_origin_exponent(sigma: Fraction, N: int,
-                             alpha: Optional[Fraction]) -> Fraction:
-    """Origin exponent of the order-alpha Riesz potential (alpha None: of
-    the Green operator) of an input modelled as r^{-sigma}, sigma in [0, N),
-    by the exact rules exponents.riesz_rate and green_rate.
+                             alpha: Fraction) -> Fraction:
+    """Origin exponent of the order-alpha Riesz potential (alpha 2: of the
+    Green operator) of an input modelled as r^{-sigma}, sigma in [0, N), by
+    the exact rule exponents.riesz_rate.
 
     The model has no log rate, so the log a tie (sigma == alpha, or 2)
     leaves is modelled as sigma = 0: a cell flat at values[0] ~ log(1/r_1),
     short of the cell's mass by the fraction 1/(1 + N log(1/r_1)).
     """
-    rate = SingularityRate.power(sigma)
-    out = green_rate(rate, N) if alpha is None else riesz_rate(rate, N, alpha)
+    out = riesz_rate(SingularityRate.power(sigma), N, alpha)
     return out.exponent if out.kind == "power" else Fraction(0)
 
 
@@ -749,7 +749,7 @@ def apply(matrix: OperatorMatrix, profile: RadialProfile) -> RadialProfile:
     riesz = matrix.kind == "riesz"
     sigma = transfer_origin_exponent(Fraction(profile.origin_exponent),
                                      matrix.N, Fraction(matrix.alpha) if riesz
-                                     else None)
+                                     else Fraction(2))
     tail = (ExpDecay(0.0, matrix.N - matrix.alpha) if riesz
             else _green_tail_out(matrix.N, profile.tail))
     return RadialProfile(matrix.grid, out, origin_exponent=float(sigma),

@@ -415,25 +415,97 @@ def test_config_sections_must_be_objects(capsys, tmp_path, section, value):
     assert list(tmp_path.iterdir()) == [config]
 
 
+CONFIG_VALID = {
+    "exponents": {"N": 3, "alpha": "2", "p": "2", "q": "1"},
+    "k": 0.4,
+    "grid": {"r_min": 1e-3, "r_max": 20.0, "points_per_decade": 20},
+    "solver": {"max_iter": 500, "conv_tol": 1e-8},
+}
+# every config key by section (None: the top level), each with a value of
+# a JSON type other than its own: a float where an integer or an exact
+# rational is due, a number for a path (None: any number is a number)
+CONFIG_WRONG_TYPE = {
+    None: {"k": None},
+    "exponents": {"N": 3.0, "alpha": 2.0, "p": 2.0, "q": 1.0},
+    "grid": {"r_min": None, "r_max": None, "points_per_decade": 20.0},
+    "solver": {"max_iter": 500.0, "conv_tol": None},
+    "outputs": {"profile_csv": 1, "trace_json": 1, "report_json": 1},
+}
 CONFIG_EXPONENT_CASES = [
-    ({"N": 3, "alpha": 2.0, "p": "2", "q": "1"}, "exactly"),
+    ("exponents", {"N": 3, "alpha": 2.0, "p": "2", "q": "1"}, "exactly"),
     # an integer string is a valid N, so the float alpha is what fails
-    ({"N": "3", "alpha": 2.0, "p": "2", "q": "1"}, "exactly"),
-    ({"N": 3.9, "alpha": "2", "p": "2", "q": "1"}, "exponents.N"),
-    ({"N": "three", "alpha": "2", "p": "2", "q": "1"}, "exponents.N"),
-    ({"N": True, "alpha": "2", "p": "2", "q": "1"}, "exponents.N"),
-    ({"N": [3], "alpha": "2", "p": "2", "q": "1"}, "exponents.N"),
+    ("exponents", {"N": "3", "alpha": 2.0, "p": "2", "q": "1"}, "exactly"),
+    ("exponents", {"N": 3.9, "alpha": "2", "p": "2", "q": "1"},
+     "exponents.N"),
+    ("exponents", {"N": "three", "alpha": "2", "p": "2", "q": "1"},
+     "exponents.N"),
+    ("exponents", {"N": True, "alpha": "2", "p": "2", "q": "1"},
+     "exponents.N"),
+    ("exponents", {"N": [3], "alpha": "2", "p": "2", "q": "1"},
+     "exponents.N"),
+] + [
+    (section, {key: value},
+     f"config field {section + '.' if section else ''}{key}: ")
+    for section, keys in CONFIG_WRONG_TYPE.items()
+    for key, wrong in keys.items()
+    for value in (True, [1], wrong) if value is not None
 ]
 
 
 def test_config_rejects_float_exponents(capsys, tmp_path):
+    # a config value is its flag's text or a JSON value of its own type,
+    # never a bool, for every key and every subcommand
     cfg = tmp_path / "run.json"
-    for exponents, message in CONFIG_EXPONENT_CASES:
-        cfg.write_text(json.dumps({"exponents": exponents, "k": 0.4}))
+    outputs = {key: str(tmp_path / key)
+               for key in CONFIG_WRONG_TYPE["outputs"]}
+    for section, values, message in CONFIG_EXPONENT_CASES:
+        config = json.loads(json.dumps({**CONFIG_VALID, "outputs": outputs}))
+        (config if section is None else config[section]).update(values)
+        cfg.write_text(json.dumps(config))
         for command in ("solve", "classify"):
-            code, _, err = run_cli(capsys, command, "--config", str(cfg))
-            assert code == 2, (command, exponents)
-            assert message in err, (command, exponents)
+            code, out, err = run_cli(capsys, command, "--config", str(cfg))
+            assert code == 2 and out == "", (command, section, values)
+            assert message in err, (command, section, values)
+            assert list(tmp_path.iterdir()) == [cfg]
+    # the flag's text is a valid value for every key: the run is the one
+    # the flags make
+    text = {"exponents": {"N": "3", "alpha": "2", "p": "2", "q": "1"},
+            "k": "0.4",
+            "grid": {"r_min": "1e-3", "r_max": "20",
+                     "points_per_decade": "20"},
+            "solver": {"max_iter": "500", "conv_tol": "1e-8"},
+            "outputs": {"report_json": str(tmp_path / "text.json")}}
+    cfg.write_text(json.dumps(text))
+    assert run_cli(capsys, "solve", "--config", str(cfg))[0] == 0
+    code, _, _ = run_cli(capsys, "solve", *FLAGS, *FAST_GRID, "--k", "0.4",
+                         "--max-iter", "500", "--conv-tol", "1e-8",
+                         "--report-json", str(tmp_path / "flags.json"))
+    assert code == 0
+    assert (tmp_path / "text.json").read_bytes() \
+        == (tmp_path / "flags.json").read_bytes()
+
+
+def test_an_empty_or_directory_output_path_is_refused(capsys, tmp_path):
+    # refused before any file is opened, so the profile CSV given beside
+    # it is not written either
+    folder = tmp_path / "out"
+    folder.mkdir()
+    config = tmp_path / "config.json"
+    for path in ("", str(folder)):
+        config.write_text(json.dumps({"outputs": {"trace_json": path}}))
+        runs = [["solve", *FLAGS, *FAST_GRID, "--k", "0.4", "--profile-csv",
+                 str(tmp_path / "u.csv"), *given]
+                for given in (["--trace-json", path],
+                              ["--config", str(config)])]
+        runs += [["sweep-k", *FLAGS, *FAST_GRID, "--steps", "2",
+                  "--output", path],
+                 ["verify", "kernels", "--csv", path]]
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err == f"error: not a file path: {path!r}\n", argv
+            assert sorted(tmp_path.iterdir()) == [config, folder], argv
+            assert list(folder.iterdir()) == [], argv
 
 
 # ---------------------------------------------------------------------------

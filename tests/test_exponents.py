@@ -22,7 +22,6 @@ from choqlab.exponents import (
     bootstrap_ledger,
     bootstrap_t1,
     classify,
-    green_rate,
     k_threshold,
     riesz_rate,
     s_sequence,
@@ -159,14 +158,13 @@ def test_rate_normalization_and_order():
 
 def test_green_riesz_rate_branches():
     P = SingularityRate.power
-    assert green_rate(P(F(3)), 5) == P(F(1))
-    assert green_rate(P(F(2)), 5) == SingularityRate.log()
-    assert green_rate(P(F(3, 2)), 5) == SingularityRate.bounded()
+    # alpha = 2 is also the Green operator's rule
+    assert riesz_rate(P(F(3, 2)), 5, F(2)) == SingularityRate.bounded()
     assert riesz_rate(P(F(1)), 5, F(2)) == SingularityRate.bounded()
     assert riesz_rate(P(F(3)), 5, F(2)) == P(F(1))
     assert riesz_rate(P(F(2)), 5, F(2)) == SingularityRate.log()
     with pytest.raises(ValueError):
-        green_rate(P(F(5)), 5)
+        riesz_rate(P(F(5)), 5, F(2))
     with pytest.raises(ValueError):
         riesz_rate(P(F(6)), 5, F(2))
 
@@ -175,10 +173,12 @@ def test_green_riesz_rate_branches():
        rationals(0, 4).filter(lambda t: 0 < t < 4))
 @settings(max_examples=200, deadline=None)
 def test_rate_transfer_monotone(t1, t2):
-    # monotone in tau under the rate partial order, N = 5, alpha = 3/2
+    # monotone in tau under the rate partial order, N = 5, alpha = 2 (the
+    # Green operator's rule) and 3/2
     lo, hi = min(t1, t2), max(t1, t2)
     P = SingularityRate.power
-    assert rate_order(green_rate(P(lo), 5)) <= rate_order(green_rate(P(hi), 5))
+    assert rate_order(riesz_rate(P(lo), 5, F(2))) \
+        <= rate_order(riesz_rate(P(hi), 5, F(2)))
     assert rate_order(riesz_rate(P(lo), 5, F(3, 2))) \
         <= rate_order(riesz_rate(P(hi), 5, F(3, 2)))
 
