@@ -34,8 +34,8 @@ from .exponents import (
 )
 from .kernels import c_N, gamma0
 from .operators import build_grid
-from .serialize import dumps_canonical, read_profile, write_csv, \
-    write_json, write_profile
+from .serialize import dumps_canonical, read_profile, sidecar_path, \
+    write_csv, write_json, write_profile
 from .solver import (
     BarrierEstimateError,
     BracketEndpointError,
@@ -219,9 +219,11 @@ def _build_instance(args, config: dict, exponents: ProblemExponents,
         raise CommandError(EXIT_INVALID, str(exc)) from exc
 
 
-def _require_writable(paths) -> None:
+def _require_writable(paths, inputs=()) -> None:
     """Refuses, before any file is opened, an empty path, an existing
-    directory and a path whose directory cannot be written."""
+    directory, a path whose directory cannot be written, and an output
+    that resolves to the same file as another output or an input."""
+    named = {os.path.realpath(path): path for path in inputs}
     for path in paths:
         if path is None:
             continue
@@ -231,6 +233,11 @@ def _require_writable(paths) -> None:
         if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
             raise CommandError(EXIT_INVALID,
                                f"output directory not writable: {parent}")
+        real = os.path.realpath(path)
+        if real in named:
+            raise CommandError(EXIT_INVALID, f"{named[real]!r} and {path!r} "
+                                             f"name one file")
+        named[real] = path
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +321,9 @@ def cmd_solve(args) -> int:
     e = _resolve_exponents(args, config)
     inst = _build_instance(args, config, e, _resolve(args, config, None)["k"])
     outputs = _resolve(args, config, "outputs")
-    _require_writable(outputs.values())
     profile_csv, trace_json, report_json = outputs.values()
+    _require_writable([profile_csv, profile_csv and sidecar_path(profile_csv),
+                       trace_json, report_json])
     require_subcritical(e)
 
     try:
@@ -419,7 +427,8 @@ def cmd_report(args) -> int:
     if not (math.isfinite(args.k) and args.k > 0):
         raise CommandError(EXIT_INVALID,
                            f"k must be positive, got {args.k}")
-    _require_writable([args.report_json, args.plot_csv])
+    _require_writable([args.report_json, args.plot_csv],
+                      [args.profile_csv, sidecar_path(args.profile_csv)])
     require_subcritical(e)
     try:
         profile = read_profile(args.profile_csv)

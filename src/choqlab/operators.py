@@ -70,8 +70,7 @@ from .kernels import (
 
 __all__ = [
     "RadialGrid", "RadialProfile", "ExpDecay", "ZeroTail", "OperatorMatrix",
-    "NonIntegrableOriginError", "build_grid", "geometric_nodes", "assemble",
-    "apply",
+    "NonIntegrableOriginError", "build_grid", "assemble", "apply",
     "transfer_origin_exponent", "origin_slope_disagrees",
     "pointwise_power", "pointwise_product",
 ]
@@ -83,67 +82,52 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Geometric grid r_1 < ... < r_M with constant ratio."""
+    """Geometric grid, equal by value: nodes r_min e^{ih}, i < size - 1,
+    h = log_step, then r_max, in Python floats and libm, so no numpy SIMD
+    loop sets their bits; h halves exactly as size - 1 doubles, so finer
+    grids nest."""
 
-    nodes: np.ndarray
+    r_min: float
+    r_max: float
+    size: int
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
+        _check_span(self.r_min, self.r_max)
+        if not (isinstance(self.size, int) and self.size >= 2):
+            raise ValueError(f"a grid needs an integer size of at least 2, "
+                             f"got {self.size!r}")
+        step = self.log_step
+        nodes = np.array([self.r_min * math.exp(i * step)
+                          for i in range(self.size - 1)] + [self.r_max])
+        if not np.all(nodes[1:] > nodes[:-1]):
+            raise ValueError(f"grid span ({self.r_min}, {self.r_max}) too "
+                             f"short for {self.size} distinct nodes")
         nodes.setflags(write=False)
+        # not a field, so == and hash see (r_min, r_max, size) alone
         object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("grid needs at least two nodes")
-        # every check is written to fail on NaN
-        if not (math.isfinite(nodes[-1]) and nodes[0] > 0
-                and np.all(nodes[1:] > nodes[:-1])):
-            raise ValueError("grid nodes must be finite, positive, increasing")
-        if not math.isfinite(float(nodes[-1]) / float(nodes[0])):
-            raise ValueError(f"grid span {nodes[0]:g} to {nodes[-1]:g} has no "
-                             f"finite ratio")
-        ratios = nodes[1:] / nodes[:-1]
-        if not np.abs(ratios / ratios[0] - 1.0).max() <= 1e-12:
-            raise ValueError("grid spacing must be geometric")
-
-    @property
-    def size(self) -> int:
-        return int(self.nodes.size)
-
-    @property
-    def r_min(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def r_max(self) -> float:
-        return float(self.nodes[-1])
 
     @property
     def log_step(self) -> float:
-        """Uniform spacing in ln r, the mean over the whole grid."""
-        return math.log(self.nodes[-1] / self.nodes[0]) / (self.size - 1)
+        """Uniform spacing in ln r."""
+        return math.log(self.r_max / self.r_min) / (self.size - 1)
+
+
+def _check_span(r_min: float, r_max: float) -> None:
+    # written to fail on NaN
+    if not (0.0 < r_min < r_max and math.isfinite(r_max / r_min)):
+        raise ValueError(f"need 0 < r_min < r_max with a finite ratio, got "
+                         f"({r_min}, {r_max})")
 
 
 def build_grid(r_min: float, r_max: float,
                points_per_decade: int) -> RadialGrid:
     """Geometric grid with points_per_decade * log10(r_max/r_min) + 1 nodes."""
-    if not (0.0 < r_min < r_max and math.isfinite(r_max / r_min)):
-        raise ValueError(f"need 0 < r_min < r_max with a finite ratio, got "
-                         f"({r_min}, {r_max})")
+    _check_span(r_min, r_max)
     if points_per_decade < 1:
         raise ValueError(
             f"points_per_decade must be >= 1, got {points_per_decade}")
-    m = round(points_per_decade * math.log10(r_max / r_min)) + 1
-    if m < 2:
-        raise ValueError("grid span too short for this resolution")
-    return RadialGrid(geometric_nodes(r_min, r_max, m))
-
-
-def geometric_nodes(r_min: float, r_max: float, size: int) -> np.ndarray:
-    """r_min e^{ih}, i < size - 1, h = log(r_max/r_min)/(size-1), then
-    r_max: Python floats and libm, so no numpy SIMD loop sets their bits,
-    and h halves exactly as size - 1 doubles, so finer grids nest."""
-    step = math.log(r_max / r_min) / (size - 1)
-    return np.array([r_min * math.exp(i * step) for i in range(size - 1)]
-                    + [r_max])
+    return RadialGrid(r_min, r_max,
+                      round(points_per_decade * math.log10(r_max / r_min)) + 1)
 
 
 @dataclass(frozen=True)
@@ -704,8 +688,7 @@ def transfer_origin_exponent(sigma: Fraction, N: int,
 
 def _check_same_grid(a, b) -> None:
     """ValueError unless a and b (profiles or operators) share one grid."""
-    if a.grid is not b.grid and not np.array_equal(a.grid.nodes,
-                                                   b.grid.nodes):
+    if a.grid != b.grid:
         raise ValueError("the grids differ")
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "tail_from_dict",
     "write_profile",
     "read_profile",
+    "sidecar_path",
 ]
 
 
@@ -126,7 +127,8 @@ def tail_from_dict(data: dict) -> TailModel:
     raise ValueError(f"unknown tail model kind {kind!r}")
 
 
-def _sidecar_path(csv_path: str) -> str:
+def sidecar_path(csv_path: str) -> str:
+    """The annotations file write_profile writes beside csv_path."""
     return csv_path + ".meta.json"
 
 
@@ -136,7 +138,7 @@ def write_profile(csv_path: str, profile: RadialProfile) -> None:
     tail = profile.tail
     tail_model = ({"kind": "zero"} if isinstance(tail, ZeroTail) else
                   {"kind": "exp", "rate": tail.rate, "power": tail.power})
-    write_json(_sidecar_path(csv_path), {
+    write_json(sidecar_path(csv_path), {
         "origin_exponent": float(profile.origin_exponent),
         "tail_model": tail_model,
         "annotation_warning": profile.annotation_warning,
@@ -144,7 +146,8 @@ def write_profile(csv_path: str, profile: RadialProfile) -> None:
 
 
 def read_profile(csv_path: str) -> RadialProfile:
-    """Rebuild a profile from CSV + sidecar written by write_profile."""
+    """Rebuild a profile from CSV + sidecar written by write_profile, on the
+    grid of its first radius, last radius and row count (1e-12 relative)."""
     with open(csv_path, "r", newline="") as fh:
         header = fh.readline().strip()
         if header != "r,value":
@@ -152,10 +155,13 @@ def read_profile(csv_path: str) -> RadialProfile:
         rows = [line.strip().split(",") for line in fh if line.strip()]
     if len(rows) < 2:
         raise ValueError(f"a profile needs at least two rows, got {len(rows)}")
-    nodes = np.array([float(r) for r, _ in rows])
+    radii = np.array([float(r) for r, _ in rows])
     values = np.array([float(v) for _, v in rows])
-    grid = RadialGrid(nodes)
-    with open(_sidecar_path(csv_path)) as fh:
+    grid = RadialGrid(float(radii[0]), float(radii[-1]), len(rows))
+    # written to fail on NaN
+    if not np.all(np.abs(radii / grid.nodes - 1.0) <= 1e-12):
+        raise ValueError(f"the radii are off the grid {grid!r}")
+    with open(sidecar_path(csv_path)) as fh:
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError(f"the sidecar must be a JSON object, got {meta!r}")

@@ -378,14 +378,14 @@ _shared: Optional[Discretization] = None
 
 def _discretization(exponents: ProblemExponents,
                     grid: RadialGrid) -> Discretization:
-    """The shared Discretization, rebuilt when the exponents or the bytes of
-    the grid's nodes differ from the last ones asked for."""
+    """The shared Discretization, rebuilt when the exponents or the grid
+    differ from the last ones asked for."""
     global _shared
-    # the local copy stays the right answer if another thread swaps _shared
+    # the local copy stays right if another thread swaps _shared; every
+    # step asks, so the identity test comes first
     disc = _shared
     if disc is None or not (disc.exponents == exponents and (
-            disc.grid is grid
-            or disc.grid.nodes.tobytes() == grid.nodes.tobytes())):
+            disc.grid is grid or disc.grid == grid)):
         disc = _shared = Discretization(exponents, grid)
     return disc
 

@@ -24,8 +24,8 @@ import numpy as np
 from .asymptotics import verify_rate_transfer
 from .exponents import ProblemExponents, T_sequence, bootstrap_t1, s_sequence
 from .kernels import c_N, gamma0, green_halfline_factors, phi0
-from .operators import (RadialProfile, ZERO_TAIL, apply, assemble, build_grid,
-                        geometric_nodes)
+from .operators import (RadialGrid, RadialProfile, ZERO_TAIL, apply, assemble,
+                        build_grid)
 from .serialize import write_csv
 
 __all__ = ["CheckResult", "SUITES", "run_suite",
@@ -49,7 +49,7 @@ def _check(name: str, passed, detail: str = "") -> CheckResult:
 
 
 def _kernel_audit_rows():
-    r = geometric_nodes(1e-3, 20.0, 200)
+    r = RadialGrid(1e-3, 20.0, 200).nodes
     gam = gamma0(3, r)
     phi = phi0(3, r)
     closed = np.exp(-r) / (4.0 * math.pi * r)
@@ -108,7 +108,7 @@ def suite_kernels(csv_path: Optional[str] = None) -> list:
 # operators
 
 
-def _discrete_radial_lhs(N: int, nodes, values):
+def _discrete_radial_lhs(N: int, grid: RadialGrid, v):
     """Apply -Delta + 1 radially by central differences on a geometric grid.
 
     Works in the log variable x = ln r, where the grid is uniform and the
@@ -119,25 +119,17 @@ def _discrete_radial_lhs(N: int, nodes, values):
     which is the same order as the effect under test.  Returns the interior
     slice (indices 2..M-3) of the result.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    x = np.log(nodes)
-    hs = np.diff(x)
-    h = hs.mean()
-    if not np.allclose(hs, h, rtol=1e-8):
-        raise ValueError("_discrete_radial_lhs expects a geometric grid")
-    v = values
+    h = grid.log_step
     u_x = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12.0 * h)
     u_xx = (-v[:-4] + 16 * v[1:-3] - 30 * v[2:-2] + 16 * v[3:-1] - v[4:]) / (12.0 * h ** 2)
-    rin = nodes[2:-2]
-    return -(u_xx + (N - 2) * u_x) / rin ** 2 + v[2:-2]
+    return -(u_xx + (N - 2) * u_x) / grid.nodes[2:-2] ** 2 + v[2:-2]
 
 
 def _inverse_property_error(ppd: int) -> float:
     grid = build_grid(1e-4, 30.0, ppd)
     f = np.exp(-np.log(grid.nodes) ** 2 / (2.0 * 0.85 ** 2))
     u = apply(assemble("green", 3, grid), RadialProfile(grid, f))
-    lhs = _discrete_radial_lhs(3, grid.nodes, u.values)
+    lhs = _discrete_radial_lhs(3, grid, u.values)
     err = np.abs(lhs - f[2:-2]) / f.max()
     return float(err[3:-3].max())
 

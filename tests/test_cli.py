@@ -13,6 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import choqlab.cli
@@ -20,8 +21,8 @@ import choqlab.solver
 import choqlab.verify
 from choqlab.cli import main, parse_rational
 from choqlab.kernels import green_halfline_factors
-from choqlab.operators import NonIntegrableOriginError, build_grid
-from choqlab.serialize import read_profile
+from choqlab.operators import NonIntegrableOriginError, RadialGrid, build_grid
+from choqlab.serialize import format_float, read_profile
 from choqlab.solver import BarrierEstimateError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -508,6 +509,38 @@ def test_an_empty_or_directory_output_path_is_refused(capsys, tmp_path):
             assert list(folder.iterdir()) == [], argv
 
 
+def test_outputs_that_name_one_file_are_refused(capsys, tmp_path):
+    # the profile's sidecar counts as an output, and report's outputs may
+    # not land on the profile it reads; refused before any file is opened
+    run_cli(capsys, *solve_args(tmp_path))
+    kept = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    u, same = str(tmp_path / "u.csv"), str(tmp_path / "same.out")
+    solve = ["solve", *FLAGS, *FAST_GRID, "--k", "0.4"]
+    report = ["report", *FLAGS, "--k", "0.4", "--profile-csv", u]
+    for argv in (
+            solve + ["--profile-csv", same, "--report-json", same],
+            solve + ["--profile-csv", same,
+                     "--trace-json", f"{tmp_path}/./same.out.meta.json"],
+            report + ["--report-json", u],
+            report + ["--report-json", same, "--plot-csv", u + ".meta.json"],
+            report + ["--report-json", same, "--plot-csv", same]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.endswith(" name one file\n"), argv
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} \
+            == kept, argv
+
+
+def test_a_directory_at_the_sidecar_path_is_refused(capsys, tmp_path):
+    sidecar = tmp_path / "u.csv.meta.json"
+    sidecar.mkdir()
+    code, out, err = run_cli(capsys, *solve_args(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: not a file path: {str(sidecar)!r}\n"
+    assert list(tmp_path.iterdir()) == [sidecar]
+    assert list(sidecar.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -597,8 +630,9 @@ VALID_SIDECAR = {"origin_exponent": 1.0, "tail_model": {"kind": "zero"},
 @pytest.mark.parametrize("radii", [
     ("1.0", "inf", "inf"), ("1.0", "2.0", "nan"), ("nan", "1.0", "2.0")])
 def test_report_profile_with_non_finite_radius(capsys, tmp_path, radii):
-    # every comparison with NaN is false, so the grid's checks must fail
-    # on it, and inf / inf is NaN
+    # the grid is built from the first radius, the last and the row count;
+    # every comparison with NaN is false, so the span check must fail on
+    # it, and inf / inf is NaN
     csv = tmp_path / "u.csv"
     csv.write_text("r,value\n" + "".join(f"{r},1.0\n" for r in radii))
     (tmp_path / "u.csv.meta.json").write_text(json.dumps(VALID_SIDECAR))
@@ -607,10 +641,41 @@ def test_report_profile_with_non_finite_radius(capsys, tmp_path, radii):
                              "--report-json", str(tmp_path / "r.json"),
                              "--plot-csv", str(tmp_path / "plot.csv"))
     assert code == 2 and out == ""
-    assert err == ("error: cannot load profile: grid nodes must be finite, "
-                   "positive, increasing\n")
+    assert err.startswith("error: cannot load profile: need 0 < r_min < "
+                          "r_max with a finite ratio, got (")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "u.csv", "u.csv.meta.json"]
+
+
+@pytest.mark.parametrize("radii", [("1.0", "2.0", "5.0"),
+                                   ("1.0", "nan", "2.0")])
+def test_report_profile_off_its_geometric_grid(capsys, tmp_path, radii):
+    # a middle radius off the grid the ends and the count fix, NaN too
+    csv = tmp_path / "u.csv"
+    csv.write_text("r,value\n" + "".join(f"{r},1.0\n" for r in radii))
+    (tmp_path / "u.csv.meta.json").write_text(json.dumps(VALID_SIDECAR))
+    code, out, err = run_cli(capsys, "report", *FLAGS, "--k", "0.4",
+                             "--profile-csv", str(csv),
+                             "--report-json", str(tmp_path / "r.json"),
+                             "--plot-csv", str(tmp_path / "plot.csv"))
+    assert code == 2 and out == ""
+    assert err == (f"error: cannot load profile: the radii are off the grid "
+                   f"RadialGrid(r_min=1.0, r_max={radii[-1]}, size=3)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "u.csv", "u.csv.meta.json"]
+
+
+def test_profile_radii_from_geomspace_load_onto_the_derived_nodes(tmp_path):
+    # numpy's radii may differ from the libm nodes in their last bits
+    radii = np.geomspace(1e-3, 20.0, 87)
+    csv = tmp_path / "u.csv"
+    csv.write_text("r,value\n" + "".join(f"{format_float(r)},1.0\n"
+                                         for r in radii))
+    (tmp_path / "u.csv.meta.json").write_text(json.dumps(VALID_SIDECAR))
+    grid = read_profile(str(csv)).grid
+    assert grid == RadialGrid(1e-3, 20.0, 87) == build_grid(1e-3, 20.0, 20)
+    assert grid.nodes.tobytes() == RadialGrid(1e-3, 20.0, 87).nodes.tobytes()
+    assert np.allclose(grid.nodes, radii, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("sidecar, message", [

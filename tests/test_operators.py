@@ -89,22 +89,49 @@ def test_build_grid_rejects_bad_arguments():
             build_grid(r_min, r_max, 40)
 
 
+def test_grids_are_equal_by_value():
+    # a grid is its three numbers: grids built apart compare equal, hash
+    # alike and hold the same node bytes
+    a, b = build_grid(1e-4, 30.0, 40), RadialGrid(1e-4, 30.0, 220)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.nodes.tobytes() == b.nodes.tobytes()
+    assert a.nodes[0] == 1e-4 and a.nodes[-1] == 30.0
+    assert a != RadialGrid(1e-4, 30.0, 221)
+    assert len({a, b, RadialGrid(1e-4, 30.0, 221)}) == 2
+    assert repr(a) == "RadialGrid(r_min=0.0001, r_max=30.0, size=220)"
+    with pytest.raises(ValueError):
+        a.nodes[0] = 1.0
+
+
 @pytest.mark.parametrize("nodes", [
     [1.0, math.inf, math.inf], [1.0, 2.0, math.nan], [math.nan, 1.0, 2.0],
     [1.0, 2.0, math.inf], [-math.inf, 1.0, 2.0]])
 def test_grid_refuses_non_finite_nodes(nodes):
-    # every comparison with NaN is false, so a check must fail on it
-    with pytest.raises(ValueError, match="finite, positive, increasing"):
-        RadialGrid(np.array(nodes))
+    # a grid from the first node, the last and the count, as read_profile
+    # builds one; every comparison with NaN is false, so the span check
+    # must fail on it
+    with pytest.raises(ValueError, match="finite ratio"):
+        RadialGrid(nodes[0], nodes[-1], len(nodes))
 
 
 @pytest.mark.parametrize("nodes", [[1e-300, 1e300], [1e-300, 1.0, 1e300]])
 def test_grid_refuses_a_span_without_a_finite_ratio(nodes):
-    # the span is checked before the node ratios, whose quotient by the
-    # first would overflow
-    with pytest.raises(ValueError,
-                       match=r"grid span 1e-300 to 1e\+300 has no finite"):
-        RadialGrid(np.array(nodes))
+    # the span is checked before any node is computed
+    with pytest.raises(ValueError, match=r"need 0 < r_min < r_max with a "
+                       r"finite ratio, got \(1e-300, 1e\+300\)"):
+        RadialGrid(nodes[0], nodes[-1], len(nodes))
+
+
+@pytest.mark.parametrize("size", [1, 0, 2.0, True])
+def test_grid_refuses_a_size_that_is_not_an_integer_of_at_least_two(size):
+    with pytest.raises(ValueError, match="integer size of at least 2"):
+        RadialGrid(1e-2, 1.0, size)
+
+
+def test_grid_refuses_a_span_too_short_for_distinct_nodes():
+    # one ulp above 1 holds no three distinct doubles
+    with pytest.raises(ValueError, match="too short for 3 distinct nodes"):
+        RadialGrid(1.0, math.nextafter(1.0, 2.0), 3)
 
 
 def test_profile_validation():
@@ -180,7 +207,7 @@ def inverse_property_error(ppd):
     g = build_grid(1e-4, 30.0, ppd)
     f = bump_values(g.nodes)
     u = apply(assemble("green", 3, g), RadialProfile(g, f))
-    lhs = _discrete_radial_lhs(3, g.nodes, u.values)
+    lhs = _discrete_radial_lhs(3, g, u.values)
     err = np.abs(lhs - f[2:-2]) / f.max()
     return err[3:-3].max()
 

@@ -464,6 +464,14 @@ def test_equal_grids_built_apart_share_one_discretization(assemble_counts):
     assert assemble_counts == {"riesz": 1, "green": 1}
 
 
+def test_instances_on_equal_grids_are_equal():
+    a = ProblemInstance(FLAGSHIP, k=0.5, grid=build_grid(1e-4, 30.0, 40))
+    b = ProblemInstance(FLAGSHIP, k=0.5, grid=build_grid(1e-4, 30.0, 40))
+    assert a == b and hash(a) == hash(b)
+    assert a != ProblemInstance(FLAGSHIP, k=0.5,
+                                grid=build_grid(1e-4, 30.0, 20))
+
+
 def test_other_exponents_or_another_grid_assemble_again(assemble_counts):
     other = ProblemExponents(N=3, alpha=Fraction(2), p=Fraction(3, 2),
                              q=Fraction(1))
