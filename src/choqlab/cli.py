@@ -391,7 +391,7 @@ def cmd_sweep_k(args) -> int:
     # c_hat and every solve share one discretization
     try:
         c_hat = estimate_barrier_constant(e, inst.grid)
-    except BarrierEstimateError as exc:
+    except (BarrierEstimateError, ValueError) as exc:
         raise CommandError(EXIT_INVALID, str(exc))
     khat_q, t_q = k_threshold(c_hat, float(e.p), float(e.q))
     k_lo = args.k_lo if args.k_lo is not None else 0.5 * khat_q

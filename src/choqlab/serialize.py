@@ -1,10 +1,12 @@
 """Deterministic file formats for profiles, traces, and reports.
 
-Every float is written with 17 significant digits, which round-trips IEEE
-doubles exactly, so identical runs produce byte-identical files.  The JSON
-emitter is local because json.dumps formats floats through repr and offers
-no hook to pin the format; everything else about the output is plain JSON
-with two-space indentation and the key order the caller constructed.
+Every float is written as Python's repr, the shortest decimal that reads
+back as the same double.  It is correctly rounded, so the same on every
+platform, and it always has a '.' or an exponent, so a float reads back as
+a float; identical runs produce byte-identical files.  JSON is the standard
+encoder's, with two-space indentation and the key order the caller
+constructed.  Each writer builds all of its text before it opens a file,
+so a refused value leaves no file behind.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "dumps_canonical",
     "write_json",
     "write_csv",
-    "tail_from_dict",
     "write_profile",
     "read_profile",
     "sidecar_path",
@@ -37,71 +38,49 @@ __all__ = [
 
 
 def format_float(x: float) -> str:
-    """17-significant-digit decimal form of a finite double."""
+    """Shortest round-trip decimal form of a finite double."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return format(x, ".17g")
+    return repr(x)
 
 
-def _emit(obj, lines: list, indent: str, level: int) -> None:
-    pad = indent * (level + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            lines.append("{}")
-            return
-        lines.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be strings, got {key!r}")
-            lines.append(pad + json.dumps(key) + ": ")
-            _emit(val, lines, indent, level + 1)
-            lines.append(",\n" if i + 1 < len(obj) else "\n")
-        lines.append(indent * level + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            lines.append("[]")
-            return
-        lines.append("[\n")
-        for i, val in enumerate(obj):
-            lines.append(pad)
-            _emit(val, lines, indent, level + 1)
-            lines.append(",\n" if i + 1 < len(obj) else "\n")
-        lines.append(indent * level + "]")
-    elif isinstance(obj, str):
-        lines.append(json.dumps(obj))
-    elif isinstance(obj, bool) or obj is None:
-        lines.append("true" if obj is True else "false" if obj is False
-                     else "null")
-    elif isinstance(obj, (int, np.integer)):
-        lines.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        lines.append(format_float(obj))
-    elif isinstance(obj, Fraction):
-        lines.append(json.dumps(str(obj)))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} value {obj!r}")
+def _plain(obj):
+    """The JSON value of a numpy scalar or an exact rational."""
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__} value {obj!r}")
 
 
 def dumps_canonical(obj) -> str:
-    """JSON text with pinned float formatting; trailing newline included."""
-    lines: list = []
-    _emit(obj, lines, "  ", 0)
-    return "".join(lines) + "\n"
+    """JSON text of obj, refusing non-finite floats; trailing newline
+    included."""
+    return json.dumps(obj, indent=2, allow_nan=False, default=_plain) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
 
 def write_json(path: str, obj) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(dumps_canonical(obj))
+    _write_text(path, dumps_canonical(obj))
+
+
+def _csv_text(columns: dict) -> str:
+    return "".join([",".join(columns) + "\n",
+                    *(",".join(map(format_float, row)) + "\n"
+                      for row in zip(*columns.values()))])
 
 
 def write_csv(path: str, columns: dict) -> None:
     """The column names as a header line, then one line per row of the
     equal-length columns, every value through format_float."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(map(format_float, row)) + "\n"
-                      for row in zip(*columns.values()))
+    _write_text(path, _csv_text(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +94,7 @@ def _number(data: dict, key: str) -> float:
     return float(value)
 
 
-def tail_from_dict(data: dict) -> TailModel:
+def _tail_from_dict(data: dict) -> TailModel:
     if not isinstance(data, dict):
         raise ValueError(f"tail_model must be an object, got {data!r}")
     kind = data.get("kind")
@@ -133,8 +112,10 @@ def sidecar_path(csv_path: str) -> str:
 
 
 def write_profile(csv_path: str, profile: RadialProfile) -> None:
-    """Write the values CSV plus the sidecar `<csv_path>.meta.json`."""
-    write_csv(csv_path, {"r": profile.grid.nodes, "value": profile.values})
+    """Write the values CSV plus the sidecar `<csv_path>.meta.json`.  The
+    CSV text is built first and written last, so a value either file
+    refuses leaves neither."""
+    text = _csv_text({"r": profile.grid.nodes, "value": profile.values})
     tail = profile.tail
     tail_model = ({"kind": "zero"} if isinstance(tail, ZeroTail) else
                   {"kind": "exp", "rate": tail.rate, "power": tail.power})
@@ -143,6 +124,7 @@ def write_profile(csv_path: str, profile: RadialProfile) -> None:
         "tail_model": tail_model,
         "annotation_warning": profile.annotation_warning,
     })
+    _write_text(csv_path, text)
 
 
 def read_profile(csv_path: str) -> RadialProfile:
@@ -172,5 +154,5 @@ def read_profile(csv_path: str) -> RadialProfile:
                          f"{warning!r}")
     return RadialProfile(grid, values,
                          origin_exponent=_number(meta, "origin_exponent"),
-                         tail=tail_from_dict(meta["tail_model"]),
+                         tail=_tail_from_dict(meta["tail_model"]),
                          annotation_warning=warning)

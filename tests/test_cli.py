@@ -207,7 +207,10 @@ def test_solve_outputs_are_byte_identical(capsys, tmp_path):
     # probes.partial_integrals by 2.2e-16; the (4,1,6/5,1) trace.json
     # rel_deltas, ratios and bounds by at most 3.1e-11; (3,2,2,1)
     # trace.json and both sidecars kept their bytes, and so did every
-    # verdict, stop reason and iteration count
+    # verdict, stop reason and iteration count.  All were re-recorded when
+    # every float moved to its shortest round-trip repr: only number text
+    # changed, each number reads back as the same double, and the floats
+    # with an integer value (a window end, a sidecar exponent) gained ".0"
     for golden, args in (
             ("solve_3_2_2_1_ppd20_k0.4", solve_args(tmp_path)),
             ("solve_4_1_6-5_1_ppd20_k0.5",
@@ -789,6 +792,25 @@ def test_sweep_barrier_estimate_error_exits_2(capsys, monkeypatch):
     assert err == "error: barrier ratio peaks at grid end (r = 20)\n"
 
 
+@pytest.mark.parametrize("command", [["sweep-k", "--steps", "1", "--output"],
+                                     ["solve", "--k", "0.5", "--report-json"]])
+def test_a_grid_the_assembly_refuses_exits_2(tmp_path, command):
+    # in a child process: in process, the RuntimeWarning filter of the
+    # test configuration turns the assembly's overflow into the error first
+    output = tmp_path / "out.json"
+    src = str(Path(choqlab.cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "choqlab.cli", command[0], *FLAGS_41,
+         "--r-min", "1e-200", "--points-per-decade", "1", *command[1:],
+         str(output)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith(
+        "error: green product weights must be >= 0, found nan\n")
+    assert not output.exists()
+
+
 def test_sweep_other_solve_errors_exit_2_without_hint(capsys, monkeypatch):
     exc = NonIntegrableOriginError("riesz", 3.0, 3)
 
@@ -888,7 +910,9 @@ def test_sweep_output_matches_golden_bytes(capsys, exponents, golden):
     # cell geometry changed, which moved chat by at most 1.6e-15 and the k
     # values by at most 9.4e-16; both when the grid nodes and the Bessel
     # series changed, which moved chat, khat_q, k_conv, k_div and 8 of 8
-    # k values by at most 4.4e-16; every verdict the same
+    # k values by at most 4.4e-16; both when every float moved to its
+    # shortest round-trip repr, which moved number text only; every
+    # verdict the same
     code, out, _ = run_cli(capsys, "sweep-k", *exponents,
                            "--points-per-decade", "40", "--steps", "6")
     assert code == 0
