@@ -29,6 +29,7 @@ from .exponents import (
 from .kernels import gamma0
 from .operators import (
     ExpDecay,
+    OperatorMatrix,
     RadialGrid,
     RadialProfile,
     ZERO_TAIL,
@@ -249,21 +250,26 @@ def _classify_origin_behavior(grid: RadialGrid,
     return MeasuredRate("bounded")
 
 
-def verify_rate_transfer(N: int, alpha: float, tau: float,
-                         grid: RadialGrid) -> RateTransferResult:
-    """Push V_tau = r^{-tau} (cut to e^{-r} past 1) through both operators.
+def verify_rate_transfer(green: OperatorMatrix, riesz: OperatorMatrix,
+                         tau: float) -> RateTransferResult:
+    """Push V_tau = r^{-tau} (cut to e^{-r} past 1) through a Green and a
+    Riesz operator of one dimension on one grid.
 
     Returns the measured origin behavior of G[V_tau] and I_alpha[V_tau]
     next to what the rate algebra predicts for an input power tau.
     """
+    if (green.kind, riesz.kind) != ("green", "riesz") or green.N != riesz.N:
+        raise ValueError("need a green and a riesz operator of one "
+                         "dimension")
+    N, grid = green.N, green.grid
     if not 0.0 < tau < N:
         raise ValueError(f"tau must lie in (0, N), got {tau}")
     nodes = grid.nodes
     values = np.where(nodes <= 1.0, nodes ** -tau, np.exp(-nodes))
     prof = RadialProfile(grid, values, origin_exponent=tau,
                          tail=ExpDecay(1.0, 0.0))
-    g_out = apply(assemble("green", N, grid), prof)
-    r_out = apply(assemble("riesz", N, grid, alpha=alpha), prof)
+    g_out = apply(green, prof)
+    r_out = apply(riesz, prof)
     # floats convert to Fractions exactly, so the branch edges (tau = 2,
     # tau = alpha) are hit exactly when the caller passes exact floats
     rate_in = SingularityRate.power(Fraction(tau))
@@ -271,7 +277,7 @@ def verify_rate_transfer(N: int, alpha: float, tau: float,
         green_measured=_classify_origin_behavior(grid, g_out.values),
         riesz_measured=_classify_origin_behavior(grid, r_out.values),
         green_predicted=riesz_rate(rate_in, N, 2),
-        riesz_predicted=riesz_rate(rate_in, N, Fraction(alpha)),
+        riesz_predicted=riesz_rate(rate_in, N, Fraction(riesz.alpha)),
     )
 
 

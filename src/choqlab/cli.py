@@ -11,6 +11,7 @@ byte-identical across repeated runs of the same configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -19,35 +20,18 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .asymptotics import (
-    check_lower_bound,
-    fit_decay,
-    fit_origin,
-    integrability_probe,
-    origin_correction_exponent,
-)
+# the numeric modules load on first use (see the package docstring), so they
+# are reached through their module, never from-imported: `classify` needs
+# exponents and serialize alone and runs without numpy
+from . import asymptotics, kernels, operators, solver, verify
 from .exponents import (
     ProblemExponents,
     bootstrap_ledger,
     classify,
     k_threshold,
 )
-from .kernels import c_N, gamma0
-from .operators import build_grid
 from .serialize import dumps_canonical, read_profile, sidecar_path, \
     write_csv, write_json, write_profile
-from .solver import (
-    BarrierEstimateError,
-    BracketEndpointError,
-    ProblemInstance,
-    SolveVerdict,
-    SupercriticalError,
-    estimate_barrier_constant,
-    estimate_kstar,
-    require_bisection_steps,
-    require_subcritical,
-    solve_minimal,
-)
 
 __all__ = ["main"]
 
@@ -62,10 +46,11 @@ EXIT_UNDETERMINED = 5
 # that module
 VERIFY_SUITES = ("bootstrap", "kernels", "operators", "rates")
 
+# keyed by solver.SolveVerdict value
 _VERDICT_EXIT = {
-    SolveVerdict.CONVERGED: EXIT_OK,
-    SolveVerdict.DIVERGED: EXIT_DIVERGED,
-    SolveVerdict.MAX_ITERATIONS: EXIT_UNDETERMINED,
+    "converged": EXIT_OK,
+    "diverged": EXIT_DIVERGED,
+    "undetermined": EXIT_UNDETERMINED,
 }
 
 
@@ -111,6 +96,9 @@ def read_path(value) -> str:
 
 
 _REQUIRED = object()
+# the key is passed on only when a flag or the config gives it, so the
+# solver's own default applies
+_SOLVER_DEFAULT = object()
 
 
 class _Setting(NamedTuple):
@@ -120,8 +108,7 @@ class _Setting(NamedTuple):
 
 
 # every key a config file may hold, by section (None: the top level, which
-# also holds the other sections); the stopping policy's defaults are the
-# solver's own
+# also holds the other sections)
 _SETTINGS = {
     None: {"k": _Setting(read_number, help="point-source strength")},
     "exponents": {
@@ -133,8 +120,8 @@ _SETTINGS = {
     "grid": {"r_min": _Setting(read_number, 1e-4),
              "r_max": _Setting(read_number, 30.0),
              "points_per_decade": _Setting(read_integer, 40)},
-    "solver": {"max_iter": _Setting(read_integer, ProblemInstance.max_iter),
-               "conv_tol": _Setting(read_number, ProblemInstance.conv_tol)},
+    "solver": {"max_iter": _Setting(read_integer, _SOLVER_DEFAULT),
+               "conv_tol": _Setting(read_number, _SOLVER_DEFAULT)},
     "outputs": {key: _Setting(read_path, None)
                 for key in ("profile_csv", "trace_json", "report_json")},
 }
@@ -186,7 +173,8 @@ def _load_config_file(path: Optional[str]) -> dict:
 
 def _resolve(args, config: dict, section: Optional[str]) -> dict:
     """Each key of the section: its flag's value, else its config value,
-    else its default; a required key given neither way is invalid input."""
+    else its default; a required key given neither way is invalid input,
+    and a key the solver defaults is left out."""
     resolved = {}
     for key, setting in _SETTINGS[section].items():
         value = getattr(args, key)
@@ -198,7 +186,8 @@ def _resolve(args, config: dict, section: Optional[str]) -> dict:
             flag = "--" + key.replace("_", "-")
             raise CommandError(EXIT_INVALID, f"missing {noun} {key} (flag "
                                              f"{flag} or config {where})")
-        resolved[key] = value
+        if value is not _SOLVER_DEFAULT:
+            resolved[key] = value
     return resolved
 
 
@@ -210,13 +199,30 @@ def _resolve_exponents(args, config: dict) -> ProblemExponents:
 
 
 def _build_instance(args, config: dict, exponents: ProblemExponents,
-                    k: float) -> ProblemInstance:
+                    k: float) -> solver.ProblemInstance:
     try:
-        grid = build_grid(**_resolve(args, config, "grid"))
-        return ProblemInstance(exponents, k=k, grid=grid,
-                               **_resolve(args, config, "solver"))
+        grid = operators.build_grid(**_resolve(args, config, "grid"))
+        return solver.ProblemInstance(exponents, k=k, grid=grid,
+                                      **_resolve(args, config, "solver"))
     except ValueError as exc:
         raise CommandError(EXIT_INVALID, str(exc)) from exc
+
+
+@contextlib.contextmanager
+def _float_range(grid, k=None):
+    """Runs a command's numerics with overflow, invalid values and division
+    by zero raised, the policy the tests run under, and refuses them as
+    invalid input in one line that names the grid and k (a span such as
+    r_min = 1e-200 takes the kernels past the largest double)."""
+    import numpy as np  # here, so that classify runs without numpy
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        at = "" if k is None else f" at k = {k}"
+        raise CommandError(EXIT_INVALID, f"the numerics leave the float "
+                                         f"range{at} on the grid {grid} "
+                                         f"({exc})")
 
 
 def _require_writable(paths, inputs=()) -> None:
@@ -249,8 +255,9 @@ def _exponents_dict(e: ProblemExponents) -> dict:
 
 
 def _singularity_dict(profile, e: ProblemExponents, k: float) -> dict:
-    fit = fit_origin(profile, e.N, beta=origin_correction_exponent(e))
-    target = c_N(e.N) * k
+    fit = asymptotics.fit_origin(
+        profile, e.N, beta=asymptotics.origin_correction_exponent(e))
+    target = kernels.c_N(e.N) * k
     return {
         "limit": fit.limit_estimate,
         "c_N_times_k": target,
@@ -263,13 +270,13 @@ def _singularity_dict(profile, e: ProblemExponents, k: float) -> dict:
 
 
 def _decay_dict(profile) -> dict:
-    fit = fit_decay(profile)
+    fit = asymptotics.fit_decay(profile)
     return {"rate": fit.rate, "power": fit.algebraic_power,
             "window": list(fit.window), "residual": fit.residual}
 
 
 def _probe_dict(e: ProblemExponents) -> dict:
-    report = integrability_probe(e)
+    report = asymptotics.integrability_probe(e)
     return {
         "exponents": _exponents_dict(e),
         "growth_class": report.growth_class.value,
@@ -283,7 +290,8 @@ def _analysis_report(profile, e: ProblemExponents, k: float) -> dict:
     return {
         "singularity": _singularity_dict(profile, e, k),
         "decay": _decay_dict(profile),
-        "lower_bound_violation": check_lower_bound(profile, k, e.N),
+        "lower_bound_violation": asymptotics.check_lower_bound(profile, k,
+                                                               e.N),
         "probes": [_probe_dict(e)],
     }
 
@@ -324,35 +332,37 @@ def cmd_solve(args) -> int:
     profile_csv, trace_json, report_json = outputs.values()
     _require_writable([profile_csv, profile_csv and sidecar_path(profile_csv),
                        trace_json, report_json])
-    require_subcritical(e)
+    solver.require_subcritical(e)
 
-    try:
-        outcome = solve_minimal(inst)
-    except (BarrierEstimateError, ValueError) as exc:
-        raise CommandError(EXIT_INVALID, str(exc))
-    summary = {
-        "verdict": outcome.verdict.value,
-        "iterations": outcome.iterations,
-        "k": inst.k,
-        "barrier_constant": outcome.barrier_constant,
-        "k_threshold_estimate": outcome.k_threshold_estimate,
-        "barrier_active": outcome.barrier_active,
-        "fixed_point_residual": outcome.fixed_point_residual,
-        "stop_reason": outcome.stop_reason,
-        "annotation_warning": outcome.annotation_warning,
-    }
-    # the analyses can still reject the profile; do that before any file
-    # is written, so exit 2 leaves the filesystem untouched
-    if report_json is not None:
-        report = dict(summary)
-        if outcome.profile is not None:
-            try:
-                report.update(_analysis_report(outcome.profile, e, inst.k))
-            except ValueError as exc:
-                raise CommandError(EXIT_INVALID, str(exc))
-        else:
-            report.update({"singularity": None, "decay": None,
-                           "lower_bound_violation": None, "probes": []})
+    with _float_range(inst.grid, inst.k):
+        try:
+            outcome = solver.solve_minimal(inst)
+        except (solver.BarrierEstimateError, ValueError) as exc:
+            raise CommandError(EXIT_INVALID, str(exc))
+        summary = {
+            "verdict": outcome.verdict.value,
+            "iterations": outcome.iterations,
+            "k": inst.k,
+            "barrier_constant": outcome.barrier_constant,
+            "k_threshold_estimate": outcome.k_threshold_estimate,
+            "barrier_active": outcome.barrier_active,
+            "fixed_point_residual": outcome.fixed_point_residual,
+            "stop_reason": outcome.stop_reason,
+            "annotation_warning": outcome.annotation_warning,
+        }
+        # the analyses can still reject the profile; do that before any
+        # file is written, so exit 2 leaves the filesystem untouched
+        if report_json is not None:
+            report = dict(summary)
+            if outcome.profile is not None:
+                try:
+                    report.update(_analysis_report(outcome.profile, e,
+                                                   inst.k))
+                except ValueError as exc:
+                    raise CommandError(EXIT_INVALID, str(exc))
+            else:
+                report.update({"singularity": None, "decay": None,
+                               "lower_bound_violation": None, "probes": []})
 
     if profile_csv is not None and outcome.profile is not None:
         write_profile(profile_csv, outcome.profile)
@@ -370,7 +380,7 @@ def cmd_solve(args) -> int:
         summary["report_json"] = report_json
 
     sys.stdout.write(dumps_canonical(summary))
-    return _VERDICT_EXIT[outcome.verdict]
+    return _VERDICT_EXIT[outcome.verdict.value]
 
 
 def cmd_sweep_k(args) -> int:
@@ -382,29 +392,30 @@ def cmd_sweep_k(args) -> int:
         raise CommandError(EXIT_INVALID, "sweep-k reads no config k")
     _require_writable([args.output])
     # both refusals come before c_hat builds the discretization
-    require_subcritical(e)
+    solver.require_subcritical(e)
     try:
-        require_bisection_steps(args.steps)
+        solver.require_bisection_steps(args.steps)
     except ValueError as exc:
         raise CommandError(EXIT_INVALID, str(exc))
 
-    # c_hat and every solve share one discretization
-    try:
-        c_hat = estimate_barrier_constant(e, inst.grid)
-    except (BarrierEstimateError, ValueError) as exc:
-        raise CommandError(EXIT_INVALID, str(exc))
-    khat_q, t_q = k_threshold(c_hat, float(e.p), float(e.q))
-    k_lo = args.k_lo if args.k_lo is not None else 0.5 * khat_q
-    k_hi = args.k_hi if args.k_hi is not None else 50.0 * khat_q
+    with _float_range(inst.grid):
+        # c_hat and every solve share one discretization
+        try:
+            c_hat = solver.estimate_barrier_constant(e, inst.grid)
+        except (solver.BarrierEstimateError, ValueError) as exc:
+            raise CommandError(EXIT_INVALID, str(exc))
+        khat_q, t_q = k_threshold(c_hat, float(e.p), float(e.q))
+        k_lo = args.k_lo if args.k_lo is not None else 0.5 * khat_q
+        k_hi = args.k_hi if args.k_hi is not None else 50.0 * khat_q
 
-    try:
-        bracket = estimate_kstar(inst, k_lo, k_hi, args.steps)
-    except BracketEndpointError as exc:
-        raise CommandError(
-            EXIT_INVALID,
-            f"{exc}; widen the bracket so k_lo converges and k_hi diverges")
-    except ValueError as exc:
-        raise CommandError(EXIT_INVALID, str(exc))
+        try:
+            bracket = solver.estimate_kstar(inst, k_lo, k_hi, args.steps)
+        except solver.BracketEndpointError as exc:
+            raise CommandError(
+                EXIT_INVALID, f"{exc}; widen the bracket so k_lo converges "
+                              f"and k_hi diverges")
+        except ValueError as exc:
+            raise CommandError(EXIT_INVALID, str(exc))
 
     out = {
         "chat": c_hat,
@@ -429,24 +440,28 @@ def cmd_report(args) -> int:
                            f"k must be positive, got {args.k}")
     _require_writable([args.report_json, args.plot_csv],
                       [args.profile_csv, sidecar_path(args.profile_csv)])
-    require_subcritical(e)
+    solver.require_subcritical(e)
     try:
         profile = read_profile(args.profile_csv)
     except (OSError, ValueError, KeyError) as exc:
         raise CommandError(EXIT_INVALID, f"cannot load profile: {exc}")
 
-    try:
-        report = {"annotation_warning": profile.annotation_warning,
-                  **_analysis_report(profile, e, args.k)}
-    except ValueError as exc:
-        raise CommandError(EXIT_INVALID, str(exc))
+    # everything is computed before the first write, so exit 2 leaves the
+    # filesystem untouched
+    with _float_range(profile.grid, args.k):
+        try:
+            report = {"annotation_warning": profile.annotation_warning,
+                      **_analysis_report(profile, e, args.k)}
+        except ValueError as exc:
+            raise CommandError(EXIT_INVALID, str(exc))
+        if args.plot_csv is not None:
+            nodes = profile.grid.nodes
+            plot = {"r": nodes, "u": profile.values,
+                    "u_r_scaled": profile.values * nodes ** (e.N - 2),
+                    "k_gamma0": args.k * kernels.gamma0(e.N, nodes)}
     write_json(args.report_json, report)
     if args.plot_csv is not None:
-        nodes = profile.grid.nodes
-        scaled = profile.values * nodes ** (e.N - 2)
-        floor = args.k * gamma0(e.N, nodes)
-        write_csv(args.plot_csv, {"r": nodes, "u": profile.values,
-                                  "u_r_scaled": scaled, "k_gamma0": floor})
+        write_csv(args.plot_csv, plot)
     sys.stdout.write(dumps_canonical({"report_json": args.report_json,
                                       "plot_csv": args.plot_csv}))
     return EXIT_OK
@@ -457,8 +472,7 @@ def cmd_verify(args) -> int:
         raise CommandError(EXIT_INVALID,
                            "--csv only applies to the kernels suite")
     _require_writable([args.csv])
-    from .verify import run_suite
-    ok = run_suite(args.suite, sys.stdout, csv_path=args.csv)
+    ok = verify.run_suite(args.suite, sys.stdout, csv_path=args.csv)
     return EXIT_OK if ok else EXIT_SUITE_FAILED
 
 
@@ -536,7 +550,7 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except SupercriticalError as exc:
+    except solver.SupercriticalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SUPERCRITICAL
 

@@ -394,8 +394,11 @@ class OperatorMatrix:
         r_alpha, toeplitz, first, last = self._factors
         if v.size > 2:
             # correlate gives c_j = sum_n T[n + j] v[n + 1], and row i
-            # reads T(l - i) at index l - i + M - 2, so row i is c_{M-1-i}
-            inner = np.correlate(toeplitz, v[1:-1])[::-1]
+            # reads T(l - i) at index l - i + M - 2, so row i is c_{M-1-i};
+            # the interior is copied to fresh memory, because some BLAS
+            # kernels sum in an order set by the data's alignment, and so
+            # equal values give equal bits whatever array v lives in
+            inner = np.correlate(toeplitz, v[1:-1].copy())[::-1]
         else:
             inner = 0.0
         return r_alpha * (inner + first * v[0] + last * v[-1])

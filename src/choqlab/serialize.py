@@ -13,18 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from fractions import Fraction
 
-import numpy as np
-
-from .operators import (
-    ExpDecay,
-    RadialGrid,
-    RadialProfile,
-    TailModel,
-    ZeroTail,
-    ZERO_TAIL,
-)
+# loads on first use (see the package docstring): only the profile
+# functions need it
+from . import operators
 
 __all__ = [
     "format_float",
@@ -46,13 +40,14 @@ def format_float(x: float) -> str:
 
 
 def _plain(obj):
-    """The JSON value of a numpy scalar or an exact rational."""
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    """The JSON value of an exact rational or of a numpy scalar, which
+    registers with the numbers ABCs."""
     if isinstance(obj, Fraction):
         return str(obj)
+    if isinstance(obj, numbers.Integral):
+        return int(obj)
+    if isinstance(obj, numbers.Real):
+        return float(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__} value {obj!r}")
 
 
@@ -94,15 +89,15 @@ def _number(data: dict, key: str) -> float:
     return float(value)
 
 
-def _tail_from_dict(data: dict) -> TailModel:
+def _tail_from_dict(data: dict) -> operators.TailModel:
     if not isinstance(data, dict):
         raise ValueError(f"tail_model must be an object, got {data!r}")
     kind = data.get("kind")
     if kind == "zero":
-        return ZERO_TAIL
+        return operators.ZERO_TAIL
     if kind == "exp":
-        return ExpDecay(rate=_number(data, "rate"),
-                        power=_number(data, "power"))
+        return operators.ExpDecay(rate=_number(data, "rate"),
+                                  power=_number(data, "power"))
     raise ValueError(f"unknown tail model kind {kind!r}")
 
 
@@ -111,14 +106,15 @@ def sidecar_path(csv_path: str) -> str:
     return csv_path + ".meta.json"
 
 
-def write_profile(csv_path: str, profile: RadialProfile) -> None:
+def write_profile(csv_path: str, profile: operators.RadialProfile) -> None:
     """Write the values CSV plus the sidecar `<csv_path>.meta.json`.  The
     CSV text is built first and written last, so a value either file
     refuses leaves neither."""
     text = _csv_text({"r": profile.grid.nodes, "value": profile.values})
     tail = profile.tail
-    tail_model = ({"kind": "zero"} if isinstance(tail, ZeroTail) else
-                  {"kind": "exp", "rate": tail.rate, "power": tail.power})
+    tail_model = ({"kind": "zero"} if isinstance(tail, operators.ZeroTail)
+                  else {"kind": "exp", "rate": tail.rate,
+                        "power": tail.power})
     write_json(sidecar_path(csv_path), {
         "origin_exponent": float(profile.origin_exponent),
         "tail_model": tail_model,
@@ -127,7 +123,7 @@ def write_profile(csv_path: str, profile: RadialProfile) -> None:
     _write_text(csv_path, text)
 
 
-def read_profile(csv_path: str) -> RadialProfile:
+def read_profile(csv_path: str) -> operators.RadialProfile:
     """Rebuild a profile from CSV + sidecar written by write_profile, on the
     grid of its first radius, last radius and row count (1e-12 relative)."""
     with open(csv_path, "r", newline="") as fh:
@@ -137,11 +133,11 @@ def read_profile(csv_path: str) -> RadialProfile:
         rows = [line.strip().split(",") for line in fh if line.strip()]
     if len(rows) < 2:
         raise ValueError(f"a profile needs at least two rows, got {len(rows)}")
-    radii = np.array([float(r) for r, _ in rows])
-    values = np.array([float(v) for _, v in rows])
-    grid = RadialGrid(float(radii[0]), float(radii[-1]), len(rows))
+    radii = [float(r) for r, _ in rows]
+    grid = operators.RadialGrid(radii[0], radii[-1], len(rows))
     # written to fail on NaN
-    if not np.all(np.abs(radii / grid.nodes - 1.0) <= 1e-12):
+    if not all(abs(r / node - 1.0) <= 1e-12
+               for r, node in zip(radii, grid.nodes.tolist())):
         raise ValueError(f"the radii are off the grid {grid!r}")
     with open(sidecar_path(csv_path)) as fh:
         meta = json.load(fh)
@@ -152,7 +148,8 @@ def read_profile(csv_path: str) -> RadialProfile:
     if not isinstance(warning, bool):
         raise ValueError(f"annotation_warning must be true or false, got "
                          f"{warning!r}")
-    return RadialProfile(grid, values,
-                         origin_exponent=_number(meta, "origin_exponent"),
-                         tail=_tail_from_dict(meta["tail_model"]),
-                         annotation_warning=warning)
+    return operators.RadialProfile(
+        grid, [float(v) for _, v in rows],
+        origin_exponent=_number(meta, "origin_exponent"),
+        tail=_tail_from_dict(meta["tail_model"]),
+        annotation_warning=warning)

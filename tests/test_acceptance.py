@@ -159,7 +159,9 @@ def test_criterion_5_rate_transfer_branch_table():
     grid = build_grid(1e-4, 30.0, 40)
     with _budget(60.0):
         for N, alpha, tau in cases:
-            res = verify_rate_transfer(N, alpha, tau, grid)
+            res = verify_rate_transfer(
+                assemble("green", N, grid),
+                assemble("riesz", N, grid, alpha=alpha), tau)
             assert res.green_measured.matches(res.green_predicted), \
                 (N, alpha, tau)
             assert res.riesz_measured.matches(res.riesz_predicted), \

@@ -30,6 +30,7 @@ from choqlab.operators import (
     ExpDecay,
     RadialProfile,
     ZERO_TAIL,
+    assemble,
     build_grid,
 )
 from choqlab.solver import (
@@ -208,15 +209,21 @@ RATE_CASES = [
 ]
 
 
+def operator_pair(N, alpha):
+    """The Green and the order-alpha Riesz operator on GRID."""
+    return (assemble("green", N, GRID),
+            assemble("riesz", N, GRID, alpha=alpha))
+
+
 @pytest.mark.parametrize("N,alpha,tau", RATE_CASES)
 def test_rate_transfer_matches_prediction(N, alpha, tau):
-    res = verify_rate_transfer(N, alpha, tau, GRID)
+    res = verify_rate_transfer(*operator_pair(N, alpha), tau)
     assert res.green_measured.matches(res.green_predicted)
     assert res.riesz_measured.matches(res.riesz_predicted)
 
 
 def test_rate_transfer_slopes_are_sharp():
-    res = verify_rate_transfer(5, 2.0, 3.0, GRID)
+    res = verify_rate_transfer(*operator_pair(5, 2.0), 3.0)
     assert abs(res.green_measured.exponent - 1.0) <= 3e-3
     assert abs(res.riesz_measured.exponent - 1.0) <= 3e-3
 
@@ -224,7 +231,15 @@ def test_rate_transfer_slopes_are_sharp():
 @pytest.mark.parametrize("tau", [0.0, -1.0, 5.0, 7.5])
 def test_rate_transfer_rejects_tau_outside_range(tau):
     with pytest.raises(ValueError, match="tau"):
-        verify_rate_transfer(5, 2.0, tau, GRID)
+        verify_rate_transfer(*operator_pair(5, 2.0), tau)
+
+
+@pytest.mark.parametrize("green, riesz", [
+    (assemble("riesz", 5, GRID, alpha=2.0), assemble("green", 5, GRID)),
+    (assemble("green", 4, GRID), assemble("riesz", 5, GRID, alpha=2.0))])
+def test_rate_transfer_rejects_operators_it_cannot_pair(green, riesz):
+    with pytest.raises(ValueError, match="one dimension"):
+        verify_rate_transfer(green, riesz, 1.0)
 
 
 # ---------------------------------------------------------------------------

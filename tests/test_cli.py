@@ -8,6 +8,7 @@ verify suite, 2 invalid input, 3 supercritical, 4 diverged, 5 undetermined.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -344,7 +345,7 @@ def test_solve_other_solve_errors_exit_2(capsys, tmp_path, monkeypatch):
     def failing(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(choqlab.cli, "solve_minimal", failing)
+    monkeypatch.setattr(choqlab.solver, "solve_minimal", failing)
     code, out, err = run_cli(capsys, *solve_args(tmp_path))
     assert code == 2 and out == ""
     assert err == f"error: {exc}\n"
@@ -792,23 +793,44 @@ def test_sweep_barrier_estimate_error_exits_2(capsys, monkeypatch):
     assert err == "error: barrier ratio peaks at grid end (r = 20)\n"
 
 
-@pytest.mark.parametrize("command", [["sweep-k", "--steps", "1", "--output"],
-                                     ["solve", "--k", "0.5", "--report-json"]])
+@pytest.mark.parametrize("command", [
+    (FLAGS_41, ["sweep-k", "--steps", "1", "--output"]),
+    (FLAGS_41, ["solve", "--k", "0.5", "--report-json"]),
+    (FLAGS, ["sweep-k", "--steps", "1", "--output"]),
+    (FLAGS, ["solve", "--k", "0.5", "--report-json"])])
 def test_a_grid_the_assembly_refuses_exits_2(tmp_path, command):
-    # in a child process: in process, the RuntimeWarning filter of the
-    # test configuration turns the assembly's overflow into the error first
+    # in a child process, without the RuntimeWarning filter of the test
+    # configuration: the command's own floating-point policy refuses the
+    # overflow in one line, with no warning printed before it
+    flags, (name, *options) = command
     output = tmp_path / "out.json"
     src = str(Path(choqlab.cli.__file__).parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "choqlab.cli", command[0], *FLAGS_41,
-         "--r-min", "1e-200", "--points-per-decade", "1", *command[1:],
+        [sys.executable, "-m", "choqlab.cli", name, *flags,
+         "--r-min", "1e-200", "--points-per-decade", "1", *options,
          str(output)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.endswith(
-        "error: green product weights must be >= 0, found nan\n")
+    at = " at k = 0.5" if name == "solve" else ""
+    assert re.fullmatch(
+        rf"error: the numerics leave the float range{at} on the grid "
+        r"RadialGrid\(r_min=1e-200, r_max=30\.0, size=202\) "
+        r"\((overflow|invalid value|divide by zero) encountered in \w+\)\n",
+        proc.stderr), proc.stderr
     assert not output.exists()
+
+
+def test_a_source_too_strong_for_doubles_exits_2(capsys, tmp_path):
+    # k^p overflows in the first step; refused as invalid input, not a
+    # traceback
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "solve", *FLAGS, *FAST_GRID, "--k",
+                             "1e300", "--report-json", str(report))
+    assert code == 2 and out == ""
+    assert err.startswith("error: the numerics leave the float range at "
+                          "k = 1e+300 on the grid RadialGrid(")
+    assert not report.exists()
 
 
 def test_sweep_other_solve_errors_exit_2_without_hint(capsys, monkeypatch):
@@ -817,7 +839,7 @@ def test_sweep_other_solve_errors_exit_2_without_hint(capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(choqlab.cli, "estimate_kstar", failing)
+    monkeypatch.setattr(choqlab.solver, "estimate_kstar", failing)
     code, out, err = run_cli(capsys, "sweep-k", *FLAGS, *FAST_GRID,
                              "--k-lo", "1.0", "--k-hi", "16.0", "--steps", "2")
     assert code == 2 and out == ""
@@ -1115,22 +1137,76 @@ def test_verify_suite_names_match_the_suites():
     assert choqlab.cli.VERIFY_SUITES == tuple(sorted(SUITES))
 
 
-def test_cli_import_leaves_verify_unloaded():
+def run_python(code: str) -> str:
+    """Stdout of code run in a fresh interpreter on this checkout's src."""
     src = str(Path(choqlab.cli.__file__).parents[1])
-    code = ("import sys, choqlab.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'choqlab.verify') "
-            "if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # choqlab.verify is registered but has not run: it cannot run without
+    # numpy
+    code = ("import sys, choqlab.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy.integrate') "
+            "if m in sys.modules))")
+    assert run_python(code).strip() == "[]"
+
+
+def test_classify_runs_without_numpy():
+    code = ("import sys, choqlab.cli\n"
+            f"assert choqlab.cli.main(['classify', *{FLAGS!r}]) == 0\n"
+            "assert choqlab.cli.main(['classify', '--N', '3', '--alpha', '2', "
+            "'--p', '5', '--q', '1']) == 0\n"
+            "print('numpy' in sys.modules)\n")
+    out = run_python(code)
+    assert '"class": "subcritical"' in out
+    assert '"class": "supercritical"' in out
+    assert out.splitlines()[-1] == "False"
+
+
+def test_numeric_modules_are_registered_and_run_on_first_access():
+    # a tracer that wraps what it finds in sys.modules right after
+    # `import choqlab.cli` must find every layer; in dependency order, the
+    # first attribute read runs each module and no other
+    code = """
+import sys, choqlab, choqlab.cli
+names = {"kernels": "gamma0", "operators": "assemble",
+         "solver": "solve_minimal", "asymptotics": "fit_origin",
+         "verify": "run_suite"}
+assert all(getattr(choqlab, name) is sys.modules[f"choqlab.{name}"]
+           for name in names)
+assert "numpy" not in sys.modules
+
+def ran(name):
+    module = sys.modules[f"choqlab.{name}"]
+    return names[name] in object.__getattribute__(module, "__dict__")
+
+for i, name in enumerate(names):
+    assert [ran(n) for n in names] == [True] * i + [False] * (5 - i)
+    assert callable(getattr(getattr(choqlab, name), names[name]))
+assert all(ran(n) for n in names) and "numpy" in sys.modules
+print("ok")
+"""
+    assert run_python(code).strip() == "ok"
+
+
+def test_package_names_resolve_from_their_modules():
+    namespace = {}
+    exec("from choqlab import *", namespace)
+    assert set(choqlab.__all__) <= set(namespace)
+    assert choqlab.build_grid is choqlab.operators.build_grid
+    assert choqlab.solve_minimal is choqlab.solver.solve_minimal
+    assert choqlab.classify is choqlab.exponents.classify
+    assert not hasattr(choqlab, "no_such_name")
 
 
 def test_cli_solve_leaves_scipy_sparse_unloaded(tmp_path):
     # the Newton steps run a hand-written GMRES and the kernels and Gauss
     # rules are numpy's, so a solve that takes them loads no scipy at all
-    src = str(Path(choqlab.cli.__file__).parents[1])
     trace = tmp_path / "trace.json"
     argv = ["solve", *FLAGS, *FAST_GRID, "--k", "3.2",
             "--trace-json", str(trace)]
@@ -1138,11 +1214,7 @@ def test_cli_solve_leaves_scipy_sparse_unloaded(tmp_path):
             f"assert choqlab.cli.main({argv!r}) == 0; "
             "print(sorted(m for m in sys.modules "
             "if m.partition('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert run_python(code).strip().splitlines()[-1] == "[]"
     assert "newton" in json.loads(trace.read_text())["methods"]
 
 
