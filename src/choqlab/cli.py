@@ -1,10 +1,14 @@
 """Command line front end for classification, solving, sweeps, and reports.
 
 Exit codes are frozen for scripting: 0 success, 1 failed verification
-suite, 2 invalid input, 3 supercritical exponents (refused before any
-computation), 4 divergent iteration, 5 verdict undetermined within budget.
-Validation runs before any output file is opened, so exits 2 and 3 leave
-the filesystem untouched.  All files go through serialize.py and are
+suite (or a program fault, which ends in a traceback), 2 invalid input,
+3 supercritical exponents (refused before any computation), 4 divergent
+iteration, 5 verdict undetermined within budget.  Every check and numeric
+step of a command runs under one scope, `_refusals`, which maps a
+SupercriticalError to exit 3 and any other ValueError, or a float past the
+doubles, to exit 2; everything else the library raises is a fault.  The
+scope closes before any output file is opened, so exits 2 and 3 leave the
+filesystem untouched.  All files go through serialize.py and are
 byte-identical across repeated runs of the same configuration.
 """
 
@@ -26,9 +30,11 @@ from typing import Callable, NamedTuple, Optional
 from . import asymptotics, kernels, operators, solver, verify
 from .exponents import (
     ProblemExponents,
+    SupercriticalError,
     bootstrap_ledger,
     classify,
     k_threshold,
+    require_subcritical,
 )
 from .serialize import dumps_canonical, read_profile, sidecar_path, \
     write_csv, write_json, write_profile
@@ -192,37 +198,42 @@ def _resolve(args, config: dict, section: Optional[str]) -> dict:
 
 
 def _resolve_exponents(args, config: dict) -> ProblemExponents:
-    try:
-        return ProblemExponents(**_resolve(args, config, "exponents"))
-    except ValueError as exc:
-        raise CommandError(EXIT_INVALID, str(exc)) from exc
+    return ProblemExponents(**_resolve(args, config, "exponents"))
 
 
 def _build_instance(args, config: dict, exponents: ProblemExponents,
                     k: float) -> solver.ProblemInstance:
-    try:
-        grid = operators.build_grid(**_resolve(args, config, "grid"))
-        return solver.ProblemInstance(exponents, k=k, grid=grid,
-                                      **_resolve(args, config, "solver"))
-    except ValueError as exc:
-        raise CommandError(EXIT_INVALID, str(exc)) from exc
+    grid = operators.build_grid(**_resolve(args, config, "grid"))
+    return solver.ProblemInstance(exponents, k=k, grid=grid,
+                                  **_resolve(args, config, "solver"))
 
 
 @contextlib.contextmanager
-def _float_range(grid, k=None):
-    """Runs a command's numerics with overflow, invalid values and division
-    by zero raised, the policy the tests run under, and refuses them as
-    invalid input in one line that names the grid and k (a span such as
-    r_min = 1e-200 takes the kernels past the largest double)."""
-    import numpy as np  # here, so that classify runs without numpy
+def _refusals(grid=None, k=None):
+    """Maps the refusals of the steps run under it to their exit codes: a
+    SupercriticalError to 3 (caught first, as it is also a ValueError), any
+    other ValueError to 2 with its message.  Given the grid (and k) of the
+    numerics it runs, it also raises overflow, invalid values and division
+    by zero, the policy the tests run under, and refuses them as invalid
+    input in one line that names the grid and k (a span such as r_min =
+    1e-200 takes the kernels past the largest double).  Any other
+    exception is a program fault and passes through."""
+    numerics = contextlib.nullcontext()
+    if grid is not None:
+        import numpy as np  # here, so that classify runs without numpy
+        numerics = np.errstate(over="raise", invalid="raise", divide="raise")
     try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with numerics:
             yield
+    except SupercriticalError as exc:
+        raise CommandError(EXIT_SUPERCRITICAL, str(exc)) from exc
+    except ValueError as exc:
+        raise CommandError(EXIT_INVALID, str(exc)) from exc
     except FloatingPointError as exc:
         at = "" if k is None else f" at k = {k}"
         raise CommandError(EXIT_INVALID, f"the numerics leave the float "
                                          f"range{at} on the grid {grid} "
-                                         f"({exc})")
+                                         f"({exc})") from exc
 
 
 def _require_writable(paths, inputs=()) -> None:
@@ -301,44 +312,44 @@ def _analysis_report(profile, e: ProblemExponents, k: float) -> dict:
 
 
 def cmd_classify(args) -> int:
-    config = _load_config_file(args.config)
-    e = _resolve_exponents(args, config)
-    report = classify(e)
-    out = {
-        "class": report.criticality.value,
-        "triggers": list(report.triggers),
-        "thresholds": {"p_plus_q": report.sum_threshold,
-                       "p_or_q": report.single_threshold},
-    }
-    if not report.is_supercritical:
-        ledger = bootstrap_ledger(e)
-        out["bootstrap"] = {
-            "case": ledger.case.value,
-            "t1": ledger.t1,
-            "s_seq": list(ledger.s_seq),
-            "T_seq": list(ledger.T_seq),
-            "n0": ledger.n0,
-            "n1": ledger.n1,
+    with _refusals():
+        e = _resolve_exponents(args, _load_config_file(args.config))
+        report = classify(e)
+        out = {
+            "class": report.criticality.value,
+            "triggers": list(report.triggers),
+            "thresholds": {"p_plus_q": report.sum_threshold,
+                           "p_or_q": report.single_threshold},
         }
+        if not report.is_supercritical:
+            ledger = bootstrap_ledger(e)
+            out["bootstrap"] = {
+                "case": ledger.case.value,
+                "t1": ledger.t1,
+                "s_seq": list(ledger.s_seq),
+                "T_seq": list(ledger.T_seq),
+                "n0": ledger.n0,
+                "n1": ledger.n1,
+            }
     sys.stdout.write(dumps_canonical(out))
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    config = _load_config_file(args.config)
-    e = _resolve_exponents(args, config)
-    inst = _build_instance(args, config, e, _resolve(args, config, None)["k"])
-    outputs = _resolve(args, config, "outputs")
-    profile_csv, trace_json, report_json = outputs.values()
-    _require_writable([profile_csv, profile_csv and sidecar_path(profile_csv),
-                       trace_json, report_json])
-    solver.require_subcritical(e)
+    with _refusals():
+        config = _load_config_file(args.config)
+        e = _resolve_exponents(args, config)
+        inst = _build_instance(args, config, e,
+                               _resolve(args, config, None)["k"])
+        outputs = _resolve(args, config, "outputs")
+        profile_csv, trace_json, report_json = outputs.values()
+        _require_writable([profile_csv,
+                           profile_csv and sidecar_path(profile_csv),
+                           trace_json, report_json])
+        require_subcritical(e)
 
-    with _float_range(inst.grid, inst.k):
-        try:
-            outcome = solver.solve_minimal(inst)
-        except (solver.BarrierEstimateError, ValueError) as exc:
-            raise CommandError(EXIT_INVALID, str(exc))
+    with _refusals(inst.grid, inst.k):
+        outcome = solver.solve_minimal(inst)
         summary = {
             "verdict": outcome.verdict.value,
             "iterations": outcome.iterations,
@@ -355,11 +366,7 @@ def cmd_solve(args) -> int:
         if report_json is not None:
             report = dict(summary)
             if outcome.profile is not None:
-                try:
-                    report.update(_analysis_report(outcome.profile, e,
-                                                   inst.k))
-                except ValueError as exc:
-                    raise CommandError(EXIT_INVALID, str(exc))
+                report.update(_analysis_report(outcome.profile, e, inst.k))
             else:
                 report.update({"singularity": None, "decay": None,
                                "lower_bound_violation": None, "probes": []})
@@ -384,38 +391,25 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
-    config = _load_config_file(args.config)
-    e = _resolve_exponents(args, config)
-    # k on the template is a placeholder; every run replaces it
-    inst = _build_instance(args, config, e, 1.0)
-    if "k" in config[None]:
-        raise CommandError(EXIT_INVALID, "sweep-k reads no config k")
-    _require_writable([args.output])
-    # both refusals come before c_hat builds the discretization
-    solver.require_subcritical(e)
-    try:
+    with _refusals():
+        config = _load_config_file(args.config)
+        e = _resolve_exponents(args, config)
+        # k on the template is a placeholder; every run replaces it
+        inst = _build_instance(args, config, e, 1.0)
+        if "k" in config[None]:
+            raise CommandError(EXIT_INVALID, "sweep-k reads no config k")
+        _require_writable([args.output])
+        # both refusals come before c_hat builds the discretization
+        require_subcritical(e)
         solver.require_bisection_steps(args.steps)
-    except ValueError as exc:
-        raise CommandError(EXIT_INVALID, str(exc))
 
-    with _float_range(inst.grid):
+    with _refusals(inst.grid):
         # c_hat and every solve share one discretization
-        try:
-            c_hat = solver.estimate_barrier_constant(e, inst.grid)
-        except (solver.BarrierEstimateError, ValueError) as exc:
-            raise CommandError(EXIT_INVALID, str(exc))
+        c_hat = solver.estimate_barrier_constant(e, inst.grid)
         khat_q, t_q = k_threshold(c_hat, float(e.p), float(e.q))
         k_lo = args.k_lo if args.k_lo is not None else 0.5 * khat_q
         k_hi = args.k_hi if args.k_hi is not None else 50.0 * khat_q
-
-        try:
-            bracket = solver.estimate_kstar(inst, k_lo, k_hi, args.steps)
-        except solver.BracketEndpointError as exc:
-            raise CommandError(
-                EXIT_INVALID, f"{exc}; widen the bracket so k_lo converges "
-                              f"and k_hi diverges")
-        except ValueError as exc:
-            raise CommandError(EXIT_INVALID, str(exc))
+        bracket = solver.estimate_kstar(inst, k_lo, k_hi, args.steps)
 
     out = {
         "chat": c_hat,
@@ -434,26 +428,24 @@ def cmd_sweep_k(args) -> int:
 
 
 def cmd_report(args) -> int:
-    e = _resolve_exponents(args, _load_config_file(args.config))
-    if not (math.isfinite(args.k) and args.k > 0):
-        raise CommandError(EXIT_INVALID,
-                           f"k must be positive, got {args.k}")
-    _require_writable([args.report_json, args.plot_csv],
-                      [args.profile_csv, sidecar_path(args.profile_csv)])
-    solver.require_subcritical(e)
-    try:
-        profile = read_profile(args.profile_csv)
-    except (OSError, ValueError, KeyError) as exc:
-        raise CommandError(EXIT_INVALID, f"cannot load profile: {exc}")
+    with _refusals():
+        e = _resolve_exponents(args, _load_config_file(args.config))
+        if not (math.isfinite(args.k) and args.k > 0):
+            raise CommandError(EXIT_INVALID,
+                               f"k must be positive, got {args.k}")
+        _require_writable([args.report_json, args.plot_csv],
+                          [args.profile_csv, sidecar_path(args.profile_csv)])
+        require_subcritical(e)
+        try:
+            profile = read_profile(args.profile_csv)
+        except (OSError, ValueError, KeyError) as exc:
+            raise CommandError(EXIT_INVALID, f"cannot load profile: {exc}")
 
     # everything is computed before the first write, so exit 2 leaves the
     # filesystem untouched
-    with _float_range(profile.grid, args.k):
-        try:
-            report = {"annotation_warning": profile.annotation_warning,
-                      **_analysis_report(profile, e, args.k)}
-        except ValueError as exc:
-            raise CommandError(EXIT_INVALID, str(exc))
+    with _refusals(profile.grid, args.k):
+        report = {"annotation_warning": profile.annotation_warning,
+                  **_analysis_report(profile, e, args.k)}
         if args.plot_csv is not None:
             nodes = profile.grid.nodes
             plot = {"r": nodes, "u": profile.values,
@@ -550,9 +542,6 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except solver.SupercriticalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SUPERCRITICAL
 
 
 if __name__ == "__main__":

@@ -108,6 +108,29 @@ def classify(e: ProblemExponents) -> CriticalityReport:
                              e.sum_threshold, e.single_threshold)
 
 
+class SupercriticalError(ValueError):
+    """The exponents sit in the nonexistence regime; iteration is refused.
+
+    Carries the classification report so callers can name the triggering
+    threshold(s).
+    """
+
+    def __init__(self, report: CriticalityReport):
+        self.report = report
+        names = ", ".join(report.triggers)
+        super().__init__(
+            f"supercritical exponents (triggers: {names}); no singular "
+            f"solution exists in this regime, nothing computed")
+
+
+def require_subcritical(e: ProblemExponents) -> CriticalityReport:
+    """classify(e), or SupercriticalError if e is supercritical."""
+    report = classify(e)
+    if report.is_supercritical:
+        raise SupercriticalError(report)
+    return report
+
+
 # ---------------------------------------------------------------------------
 # singularity rates and their transfer through the two operators
 
@@ -213,14 +236,10 @@ def bootstrap_t1(e: ProblemExponents) -> tuple[Optional[Fraction], BootstrapCase
     """Canonical splitting exponent t1 = ((p+q)(N-2) - alpha)/(p(N-2) - alpha).
 
     Only defined in the p-above case; returns (None, case) otherwise.
-    Supercritical tuples are rejected: the ledger machinery presumes the
-    subcritical window.
+    Supercritical tuples raise SupercriticalError: the ledger machinery
+    presumes the subcritical window.
     """
-    report = classify(e)
-    if report.is_supercritical:
-        raise ValueError(
-            "bootstrap ledger requires subcritical exponents; triggers: "
-            + ", ".join(report.triggers))
+    require_subcritical(e)
     case = bootstrap_case(e)
     if case is not BootstrapCase.P_ABOVE_ALPHA_CRITICAL:
         return None, case

@@ -44,12 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exponents import (
-    CriticalityReport,
-    ProblemExponents,
-    classify,
-    k_threshold,
-)
+from .exponents import ProblemExponents, k_threshold, require_subcritical
 from .kernels import gamma0, phi0
 from .operators import (
     ExpDecay,
@@ -66,13 +61,11 @@ __all__ = [
     "SolveVerdict",
     "SolveOutcome",
     "KstarBracket",
-    "SupercriticalError",
     "BarrierEstimateError",
     "BracketEndpointError",
     "Discretization",
     "gamma0_profile",
     "phi0_profile",
-    "require_subcritical",
     "iterate_once",
     "barrier",
     "estimate_barrier_constant",
@@ -143,34 +136,16 @@ def _overflow_guard(s: float) -> float:
     return 10.0 ** (250.0 / s)
 
 
-class SupercriticalError(ValueError):
-    """The exponents sit in the nonexistence regime; iteration is refused.
-
-    Carries the classification report so callers can name the triggering
-    threshold(s).
-    """
-
-    def __init__(self, report: CriticalityReport):
-        self.report = report
-        names = ", ".join(report.triggers)
-        super().__init__(
-            f"supercritical exponents (triggers: {names}); no singular "
-            f"solution exists in this regime, nothing computed")
-
-
-class BarrierEstimateError(RuntimeError):
-    """The barrier ratio peaked at a grid end, so its max is untrustworthy."""
+class BarrierEstimateError(ValueError):
+    """The barrier ratio peaked at a grid end, so its max is untrustworthy;
+    the remedy is a different grid."""
 
 
 class BracketEndpointError(ValueError):
     """A k* bracket endpoint came back with the wrong verdict."""
 
 
-def require_subcritical(exponents: ProblemExponents) -> CriticalityReport:
-    report = classify(exponents)
-    if report.is_supercritical:
-        raise SupercriticalError(report)
-    return report
+_WIDEN_BRACKET = "widen the bracket so k_lo converges and k_hi diverges"
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +643,9 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
     k_q, t_q = k_threshold(c_hat, float(ex.p), float(ex.q))
     active = inst.k <= k_q
     w = barrier(inst, t_q) if active else None
-    newton_ok = ex.p >= 1 and ex.q >= 1
+    # Newton needs p, q >= 1 (order convexity); ProblemExponents already
+    # refuses q < 1, so only p is left to check
+    newton_ok = ex.p >= 1
 
     # v is the iterate, tv = T(v) and potential = I_alpha[v^p] once computed;
     # a Picard step computes them at the next step, after the divergence checks
@@ -810,9 +787,10 @@ def estimate_kstar(template: ProblemInstance, k_lo: float, k_hi: float,
     """Bisect [k_lo, k_hi] on the solve verdict.
 
     Endpoints must come in with the right verdicts (k_lo converges, k_hi
-    diverges), else BracketEndpointError; the bracket then halves per
-    step.  A mid verdict of undetermined stops the sweep early rather than
-    guessing a side.  Every solve shares the template's discretization.
+    diverges), else BracketEndpointError, whose message names the remedy;
+    the bracket then halves per step.  A mid verdict of undetermined stops
+    the sweep early rather than guessing a side.  Every solve shares the
+    template's discretization.
     """
     if not (0 < k_lo < k_hi):
         raise ValueError(f"need 0 < k_lo < k_hi, got ({k_lo}, {k_hi})")
@@ -827,13 +805,13 @@ def estimate_kstar(template: ProblemInstance, k_lo: float, k_hi: float,
     if lo_out.verdict is not SolveVerdict.CONVERGED:
         raise BracketEndpointError(
             f"bracket endpoint k_lo = {k_lo:g} did not converge "
-            f"({lo_out.verdict.value})")
+            f"({lo_out.verdict.value}); {_WIDEN_BRACKET}")
     hi_out = run(k_hi)
     evaluations.append((k_hi, hi_out.verdict))
     if hi_out.verdict is not SolveVerdict.DIVERGED:
         raise BracketEndpointError(
             f"bracket endpoint k_hi = {k_hi:g} did not diverge "
-            f"({hi_out.verdict.value})")
+            f"({hi_out.verdict.value}); {_WIDEN_BRACKET}")
 
     lo, hi = k_lo, k_hi
     halted = False

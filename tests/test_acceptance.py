@@ -27,6 +27,7 @@ from choqlab.cli import main
 from choqlab.exponents import (
     Criticality,
     ProblemExponents,
+    SupercriticalError,
     T_sequence,
     bootstrap_t1,
     classify,
@@ -39,7 +40,6 @@ from choqlab.operators import RadialProfile, ZERO_TAIL, apply, assemble, \
 from choqlab.solver import (
     ProblemInstance,
     SolveVerdict,
-    SupercriticalError,
     barrier,
     estimate_barrier_constant,
     estimate_kstar,

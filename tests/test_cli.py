@@ -5,6 +5,7 @@ decade) so each solve stays fast; the exit-code contract is 0 ok, 1 failed
 verify suite, 2 invalid input, 3 supercritical, 4 diverged, 5 undetermined.
 """
 
+import io
 import json
 import math
 import os
@@ -846,6 +847,87 @@ def test_sweep_other_solve_errors_exit_2_without_hint(capsys, monkeypatch):
     assert err == f"error: {exc}\n"
 
 
+SUPERCRITICAL = ["--N", "3", "--alpha", "2", "--p", "3", "--q", "1"]
+SUPERCRITICAL_ERR = ("error: supercritical exponents (triggers: p); no "
+                     "singular solution exists in this regime, nothing "
+                     "computed\n")
+FAST_GRID_REPR = "RadialGrid(r_min=0.001, r_max=20.0, size=87)"
+
+
+# each row: the command (its output file, out.json, is appended), a
+# solver function replaced by one raising the given exception (None: the
+# input alone is refused), the exit code (None: the exception propagates)
+# and the start of stderr
+@pytest.mark.parametrize("argv, injected, code, err", [
+    pytest.param(["solve", *SUPERCRITICAL, *FAST_GRID, "--k", "0.4",
+                  "--report-json"], None, 3, SUPERCRITICAL_ERR,
+                 id="supercritical-solve"),
+    pytest.param(["sweep-k", *SUPERCRITICAL, *FAST_GRID, "--steps", "2",
+                  "--output"], None, 3, SUPERCRITICAL_ERR,
+                 id="supercritical-sweep-k"),
+    pytest.param(["report", *SUPERCRITICAL, "--k", "0.4", "--profile-csv",
+                  "absent.csv", "--report-json"], None, 3, SUPERCRITICAL_ERR,
+                 id="supercritical-report"),
+    pytest.param(["solve", *FLAGS, "--r-max", "691", "--points-per-decade",
+                  "5", "--k", "0.4", "--report-json"], None, 2,
+                 "error: barrier ratio peaks at grid end (r = 691); use "
+                 "more points per decade, or widen the grid\n",
+                 id="barrier-estimate-solve"),
+    pytest.param(["sweep-k", *FLAGS, *FAST_GRID, "--steps", "2",
+                  "--output"],
+                 ("estimate_barrier_constant", BarrierEstimateError(
+                     "barrier ratio peaks at grid start (r = 0.001); "
+                     "widen the grid")), 2,
+                 "error: barrier ratio peaks at grid start (r = 0.001); "
+                 "widen the grid\n", id="barrier-estimate-sweep-k"),
+    pytest.param(["sweep-k", *FLAGS, *FAST_GRID, "--k-lo", "100", "--k-hi",
+                  "200", "--steps", "2", "--output"], None, 2,
+                 "error: bracket endpoint k_lo = 100 did not converge "
+                 "(diverged); widen the bracket so k_lo converges and k_hi "
+                 "diverges\n", id="bracket-endpoint"),
+    pytest.param(["solve", *FLAGS, *FAST_GRID, "--k", "0.4",
+                  "--report-json"],
+                 ("solve_minimal", NonIntegrableOriginError("green", 3.5, 3)),
+                 2, f"error: {NonIntegrableOriginError('green', 3.5, 3)}\n",
+                 id="non-integrable-origin"),
+    pytest.param(["solve", *FLAGS, *FAST_GRID, "--k", "1e300",
+                  "--report-json"], None, 2,
+                 "error: the numerics leave the float range at k = 1e+300 "
+                 f"on the grid {FAST_GRID_REPR} (overflow encountered in ",
+                 id="floating-point-solve"),
+    pytest.param(["sweep-k", *FLAGS, *FAST_GRID, "--steps", "2",
+                  "--output"],
+                 ("estimate_kstar", FloatingPointError(
+                     "overflow encountered in multiply")), 2,
+                 "error: the numerics leave the float range on the grid "
+                 f"{FAST_GRID_REPR} (overflow encountered in multiply)\n",
+                 id="floating-point-sweep-k"),
+    pytest.param(["solve", *FLAGS, *FAST_GRID, "--k", "0.4",
+                  "--report-json"],
+                 ("solve_minimal", RuntimeError("a fault, not a refusal")),
+                 None, "", id="fault-propagates"),
+])
+def test_refusals_map_to_their_exit_codes(capsys, tmp_path, monkeypatch,
+                                          argv, injected, code, err):
+    monkeypatch.chdir(tmp_path)
+    if injected is not None:
+        name, exc = injected
+
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(choqlab.solver, name, raising)
+    if code is None:
+        with pytest.raises(type(exc), match=str(exc)):
+            main([*argv, "out.json"])
+        assert capsys.readouterr().out == ""
+    else:
+        got, out, stderr = run_cli(capsys, *argv, "out.json")
+        assert (got, out) == (code, "")
+        assert stderr.startswith(err), stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_blowup_cap_is_refused(capsys, tmp_path):
     # the cap is derived from k, the grid and the exponents; an old flag or
     # config key that tried to set it is refused rather than dropped
@@ -1132,6 +1214,17 @@ def test_verify_kernels_csv_dump(capsys, tmp_path):
     assert len(lines) == 201
 
 
+def test_run_suite_runs_the_suite_set_on_the_module(monkeypatch):
+    # a wrapper set on verify.suite_<name>, such as a tracer's, is the
+    # suite that runs
+    monkeypatch.setattr(
+        choqlab.verify, "suite_bootstrap",
+        lambda: [choqlab.verify.CheckResult("stub", False, "injected")])
+    stream = io.StringIO()
+    assert choqlab.verify.run_suite("bootstrap", stream) is False
+    assert stream.getvalue() == "1..1\nnot ok 1 - stub  # injected\n"
+
+
 def test_verify_suite_names_match_the_suites():
     from choqlab.verify import SUITES
     assert choqlab.cli.VERIFY_SUITES == tuple(sorted(SUITES))
@@ -1161,6 +1254,8 @@ def test_classify_runs_without_numpy():
             f"assert choqlab.cli.main(['classify', *{FLAGS!r}]) == 0\n"
             "assert choqlab.cli.main(['classify', '--N', '3', '--alpha', '2', "
             "'--p', '5', '--q', '1']) == 0\n"
+            "assert choqlab.cli.main(['classify', '--N', '3', '--alpha', '5', "
+            "'--p', '2', '--q', '1']) == 2\n"
             "print('numpy' in sys.modules)\n")
     out = run_python(code)
     assert '"class": "subcritical"' in out

@@ -17,6 +17,7 @@ from choqlab.exponents import (
     Criticality,
     ProblemExponents,
     SingularityRate,
+    SupercriticalError,
     as_fraction,
     bootstrap_case,
     bootstrap_ledger,
@@ -196,6 +197,14 @@ def test_bootstrap_t1_cases():
     assert t1 is None and case is BootstrapCase.P_BELOW_ALPHA_CRITICAL
     with pytest.raises(ValueError):
         bootstrap_t1(ProblemExponents(5, F(2), F(2), F(1)))  # supercritical
+
+
+def test_bootstrap_t1_refuses_supercritical_exponents():
+    # the one supercritical refusal, carrying the triggers it names
+    with pytest.raises(SupercriticalError) as exc:
+        bootstrap_t1(ProblemExponents(3, F(2), F(3), F(1)))
+    assert exc.value.report.triggers == ("p",)
+    assert str(exc.value).startswith("supercritical exponents (triggers: p);")
 
 
 def test_ledger_4_1_65_1():

@@ -9,11 +9,13 @@ residual) comes from the structure of the scheme, not from tuning.
 import math
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from choqlab.exponents import ProblemExponents, k_threshold
+from choqlab.exponents import ProblemExponents, SupercriticalError, \
+    k_threshold
 from choqlab.operators import (
     ExpDecay,
     NonIntegrableOriginError,
@@ -30,7 +32,6 @@ from choqlab.solver import (
     Discretization,
     ProblemInstance,
     SolveVerdict,
-    SupercriticalError,
     barrier,
     estimate_barrier_constant,
     estimate_kstar,
@@ -442,6 +443,25 @@ def test_kstar_endpoint_errors_are_their_own_type():
         estimate_kstar(tmpl, 100.0, 200.0, steps=2)
     with pytest.raises(BracketEndpointError, match="did not diverge"):
         estimate_kstar(tmpl, 0.1 * K_Q, 0.5 * K_Q, steps=2)
+
+
+@pytest.mark.parametrize("verdict, endpoint", [
+    (SolveVerdict.DIVERGED, "k_lo = 1 did not converge (diverged)"),
+    (SolveVerdict.CONVERGED, "k_hi = 2 did not diverge (converged)")])
+def test_kstar_endpoint_errors_name_their_remedy(monkeypatch, verdict,
+                                                 endpoint):
+    # every solve returns the one verdict, so one endpoint fails
+    monkeypatch.setattr(choqlab.solver, "solve_minimal",
+                        lambda inst: SimpleNamespace(verdict=verdict))
+    with pytest.raises(BracketEndpointError) as exc:
+        estimate_kstar(INST, 1.0, 2.0, steps=2)
+    assert str(exc.value) == (f"bracket endpoint {endpoint}; widen the "
+                              f"bracket so k_lo converges and k_hi diverges")
+
+
+def test_barrier_estimate_error_is_a_value_error():
+    # a refusal whose remedy is a different grid, as for any bad input
+    assert issubclass(BarrierEstimateError, ValueError)
 
 
 # ---------------------------------------------------------------------------
