@@ -167,8 +167,9 @@ class RadialProfile:
     Below r_1 the function is modeled as values[0] * (r/r_1)^{-sigma} with
     sigma = origin_exponent >= 0; beyond r_max by the tail model anchored at
     values[-1].  annotation_warning is set when a declared sigma disagrees
-    with the observed near-origin slope: by apply(), and by the step map
-    (Discretization.image, through iterate_once).
+    with the observed near-origin slope: by apply(), by barrier() from
+    its core's check, and by solve_minimal when a check of a step it
+    accepted fired.
     """
 
     grid: RadialGrid
@@ -194,10 +195,6 @@ class RadialProfile:
             raise ValueError(f"origin exponent must be finite, got {sigma}")
         if sigma < 0.0:
             raise ValueError(f"origin exponent must be >= 0, got {sigma}")
-
-    @property
-    def sup(self) -> float:
-        return float(self.values.max(initial=0.0))
 
 
 class NonIntegrableOriginError(ValueError):

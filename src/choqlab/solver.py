@@ -30,7 +30,9 @@ from the slower Yukawa kernel Phi_0 dominates the whole sequence whenever
 the tangency inequality (c t k^{p+q-1} + 1)^{p+q} <= t admits a solution,
 which pins down the guaranteed-convergence threshold k_q.  The step and the
 barrier apply the same map x -> G[I_alpha[x^p] x^q] to plain arrays, each
-with the columns its unit profile's annotations select.
+with the columns its unit profile's annotations select.  Every iterate
+carries the source's annotations, so the solve carries nodal arrays and one
+slope flag, and builds a profile only for the solution it returns.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -237,10 +239,6 @@ class Discretization:
         self.gamma0 = gamma0_profile(N, grid)
         self.phi0 = phi0_profile(N, grid)
 
-    def source(self, k: float) -> RadialProfile:
-        """k Gamma_0 with its exact annotations."""
-        return replace(self.gamma0, values=self.gamma0.values * k)
-
     def plan(self, unit: RadialProfile) -> tuple:
         """The annotations and columns the map meets on multiples of unit.
 
@@ -347,55 +345,35 @@ class Discretization:
         return float(ratio[peak])
 
 
-# the process's one discretization, for the most recent (exponents, grid)
-_shared: Optional[Discretization] = None
-
-
+@lru_cache(maxsize=1)
 def _discretization(exponents: ProblemExponents,
                     grid: RadialGrid) -> Discretization:
-    """The shared Discretization, rebuilt when the exponents or the grid
-    differ from the last ones asked for."""
-    global _shared
-    # the local copy stays right if another thread swaps _shared; every
-    # step asks, so the identity test comes first
-    disc = _shared
-    if disc is None or not (disc.exponents == exponents and (
-            disc.grid is grid or disc.grid == grid)):
-        disc = _shared = Discretization(exponents, grid)
-    return disc
+    """The shared Discretization of the most recent (exponents, grid), by
+    value: equal grids built apart share it."""
+    return Discretization(exponents, grid)
 
 
 # ---------------------------------------------------------------------------
 # the iteration map
 
 
-def iterate_once(v: RadialProfile, inst: ProblemInstance,
-                 potential: Optional[np.ndarray] = None) -> RadialProfile:
-    """One step v -> G[I_alpha[v^p] v^q] + k Gamma_0.
+def iterate_once(x: np.ndarray, inst: ProblemInstance,
+                 potential: Optional[np.ndarray] = None) -> tuple:
+    """(T(x), slope flag) for the step x -> G[I_alpha[x^p] x^q] + k Gamma_0
+    on the nodal values x of an iterate.
 
-    v must carry the source's own annotations (origin exponent N-2 and the
-    Gamma_0 tail), as every iterate from k Gamma_0 does; any other v is a
-    ValueError.  The output is re-annotated the same way: the nonlinear
-    correction is strictly milder at the origin in the subcritical class,
-    so k Gamma_0 keeps the leading annotation, and freezing it makes every
-    iterate share the same origin and tail columns (comparisons between
-    iterates then survive rounding exactly).
-
-    The step is disc.image under disc.step_plan plus the source, and
-    builds one profile at the end.  potential, an array on the grid,
-    receives I_alpha[v^p] for the Jacobian at v when given.
+    Every iterate carries the source's annotations (origin exponent N-2
+    and the Gamma_0 tail): the nonlinear correction is strictly milder at
+    the origin in the subcritical class, so k Gamma_0 keeps the leading
+    annotation, and freezing it makes every iterate share the same origin
+    and tail columns (comparisons between iterates then survive rounding
+    exactly).  So the step is disc.image under disc.step_plan plus the
+    source, and the flag is that image's.  potential, an array on the
+    grid, receives I_alpha[x^p] for the Jacobian at x when given.
     """
     disc = _discretization(inst.exponents, inst.grid)
-    unit = disc.gamma0
-    if v.origin_exponent != unit.origin_exponent or v.tail != unit.tail:
-        raise ValueError(
-            f"iterate_once needs the source's annotations (origin exponent "
-            f"{unit.origin_exponent:g}, tail {unit.tail}), got "
-            f"{v.origin_exponent:g} and {v.tail}")
-    image, warn = disc.image(v.values, disc.step_plan, potential)
-    return RadialProfile(disc.grid, image + unit.values * inst.k,
-                         origin_exponent=unit.origin_exponent, tail=unit.tail,
-                         annotation_warning=v.annotation_warning or warn)
+    image, warn = disc.image(x, disc.step_plan, potential)
+    return image + disc.gamma0.values * inst.k, warn
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +450,9 @@ class SolveOutcome:
     sup norm passed blowup_cap ("cap") or the Collatz-Wielandt bound on
     rho(J) passed 1 ("spectral"); max_iter ran out ("budget").
     fixed_point_residual is max_i |T(v) - v|_i / v_i at the returned
-    profile; annotation_warning is set once any step of the solve saw a
-    declared origin exponent disagree with the profile's slope.
+    profile; annotation_warning, which the profile carries too, is set
+    once a slope check fired in T at any iterate the solve accepted (a
+    rejected Newton attempt's T does not count).
     """
 
     verdict: SolveVerdict
@@ -554,11 +533,11 @@ def _gmres(operator, b: np.ndarray, rtol: float) -> tuple:
     return np.array(z) @ basis[:n], abs(g[n]) <= target, n
 
 
-def _newton_step(v: RadialProfile, tv: RadialProfile, jac,
+def _newton_step(v: np.ndarray, tv: np.ndarray, jac,
                  inst: ProblemInstance) -> tuple:
-    """((w, T(w), I_alpha[w^p]), products) for the guarded Newton step
-    from v, with jac the Jacobian at v, or (None, products) when the step
-    fails its guard.
+    """((w, T(w), I_alpha[w^p], slope flag of T(w)), products) for the
+    guarded Newton step from the iterate values v with tv = T(v), jac the
+    Jacobian at v, or (None, products) when the step fails its guard.
 
     The correction d solves (I - J(v)) d = T(v) - v in the nodewise-scaled
     variable y = d / v, as y - S y = (T(v) - v) / v with jac = S the
@@ -569,23 +548,21 @@ def _newton_step(v: RadialProfile, tv: RadialProfile, jac,
     below blowup_cap (so that T(w) is finite) and w is still a
     subsolution, T(w) - w >= -eps w.
     """
-    x = v.values
-    b = (tv.values - x) / x
+    b = (tv - v) / v
     forcing = min(_FORCING_MAX, float(np.abs(b).max()) ** 2)
     y, converged, products = _gmres(lambda z: z - jac(z), b,
                                     max(forcing, _GMRES_RTOL))
     # written so that a NaN fails the test
     if not (converged and y.min() >= -_GUARD_EPS):
         return None, products
-    w_values = x + x * y
-    if not w_values.max() <= inst.blowup_cap:
+    w = v + v * y
+    if not w.max() <= inst.blowup_cap:
         return None, products
-    w = replace(v, values=w_values)
-    potential = np.empty_like(x)
-    tw = iterate_once(w, inst, potential)
-    if np.any(tw.values - w.values < -_GUARD_EPS * w.values):
+    potential = np.empty_like(v)
+    tw, warn = iterate_once(w, inst, potential)
+    if np.any(tw - w < -_GUARD_EPS * w):
         return None, products
-    return (w, tw, potential), products
+    return (w, tw, potential, warn), products
 
 
 def _spectral_certificate(jac, size: int) -> tuple:
@@ -647,10 +624,13 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
     # refuses q < 1, so only p is left to check
     newton_ok = ex.p >= 1
 
-    # v is the iterate, tv = T(v) and potential = I_alpha[v^p] once computed;
-    # a Picard step computes them at the next step, after the divergence checks
-    v, tv, potential = disc.source(inst.k), None, None
-    sups = [v.sup]
+    # v holds the iterate's values, tv = T(v) and potential = I_alpha[v^p]
+    # once computed; a Picard step computes them at the next step, after the
+    # divergence checks.  warned collects the slope flags of every T
+    # evaluated at an accepted iterate
+    v, tv, potential = disc.gamma0.values * inst.k, None, None
+    warned = False
+    sups = [float(v.max())]
     methods: list = []
     deltas: list = []
     ratios: list = []
@@ -659,7 +639,7 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
     violations: list = []
     margins: list = [] if active else None
     if active:
-        margins.append(float((w.values - v.values).min()))
+        margins.append(float((w.values - v).min()))
 
     guard = _overflow_guard(float(ex.p + ex.q))
     growth_run = 0
@@ -671,17 +651,18 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
     rejections, retry_at = 0, 0
     for n in range(1, inst.max_iter + 1):
         if tv is None:
-            potential = np.empty_like(v.values)
-            tv = iterate_once(v, inst, potential)
+            potential = np.empty_like(v)
+            tv, warn = iterate_once(v, inst, potential)
+            warned = warned or warn
         step, spent = None, 0
         if newton_ok and n >= retry_at and (
                 (methods and methods[-1] == "newton")
                 or (ratio is not None and _NEWTON_RATIO < ratio < 1.0)):
             # one Jacobian serves the step and, if it fails, the certificate
-            jac = disc.jacobian(v.values, potential)
+            jac = disc.jacobian(v, potential)
             step, spent = _newton_step(v, tv, jac, inst)
             if step is None:
-                certified, used = _spectral_certificate(jac, v.values.size)
+                certified, used = _spectral_certificate(jac, v.size)
                 spent += used
                 if certified:
                     if products:
@@ -691,9 +672,10 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
                 retry_at = n + 2 ** rejections
                 rejections += 1
         method = "picard" if step is None else "newton"
-        v_next, tv_next, potential_next = step or (tv, None, None)
+        v_next, tv_next, potential_next, warn = step or (tv, None, None, False)
+        warned = warned or warn
 
-        delta = _nodewise(v_next.values - v.values, v_next.values)
+        delta = _nodewise(v_next - v, v_next)
         same = bool(methods) and methods[-1] == method and deltas[-1] > 0.0
         ratio = delta / deltas[-1] if same else None
         if delta == 0.0:
@@ -702,17 +684,16 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
             bound = delta * ratio / (1.0 - ratio)
         else:
             bound = None
-        sup_prev, sup_next = v.sup, v_next.sup
+        sup_prev, sup_next = sups[-1], float(v_next.max())
         sups.append(sup_next)
         methods.append(method)
         deltas.append(delta)
         ratios.append(ratio)
         bounds.append(bound)
         products.append(spent)
-        violations.append(max(0.0, float(np.max(v.values - v_next.values))
-                              / sup_prev))
+        violations.append(max(0.0, float(np.max(v - v_next)) / sup_prev))
         if active:
-            margins.append(float((w.values - v_next.values).min()))
+            margins.append(float((w.values - v_next).min()))
 
         growth_run = growth_run + 1 if sup_next > sup_prev else 0
         v, tv, potential = v_next, tv_next, potential_next
@@ -728,10 +709,11 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
     residual = None
     profile = None
     if verdict is SolveVerdict.CONVERGED:
-        profile = v
         if tv is None:
-            tv = iterate_once(v, inst)
-        residual = _nodewise(tv.values - v.values, v.values)
+            tv, warn = iterate_once(v, inst)
+            warned = warned or warn
+        residual = _nodewise(tv - v, v)
+        profile = replace(disc.gamma0, values=v, annotation_warning=warned)
 
     trace = IterationTrace(sup_norms=tuple(sups),
                            methods=tuple(methods),
@@ -749,10 +731,7 @@ def solve_minimal(inst: ProblemInstance) -> SolveOutcome:
                         k_threshold_estimate=k_q,
                         barrier_active=active,
                         stop_reason=reason,
-                        # T(v) also judged v's own slopes, and its flag
-                        # carries every earlier one
-                        annotation_warning=(v if tv is None
-                                            else tv).annotation_warning)
+                        annotation_warning=warned)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ import choqlab.solver
 
 
 @pytest.fixture
-def cold_discretization(monkeypatch):
+def cold_discretization():
     """No shared discretization at the start of the test: the first solve
     builds one, whatever earlier tests left behind."""
-    monkeypatch.setattr(choqlab.solver, "_shared", None)
+    choqlab.solver._discretization.cache_clear()
 
 
 @pytest.fixture

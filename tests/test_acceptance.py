@@ -183,7 +183,7 @@ def test_criterion_6_flagship_end_to_end():
 
         w = barrier(inst, t_q)
         margins = np.asarray(outcome.trace.barrier_margins)
-        assert margins.min() >= -1e-8 * w.sup
+        assert margins.min() >= -1e-8 * w.values.max()
 
         assert check_lower_bound(outcome.profile, k, 3) <= 1e-8
 
@@ -261,5 +261,5 @@ def test_criterion_8_kstar_bracketing():
             assert out.verdict is SolveVerdict.CONVERGED
             profiles.append(out.profile)
         for low, high in zip(profiles, profiles[1:]):
-            slack = 1e-10 * high.sup
+            slack = 1e-10 * high.values.max()
             assert np.all(low.values <= high.values + slack)

@@ -19,7 +19,6 @@ from choqlab.exponents import ProblemExponents, SupercriticalError, \
 from choqlab.operators import (
     ExpDecay,
     NonIntegrableOriginError,
-    RadialProfile,
     apply,
     build_grid,
     pointwise_power,
@@ -85,7 +84,8 @@ def test_flagship_barrier_dominates_all_iterates():
 
 def test_flagship_lower_bound():
     low = gamma0_profile(3, GRID, scale=INST.k)
-    viol = np.max(low.values - OUTCOME.profile.values) / OUTCOME.profile.sup
+    u = OUTCOME.profile.values
+    viol = np.max(low.values - u) / u.max()
     assert viol <= 1e-8
 
 
@@ -100,27 +100,19 @@ def test_flagship_annotations():
 # single iteration
 
 
-def test_iterate_rejects_a_zero_profile():
-    from choqlab.operators import RadialProfile
-    z = RadialProfile(GRID, np.zeros(GRID.size))
-    with pytest.raises(ValueError, match="annotations"):
-        iterate_once(z, INST)
-
-
 def test_iterate_increases_above_source():
-    src = gamma0_profile(3, GRID, scale=INST.k)
-    out = iterate_once(src, INST)
-    assert np.all(out.values >= src.values)
-    assert out.values.max() > src.values.max()
-    assert out.origin_exponent == src.origin_exponent
-    assert out.tail == src.tail
+    src = gamma0_profile(3, GRID, scale=INST.k).values
+    out, warn = iterate_once(src, INST)
+    assert np.all(out >= src)
+    assert out.max() > src.max()
+    assert not warn
 
 
 def test_iterate_raises_on_inner_riesz_divergence():
     # p (N-2) >= N makes the powered source non-integrable at the origin
     ex = ProblemExponents(N=3, alpha=Fraction(2), p=Fraction(3), q=Fraction(1))
     inst = ProblemInstance(ex, k=1.0, grid=GRID)
-    src = gamma0_profile(3, GRID, scale=1.0)
+    src = gamma0_profile(3, GRID, scale=1.0).values
     with pytest.raises(NonIntegrableOriginError):
         iterate_once(src, inst)
 
@@ -149,27 +141,26 @@ def flattened(profile):
 ])
 def test_iterate_once_is_the_annotated_composition(ex, k):
     # the step and the barrier core on plain arrays must reproduce
-    # apply / pointwise_* to the last bit, annotation_warning included
+    # apply / pointwise_* on profiles with the source's annotations to the
+    # last bit, annotation_warning included
     grid = build_grid(1e-4, 30.0, 20)
     inst = ProblemInstance(ex, k=k, grid=grid)
     disc = Discretization(ex, grid)
-    source = disc.source(k)
+    source = gamma0_profile(ex.N, grid, scale=k)
     for start in (source, flattened(source)):
-        v = start
+        x, warned = start.values, False
         for _ in range(4):
             potential = np.empty(grid.size)
-            step = iterate_once(v, inst, potential)
+            step, warn = iterate_once(x, inst, potential)
+            v = replace(source, values=x)
             composed = annotated_image(disc, v)
-            assert np.array_equal(step.values,
-                                  composed.values + source.values)
+            assert np.array_equal(step, composed.values + source.values)
             powered = pointwise_power(v, float(ex.p))
             assert np.array_equal(potential,
                                   apply(disc.riesz, powered).values)
-            assert step.annotation_warning == composed.annotation_warning
-            assert (step.origin_exponent, step.tail) == \
-                (source.origin_exponent, source.tail)
-            v = step
-        assert v.annotation_warning is (start is not source)
+            assert warn == composed.annotation_warning
+            x, warned = step, warned or warn
+        assert warned is (start is not source)
 
     composed = annotated_image(disc, disc.phi0)
     core, warn = disc.barrier_core
@@ -201,13 +192,6 @@ def test_barrier_carries_phi0_annotations(N, alpha, p, q):
     w = barrier(ProblemInstance(ex, k=1.0, grid=grid), 2.0)
     assert (w.origin_exponent, w.tail) == (phi0.origin_exponent, phi0.tail)
     assert w.annotation_warning is disc.barrier_core[1]
-
-
-def test_iterate_refuses_foreign_annotations():
-    src = gamma0_profile(3, GRID, scale=INST.k)
-    for origin, tail in ((0.0, src.tail), (1.0, ExpDecay(0.5, 1.0))):
-        with pytest.raises(ValueError, match="source's annotations"):
-            iterate_once(RadialProfile(GRID, src.values, origin, tail), INST)
 
 
 # float arithmetic on the annotations lands an ulp off the exact plan for
@@ -372,7 +356,7 @@ def test_profiles_increase_with_k():
     small = solve_minimal(ProblemInstance(FLAGSHIP, k=0.3 * K_Q, grid=GRID))
     large = solve_minimal(ProblemInstance(FLAGSHIP, k=0.6 * K_Q, grid=GRID))
     assert small.verdict is large.verdict is SolveVerdict.CONVERGED
-    slack = 1e-10 * large.profile.sup
+    slack = 1e-10 * large.profile.values.max()
     assert np.all(small.profile.values <= large.profile.values + slack)
 
 
@@ -548,8 +532,8 @@ def test_solve_ignores_columns_at_neighbouring_floats(side,
     ex = ProblemExponents(7, Fraction(1, 3), Fraction(1, 7), Fraction(6, 5))
     inst = ProblemInstance(ex, k=0.5, grid=GRID)
     cold = solve_minimal(inst)
-    plan = choqlab.solver._shared.step_plan
-    choqlab.solver._shared = None
+    plan = choqlab.solver._discretization(ex, GRID).step_plan
+    choqlab.solver._discretization.cache_clear()
     disc = choqlab.solver._discretization(ex, GRID)
     for op, (sigma, _, _) in zip((disc.riesz, disc.green), plan):
         op.origin_column(math.nextafter(sigma, side))
@@ -560,7 +544,8 @@ def test_solve_ignores_columns_at_neighbouring_floats(side,
 
 def test_discretization_source_and_barrier_match_profiles():
     disc = Discretization(FLAGSHIP, GRID)
-    assert np.array_equal(disc.source(INST.k).values,
+    # the solve starts from disc.gamma0.values * k
+    assert np.array_equal(disc.gamma0.values * INST.k,
                           gamma0_profile(3, GRID, scale=INST.k).values)
     core, _ = disc.barrier_core
     assert np.array_equal(barrier(INST, T_Q).values,
@@ -603,7 +588,7 @@ def test_one_more_step_moves_no_node_beyond_the_bound(ex, k):
     bound = out.trace.bounds[-1]
     assert bound < inst.conv_tol
     v = out.profile.values
-    move = np.max(np.abs(iterate_once(out.profile, inst).values - v) / v)
+    move = np.max(np.abs(iterate_once(v, inst)[0] - v) / v)
     assert move <= bound + ROUNDING
     assert out.fixed_point_residual == move
 
@@ -649,7 +634,7 @@ def test_newton_increments_are_nonnegative(ex, k, monkeypatch):
         out = step(v, tv, jac, inst)
         if out[0] is not None:
             w = out[0][0]
-            increments.append(np.min((w.values - v.values) / v.values))
+            increments.append(np.min((w - v) / v))
         return out
 
     monkeypatch.setattr(choqlab.solver, "_newton_step", recorded)
@@ -665,7 +650,7 @@ def test_scaled_jacobian_is_the_derivative_of_the_step(ex, k):
     # S y = J(x y) / x against a central difference of the step map along
     # x y; its error is about t^2 from the third derivative
     disc = Discretization(ex, GRID)
-    x = disc.source(k).values
+    x = disc.gamma0.values * k
     potential = np.empty(GRID.size)
     disc.image(x, disc.step_plan, potential)
     y = np.random.default_rng(3).random(GRID.size)
@@ -729,7 +714,7 @@ def test_barrier_margins_fire_when_c_hat_is_understated(monkeypatch):
     out = solve_minimal(beyond)
     assert out.verdict is SolveVerdict.DIVERGED and out.barrier_active
     w = barrier(beyond, k_threshold(1e-6 * c_hat, 1.2, 1.0)[1])
-    assert min(out.trace.barrier_margins) < -1e-8 * w.sup
+    assert min(out.trace.barrier_margins) < -1e-8 * w.values.max()
 
 
 def test_mono_violations_fire_when_newton_may_step_down(monkeypatch):
@@ -777,6 +762,59 @@ def test_annotation_warning_reaches_the_outcome(k, monkeypatch):
     out = solve_minimal(ProblemInstance(FLAGSHIP, k=k, grid=GRID))
     assert out.verdict is SolveVerdict.CONVERGED
     assert out.annotation_warning and out.profile.annotation_warning
+
+
+@pytest.mark.parametrize("position", range(1, 23))
+def test_each_accepted_slope_check_reaches_the_outcome(position,
+                                                       monkeypatch):
+    # the warm solve makes 22 slope checks, two in each T: at v_0 .. v_4
+    # for four Picard steps and the first Newton step, then at w_5 .. w_10
+    # for six accepted Newton steps.  One check fires; a Newton iterate
+    # must not drop the flag of T at the iterate it starts from
+    estimate_barrier_constant(FLAGSHIP, GRID)    # the barrier core's checks
+    calls = []
+
+    def fires_once(values, sigma, log_step):
+        calls.append(sigma)
+        return len(calls) == position
+
+    monkeypatch.setattr(choqlab.solver, "origin_slope_disagrees", fires_once)
+    out = solve_minimal(ProblemInstance(FLAGSHIP, k=3.27, grid=GRID))
+    assert out.trace.methods == ("picard",) * 4 + ("newton",) * 6
+    # a firing first check of a T skips its second
+    assert len(calls) == 22 - position % 2
+    assert out.annotation_warning and out.profile.annotation_warning
+
+
+@pytest.mark.parametrize("attempt, counted", [(1, True), (2, False)])
+def test_a_rejected_newton_attempt_leaves_no_slope_flag(attempt, counted,
+                                                        monkeypatch):
+    # the first Newton attempt is accepted, the second rejected by the
+    # subsolution guard after T(w) ran its checks; the checks fire only
+    # within the one attempt, and only an accepted T(w) counts
+    estimate_barrier_constant(EXP_41, GRID)      # the barrier core's checks
+    step = choqlab.solver._newton_step
+    accepted, fired, inside = [], [], []
+
+    def recorded(v, tv, jac, inst):
+        inside.append(len(accepted) + 1 == attempt)
+        out = step(v, tv, jac, inst)
+        inside.pop()
+        accepted.append(out[0] is not None)
+        return out
+
+    def fires_inside(values, sigma, log_step):
+        if inside and inside[-1]:
+            fired.append(sigma)
+        return bool(inside and inside[-1])
+
+    monkeypatch.setattr(choqlab.solver, "_newton_step", recorded)
+    monkeypatch.setattr(choqlab.solver, "origin_slope_disagrees",
+                        fires_inside)
+    out = solve_minimal(ProblemInstance(EXP_41, k=1.465, grid=GRID))
+    assert out.verdict is SolveVerdict.CONVERGED
+    assert accepted[:2] == [True, False] and fired
+    assert out.annotation_warning is out.profile.annotation_warning is counted
 
 
 def test_budget_stop_is_undetermined():
